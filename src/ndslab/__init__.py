@@ -11,7 +11,6 @@ from .symbolic import (
     ONE,
     Block,
     Code,
-    Cylinder,
     alpha,
     alpha_iter,
     all_blocks,
@@ -68,7 +67,7 @@ from .constructions import (
     times_R,
     times_S,
 )
-from .dynamics import Trajectory, iterate_from, map_at, trajectory
+from .dynamics import Trajectory, iterate_from, trajectory
 from .analysis import (
     EntropyTable,
     PairVerdict,

@@ -3,9 +3,10 @@
 Each criterion function returns a :class:`CriterionResult`; ``run_all``
 executes the battery in order and prints one PASS/FAIL line per criterion.
 The parameters frozen here (depths, grids, tolerances, candidate recipes,
-random seeds) are the published contract of the package; tests and the CLI
-``verify-all`` command both call into this module so there is exactly one
-source of truth.
+random seeds) are the published contract of the package.  The scans behind
+criteria 1, 7c and 7d are parametrised helpers whose defaults are those
+frozen values; the tests, the CLI ``verify-all`` command and the CLI scan
+commands all call into this module, so there is exactly one source of truth.
 
 Criterion 7c is expected to fail and is reported honestly: an exactly
 constant trajectory tail would require a common fixed point of all later
@@ -19,11 +20,11 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from time import perf_counter
+from typing import Callable, Optional
 
 from .analysis import (
     distality_report,
@@ -37,6 +38,7 @@ from .analysis import (
 from .blowup import (
     build_atlas,
     build_limit_map,
+    hull_nesting_holds,
     one_code_per_deep_cylinder,
     order_isomorphism_holds,
     verify_hull_periodicity,
@@ -63,14 +65,12 @@ from .plmap import (
 )
 from .symbolic import (
     ZERO,
-    Block,
     alpha,
     all_blocks,
     all_codes,
     block_successor,
     canonicalize,
     eta_orbit,
-    evaluate_e,
 )
 
 DEFAULT_RHO = Fraction(1, 2)
@@ -93,9 +93,9 @@ class CriterionResult:
 
 
 def _timed(fn: Callable[[], tuple[bool, str]]) -> tuple[bool, str, float]:
-    t0 = time.time()
+    t0 = perf_counter()
     ok, details = fn()
-    return ok, details, time.time() - t0
+    return ok, details, perf_counter() - t0
 
 
 def grid_in(l: Fraction, r: Fraction, m: int) -> list[Fraction]:
@@ -142,24 +142,35 @@ def epsilon_zero(bundle) -> Fraction:
 # criteria
 
 
+def reversing_orbit_scan(max_k: int = 6) -> tuple[int, Optional[str]]:
+    """Orbit closure and single cylinder visit for every block of length <= max_k.
+
+    Returns the number of blocks verified and the first failure, or None.
+    """
+    checked = 0
+    for k in range(1, max_k + 1):
+        period = 2 ** k
+        for w in all_blocks(k):
+            orbit = eta_orbit(w, ZERO, period)
+            if orbit[-1] != ZERO:
+                return checked, f"orbit of the zero code does not close for {w}"
+            pts = orbit[:-1]
+            if len(set(pts)) != period:
+                return checked, f"orbit of the zero code degenerate for {w}"
+            inside = [c for c in pts if c.starts_with(w.word)]
+            if len(inside) != 1 or inside[0] != canonicalize(w.word, 0):
+                return checked, f"cylinder visit wrong for {w}"
+            checked += 1
+    return checked, None
+
+
 def criterion_1() -> CriterionResult:
     """Reversing-step periodicity, exhaustively over all blocks of length <= 6."""
 
     def run():
-        checked = 0
-        for k in range(1, 7):
-            period = 2 ** k
-            for w in all_blocks(k):
-                orbit = eta_orbit(w, ZERO, period)
-                if orbit[-1] != ZERO:
-                    return False, f"orbit of the zero code does not close for {w}"
-                pts = orbit[:-1]
-                if len(set(pts)) != period:
-                    return False, f"orbit of the zero code degenerate for {w}"
-                inside = [c for c in pts if c.starts_with(w.word)]
-                if len(inside) != 1 or inside[0] != canonicalize(w.word, 0):
-                    return False, f"cylinder visit wrong for {w}"
-                checked += 1
+        checked, failure = reversing_orbit_scan()
+        if failure is not None:
+            return False, failure
         return True, f"{checked} blocks verified exactly"
 
     ok, details, dt = _timed(run)
@@ -261,12 +272,10 @@ def criterion_5() -> CriterionResult:
             if not rep["ok"]:
                 return False, f"hull cycle broken at level {n}, step {rep['first_failure']}"
             full.append(rep["certified_full_cycle"])
-        # nesting J(n+1) inside J(n)
         for n in range(1, 10):
             for k in range(2 ** n):
                 for bit in (0, 1):
-                    outer, inner = atlas.hull(n, k), atlas.hull(n + 1, k + bit * 2 ** n)
-                    if not (outer[0] <= inner[0] and inner[1] <= outer[1]):
+                    if not hull_nesting_holds(atlas, n, k, bit):
                         return False, f"nesting broken at ({n},{k},{bit})"
         return True, (
             "order, deep-cylinder bijection, interval action, "
@@ -350,16 +359,23 @@ def criterion_7b(fixture=None) -> CriterionResult:
     return CriterionResult("7b", "separated-set growth along S", ok, False, details, dt)
 
 
-def settle_sample_points(bundle, params) -> list[Fraction]:
+def settle_scan(bundle, params, program) -> tuple[int, int]:
+    """(settled, sampled): points whose trajectory ends exactly constant.
+
+    The sample is a 50-point grid in every blown interval of depth <= 3 plus
+    the endpoints of the stacks K^n_j for n = 1..3, j = 0, 1; the horizon is
+    one pass over the program's stages.
+    """
     pts: list[Fraction] = []
     for c in bundle.atlas.codes:
         if c.depth <= 3:
             pts += grid_in(*bundle.atlas.interval_of(c), 50)
     for n in (1, 2, 3):
         for j in (0, 1):
-            kl, kr = build_k_interval(bundle, params, n, j)
-            pts += [kl, kr]
-    return pts
+            pts += build_k_interval(bundle, params, n, j)
+    T = program.stage_length
+    settled = sum(1 for x in pts if eventual_constancy(program, x, T) is not None)
+    return settled, len(pts)
 
 
 def criterion_7c(fixture=None) -> CriterionResult:
@@ -367,18 +383,50 @@ def criterion_7c(fixture=None) -> CriterionResult:
 
     def run():
         bundle, params, program = fixture or _main_fixture()
-        T = program.stage_length
-        pts = settle_sample_points(bundle, params)
-        settled = 0
-        for x in pts:
-            if eventual_constancy(program, x, T) is not None:
-                settled += 1
-        ok = settled == len(pts)
-        return ok, f"{settled}/{len(pts)} sampled points settle within {T} steps"
+        settled, sampled = settle_scan(bundle, params, program)
+        return settled == sampled, (
+            f"{settled}/{sampled} sampled points settle within {program.stage_length} steps"
+        )
 
     ok, details, dt = _timed(run)
     return CriterionResult("7c", "eventual constancy of sampled trajectories",
                            ok, True, details, dt)
+
+
+def ly_scan(
+    bundle,
+    program,
+    pairs: int = 1000,
+    max_code_depth: int = 2,
+    delta: Optional[Fraction] = None,
+    seed: int = 11,
+) -> tuple[Fraction, dict[str, int]]:
+    """Classify random pairs drawn from distinct blown intervals.
+
+    Each pair takes one point of a 10-point grid in each of two distinct
+    intervals of depth <= max_code_depth, drawn with ``random.Random(seed)``,
+    and is classified over one pass of the program's stages at scale delta
+    (default eps0/4).  Returns delta and the count per classification.
+    """
+    T = program.stage_length
+    if delta is None:
+        delta = epsilon_zero(bundle) / 4
+    rng = random.Random(seed)
+    groups = [
+        grid_in(*bundle.atlas.interval_of(c), 10)
+        for c in bundle.atlas.codes
+        if c.depth <= max_code_depth
+    ]
+    counts = {"LY-candidate": 0, "asymptotic-candidate": 0, "distal-candidate": 0}
+    made = 0
+    while made < pairs:
+        gi, gj = rng.randrange(len(groups)), rng.randrange(len(groups))
+        if gi == gj:
+            continue
+        x, y = rng.choice(groups[gi]), rng.choice(groups[gj])
+        counts[ly_classify(program, x, y, T, delta).classification] += 1
+        made += 1
+    return delta, counts
 
 
 def criterion_7d(fixture=None) -> CriterionResult:
@@ -386,24 +434,8 @@ def criterion_7d(fixture=None) -> CriterionResult:
 
     def run():
         bundle, params, program = fixture or _main_fixture()
-        T = program.stage_length
-        delta = epsilon_zero(bundle) / 4
-        rng = random.Random(11)
-        groups = []
-        for c in bundle.atlas.codes:
-            if c.depth <= 2:
-                groups.append(grid_in(*bundle.atlas.interval_of(c), 10))
-        bad = 0
-        made = 0
-        while made < 1000:
-            gi, gj = rng.randrange(len(groups)), rng.randrange(len(groups))
-            if gi == gj:
-                continue
-            x, y = rng.choice(groups[gi]), rng.choice(groups[gj])
-            verdict = ly_classify(program, x, y, T, delta)
-            if verdict.classification == "LY-candidate":
-                bad += 1
-            made += 1
+        _, counts = ly_scan(bundle, program)
+        bad = counts["LY-candidate"]
         return bad == 0, f"{bad}/1000 LY-candidates at delta=eps0/4"
 
     ok, details, dt = _timed(run)

@@ -65,6 +65,13 @@ def _sampled_values(
     return [traj.values[t] for t in times], traj.tainted
 
 
+def _separated(
+    row: Sequence[Fraction], chosen: Sequence[Sequence[Fraction]], epsilon: Fraction
+) -> bool:
+    """True when row differs by more than epsilon somewhere from every chosen row."""
+    return all(any(abs(a - b) > epsilon for a, b in zip(row, c)) for c in chosen)
+
+
 def rho_nA(
     program: BlockProgram,
     x: Fraction,
@@ -112,12 +119,7 @@ def greedy_separated(
     for x in candidates:
         vx, fx = _sampled_values(program, Fraction(x), times)
         flagged = flagged or fx
-        ok = True
-        for row in rows:
-            if not any(abs(a - b) > epsilon for a, b in zip(vx, row)):
-                ok = False
-                break
-        if ok:
+        if _separated(vx, rows, epsilon):
             rows.append(vx)
             selected.append(Fraction(x))
     a_n = times[-1]
@@ -142,13 +144,7 @@ def verify_separated(
     """Post-hoc soundness check of a report's witness set."""
     times = report.times
     rows = [_sampled_values(program, w, times)[0] for w in report.witnesses]
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if not any(
-                abs(a - b) > report.epsilon for a, b in zip(rows[i], rows[j])
-            ):
-                return False
-    return True
+    return all(_separated(row, rows[:j], report.epsilon) for j, row in enumerate(rows))
 
 
 @dataclass(frozen=True)
@@ -172,7 +168,7 @@ def _greedy_count(rows: list[list[Fraction]], n: int, epsilon: Fraction) -> int:
     chosen: list[list[Fraction]] = []
     for row in rows:
         vx = row[:n]
-        if all(any(abs(a - b) > epsilon for a, b in zip(vx, c)) for c in chosen):
+        if _separated(vx, chosen, epsilon):
             chosen.append(vx)
     return len(chosen)
 

@@ -29,11 +29,8 @@ from .symbolic import (
     ZERO,
     Code,
     alpha,
-    alpha_iter,
     all_codes,
     code_at_index,
-    evaluate_e,
-    orbit_index,
     theta,
 )
 
@@ -52,6 +49,7 @@ class Atlas:
     total_weight: Fraction                       # W
     hulls: dict[tuple[int, int], Interval]       # (n, e(word)) -> J(n, k)
     _lefts: tuple[Fraction, ...] = field(repr=False, default=())
+    _thetas: tuple[Fraction, ...] = field(repr=False, default=())  # theta(codes)
 
     @property
     def size(self) -> int:
@@ -62,16 +60,10 @@ class Atlas:
         if c.depth > self.depth:
             return None
         th = theta(c)
-        i = bisect_right(self._thetas(), th) - 1
+        i = bisect_right(self._thetas, th) - 1
         if i >= 0 and self.codes[i] == c:
             return self.intervals[i]
         return None
-
-    def _thetas(self) -> tuple[Fraction, ...]:
-        # theta is strictly increasing along self.codes; cache lazily
-        if not hasattr(self, "_theta_cache"):
-            object.__setattr__(self, "_theta_cache", tuple(theta(c) for c in self.codes))
-        return getattr(self, "_theta_cache")
 
     def interval_of(self, c: Code) -> Interval:
         iv = self.locate_code(c)
@@ -158,6 +150,7 @@ def build_atlas(depth: int, rho: Fraction, weight_base: int) -> Atlas:
         total_weight=w,
         hulls=hulls,
         _lefts=tuple(iv[0] for iv in intervals),
+        _thetas=tuple(thetas),
     )
 
 
@@ -302,7 +295,7 @@ def hull_nesting_holds(atlas: Atlas, n: int, k: int, bit: int) -> bool:
 
 def order_isomorphism_holds(atlas: Atlas) -> bool:
     """Interval order along the layout equals theta order of the codes."""
-    ths = [theta(c) for c in atlas.codes]
+    ths = atlas._thetas
     if any(a >= b for a, b in zip(ths, ths[1:])):
         return False
     return all(

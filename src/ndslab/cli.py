@@ -10,8 +10,6 @@ estimates.
 from __future__ import annotations
 
 import json
-import os
-import random
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -20,13 +18,7 @@ from pathlib import Path
 import click
 
 from . import acceptance
-from .analysis import (
-    convergence_report,
-    distality_report,
-    entropy_estimate,
-    eventual_constancy,
-    ly_classify,
-)
+from .analysis import convergence_report, distality_report, entropy_estimate
 from .blowup import build_atlas, build_limit_map
 from .constructions import (
     BlockProgram,
@@ -40,23 +32,11 @@ from .constructions import (
     times_S,
 )
 from .dynamics import trajectory
-from .symbolic import Block, all_blocks, all_codes, canonicalize, eta_orbit, ZERO
+from .symbolic import Block, all_codes
 from .plmap import PLMap, tent_map, identity_map
 
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
-
-
-def _threads_env() -> int:
-    """Validated parallelism cap; evaluation is sequential either way."""
-    raw = os.environ.get("NDSLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise click.UsageError(f"NDSLAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise click.UsageError("NDSLAB_THREADS must be >= 1")
-    return n
 
 
 def _frac(text: str) -> Fraction:
@@ -70,13 +50,24 @@ def _dump_json(path: str, payload) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise click.UsageError(f"cannot read config {path}: {e}")
+def _atlas_options(with_config: bool = True):
+    """The --depth/--rho/--base options, plus --config unless with_config is False."""
+    options = [
+        click.option("--depth", type=int, default=12, show_default=True),
+        click.option("--rho", default="1/2", show_default=True),
+        click.option("--base", type=int, default=4, show_default=True),
+    ]
+    if with_config:
+        options.append(
+            click.option("--config", "config_path", default=None, help="JSON stage configuration")
+        )
+
+    def decorate(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+
+    return decorate
 
 
 def _bundle_from_options(depth: int, rho: str, base: int):
@@ -87,38 +78,44 @@ def _bundle_from_options(depth: int, rho: str, base: int):
     return build_limit_map(atlas)
 
 
-def _stage_params(cfg: dict) -> StageParams:
-    if "stages" in cfg:
-        specs = tuple(
-            StageSpec(Block(s["block"]), int(s["a"])) for s in cfg["stages"]
-        )
-        return StageParams(stages=specs)
-    return StageParams()
+def _configure(family: str, config_path: str | None, depth: int, rho: str, base: int):
+    """Parse the options once into (program, bundle, stage params).
 
-
-def _lemma_params(cfg: dict) -> tuple[LemmaParams, int]:
-    num = int(cfg.get("num_stages", 5))
-    if "repeats" in cfg:
-        reps = [int(v) for v in cfg["repeats"]]
-        params = LemmaParams(repeats=lambda k: reps[k - 1])
-    else:
-        params = LemmaParams()
-    return params, num
-
-
-def _build_program(family: str, cfg: dict, depth: int, rho: str, base: int):
-    """Returns (program, bundle-or-None)."""
-    if family == "lemma":
-        params, num = _lemma_params(cfg)
-        return lemma_nds(params, num), None
-    if family == "main":
-        bundle = _bundle_from_options(depth, rho, base)
-        return build_main_nds(bundle, _stage_params(cfg)), bundle
+    The bundle and the stage params are None outside the main family.  The
+    configuration file is checked before the atlas is built, and every error
+    in it becomes a UsageError (exit code 2).
+    """
     if family == "tent":
-        return acceptance.autonomous_program(tent_map()), None
+        return acceptance.autonomous_program(tent_map()), None, None
     if family == "identity":
-        return acceptance.autonomous_program(identity_map()), None
-    raise click.UsageError(f"unknown family {family!r}")
+        return acceptance.autonomous_program(identity_map()), None, None
+    cfg = {}
+    if config_path is not None:
+        try:
+            cfg = json.loads(Path(config_path).read_text())
+        except (OSError, json.JSONDecodeError) as e:
+            raise click.UsageError(f"cannot read config {config_path}: {e}")
+        if not isinstance(cfg, dict):
+            raise click.UsageError(f"config {config_path} is not a JSON object")
+    try:
+        if family == "lemma":
+            num = int(cfg.get("num_stages", 5))
+            lemma = LemmaParams()
+            if "repeats" in cfg:
+                reps = [int(v) for v in cfg["repeats"]]
+                if len(reps) < num:
+                    raise click.UsageError(f"{len(reps)} repeats for {num} stages")
+                lemma = LemmaParams(repeats=lambda k: reps[k - 1])
+            return lemma_nds(lemma, num), None, None
+        params = StageParams()
+        if "stages" in cfg:
+            params = StageParams(stages=tuple(
+                StageSpec(Block(s["block"]), int(s["a"])) for s in cfg["stages"]
+            ))
+        bundle = _bundle_from_options(depth, rho, base)
+        return build_main_nds(bundle, params), bundle, params
+    except (KeyError, TypeError, ValueError) as e:
+        raise click.UsageError(f"bad configuration: {e!r}")
 
 
 def _program_json(program: BlockProgram) -> dict:
@@ -154,21 +151,25 @@ def _program_json(program: BlockProgram) -> dict:
 
 
 def load_program(path: str) -> BlockProgram:
-    d = json.loads(Path(path).read_text())
-    maps = [PLMap.from_json_dict(m) for m in d["map_table"]]
-    stages = tuple(
-        Stage(s["label"], tuple(maps[i] for i in s["maps"]), dict(s.get("meta", {})))
-        for s in d["stages"]
-    )
-    tail = None if d["tail_map"] is None else maps[d["tail_map"]]
-    frontier = tuple((Fraction(l), Fraction(r)) for l, r in d["frontier"])
-    return BlockProgram(
-        stages=stages,
-        tail_mode=d["tail_mode"],
-        tail_map=tail,
-        frontier=frontier,
-        exact_horizon=d["exact_horizon"],
-    )
+    """Read a program written by build-nds; a bad file is a UsageError."""
+    try:
+        d = json.loads(Path(path).read_text())
+        maps = [PLMap.from_json_dict(m) for m in d["map_table"]]
+        stages = tuple(
+            Stage(s["label"], tuple(maps[i] for i in s["maps"]), dict(s.get("meta", {})))
+            for s in d["stages"]
+        )
+        tail = None if d["tail_map"] is None else maps[d["tail_map"]]
+        frontier = tuple((Fraction(l), Fraction(r)) for l, r in d["frontier"])
+        return BlockProgram(
+            stages=stages,
+            tail_mode=d["tail_mode"],
+            tail_map=tail,
+            frontier=frontier,
+            exact_horizon=d["exact_horizon"],
+        )
+    except (OSError, AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+        raise click.UsageError(f"cannot load program {path}: {e!r}")
 
 
 def _resolve_times(spec: str, params: StageParams, count: int, family: str) -> list[int]:
@@ -177,14 +178,18 @@ def _resolve_times(spec: str, params: StageParams, count: int, family: str) -> l
             f"times {spec} are defined by the main family's stages; "
             f"use 1..n for family {family!r}"
         )
-    if spec == "S":
-        return times_S(params, count)
-    if spec == "R":
-        return times_R(params, 1, count)
-    if spec.startswith("1.."):
-        n = int(spec[3:])
-        return list(range(1, n + 1))
-    raise click.UsageError(f"unknown times spec {spec!r} (use R, S or 1..n)")
+    try:
+        if spec == "S":
+            return times_S(params, count)
+        if spec == "R":
+            return times_R(params, 1, count)
+        if spec.startswith("1.."):
+            n = int(spec[3:])
+            if n >= 1:
+                return list(range(1, n + 1))
+    except ValueError as e:
+        raise click.UsageError(f"times {spec!r}: {e}")
+    raise click.UsageError(f"unknown times spec {spec!r} (use R, S or 1..n with n >= 1)")
 
 
 def _check_horizon(program: BlockProgram, needed: int) -> None:
@@ -198,13 +203,10 @@ def _check_horizon(program: BlockProgram, needed: int) -> None:
 @click.group()
 def main():
     """Exact nonautonomous interval-dynamics laboratory."""
-    _threads_env()
 
 
 @main.command("build-atlas")
-@click.option("--depth", type=int, default=12, show_default=True)
-@click.option("--rho", default="1/2", show_default=True)
-@click.option("--base", type=int, default=4, show_default=True)
+@_atlas_options(with_config=False)
 @click.option("-o", "out", default="atlas.json", show_default=True)
 def build_atlas_cmd(depth, rho, base, out):
     """Write the blown-interval layout as JSON."""
@@ -218,15 +220,11 @@ def build_atlas_cmd(depth, rho, base, out):
 
 @main.command("build-nds")
 @click.option("--family", type=click.Choice(["lemma", "main", "tent", "identity"]), required=True)
-@click.option("--config", "config_path", default=None, help="JSON stage configuration")
-@click.option("--depth", type=int, default=12, show_default=True)
-@click.option("--rho", default="1/2", show_default=True)
-@click.option("--base", type=int, default=4, show_default=True)
+@_atlas_options()
 @click.option("-o", "out", default="program.json", show_default=True)
-def build_nds_cmd(family, config_path, depth, rho, base, out):
+def build_nds_cmd(family, depth, rho, base, config_path, out):
     """Build a block program and write it (maps included) as JSON."""
-    cfg = _load_config(config_path)
-    program, _ = _build_program(family, cfg, depth, rho, base)
+    program, _, _ = _configure(family, config_path, depth, rho, base)
     _dump_json(out, _program_json(program))
     click.echo(
         f"{family} program: stages {[len(s.maps) for s in program.stages]} -> {out}"
@@ -273,23 +271,17 @@ def dump_map_cmd(program_path, time_index, grid, out):
 
 @main.command("entropy")
 @click.option("--family", type=click.Choice(["lemma", "main", "tent", "identity"]), required=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--depth", type=int, default=12, show_default=True)
-@click.option("--rho", default="1/2", show_default=True)
-@click.option("--base", type=int, default=4, show_default=True)
+@_atlas_options()
 @click.option("--times", "times_spec", default="S", show_default=True, help="R, S or 1..n")
 @click.option("--epsilon", multiple=True, help="scales; default family-specific")
 @click.option("--count", type=int, default=8, show_default=True, help="times to take")
 @click.option("--min-headline", type=float, default=None, help="fail below this")
 @click.option("-o", "out", default="entropy.json", show_default=True)
-def entropy_cmd(family, config_path, depth, rho, base, times_spec, epsilon, count, min_headline, out):
+def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, count, min_headline, out):
     """Greedy separated-set entropy table for a program."""
-    cfg = _load_config(config_path)
-    program, bundle = _build_program(family, cfg, depth, rho, base)
-    params = _stage_params(cfg)
+    program, bundle, params = _configure(family, config_path, depth, rho, base)
     A = _resolve_times(times_spec, params, count, family)
     if family == "main":
-        assert bundle is not None
         cands = acceptance.main_candidates(bundle)
         eps_default = [acceptance.epsilon_zero(bundle) / 2]
     else:
@@ -305,10 +297,7 @@ def entropy_cmd(family, config_path, depth, rho, base, times_spec, epsilon, coun
 
 
 @main.command("ly-scan")
-@click.option("--depth", type=int, default=12, show_default=True)
-@click.option("--rho", default="1/2", show_default=True)
-@click.option("--base", type=int, default=4, show_default=True)
-@click.option("--config", "config_path", default=None)
+@_atlas_options()
 @click.option("--pairs", type=int, default=1000, show_default=True)
 @click.option("--max-code-depth", type=int, default=2, show_default=True)
 @click.option("--delta", default=None, help="closeness scale; default eps0/4")
@@ -316,27 +305,16 @@ def entropy_cmd(family, config_path, depth, rho, base, times_spec, epsilon, coun
 @click.option("-o", "out", default="ly_scan.json", show_default=True)
 def ly_scan_cmd(depth, rho, base, config_path, pairs, max_code_depth, delta, seed, out):
     """Classify sampled pairs from distinct blown intervals; fail on LY."""
-    cfg = _load_config(config_path)
-    program, bundle = _build_program("main", cfg, depth, rho, base)
-    assert bundle is not None
-    T = program.stage_length
-    dl = _frac(delta) if delta else acceptance.epsilon_zero(bundle) / 4
-    rng = random.Random(seed)
-    groups = [
-        acceptance.grid_in(*bundle.atlas.interval_of(c), 10)
-        for c in bundle.atlas.codes
-        if c.depth <= max_code_depth
-    ]
-    counts = {"LY-candidate": 0, "asymptotic-candidate": 0, "distal-candidate": 0}
-    made = 0
-    while made < pairs:
-        gi, gj = rng.randrange(len(groups)), rng.randrange(len(groups))
-        if gi == gj:
-            continue
-        verdict = ly_classify(program, rng.choice(groups[gi]), rng.choice(groups[gj]), T, dl)
-        counts[verdict.classification] += 1
-        made += 1
-    payload = {"delta": str(dl), "horizon": T, "pairs": pairs, "counts": counts}
+    program, bundle, _ = _configure("main", config_path, depth, rho, base)
+    dl, counts = acceptance.ly_scan(
+        bundle, program, pairs, max_code_depth, _frac(delta) if delta else None, seed
+    )
+    payload = {
+        "delta": str(dl),
+        "horizon": program.stage_length,
+        "pairs": pairs,
+        "counts": counts,
+    }
     _dump_json(out, payload)
     click.echo(f"{counts} -> {out}")
     if counts["LY-candidate"] > 0:
@@ -344,40 +322,27 @@ def ly_scan_cmd(depth, rho, base, config_path, pairs, max_code_depth, delta, see
 
 
 @main.command("settle-scan")
-@click.option("--depth", type=int, default=12, show_default=True)
-@click.option("--rho", default="1/2", show_default=True)
-@click.option("--base", type=int, default=4, show_default=True)
-@click.option("--config", "config_path", default=None)
+@_atlas_options()
 @click.option("-o", "out", default="settle_scan.json", show_default=True)
 def settle_scan_cmd(depth, rho, base, config_path, out):
     """Check sampled points for exactly constant trajectory tails."""
-    cfg = _load_config(config_path)
-    program, bundle = _build_program("main", cfg, depth, rho, base)
-    assert bundle is not None
-    params = _stage_params(cfg)
-    T = program.stage_length
-    pts = acceptance.settle_sample_points(bundle, params)
-    settled = sum(1 for x in pts if eventual_constancy(program, x, T) is not None)
-    payload = {"horizon": T, "sampled": len(pts), "settled": settled}
+    program, bundle, params = _configure("main", config_path, depth, rho, base)
+    settled, sampled = acceptance.settle_scan(bundle, params, program)
+    payload = {"horizon": program.stage_length, "sampled": sampled, "settled": settled}
     _dump_json(out, payload)
-    click.echo(f"{settled}/{len(pts)} settle -> {out}")
-    if settled < len(pts):
+    click.echo(f"{settled}/{sampled} settle -> {out}")
+    if settled < sampled:
         sys.exit(EXIT_CHECK_FAILED)
 
 
 @main.command("distality")
-@click.option("--depth", type=int, default=12, show_default=True)
-@click.option("--rho", default="1/2", show_default=True)
-@click.option("--base", type=int, default=4, show_default=True)
-@click.option("--config", "config_path", default=None)
+@_atlas_options()
 @click.option("--max-code-depth", type=int, default=4, show_default=True)
 @click.option("--steps", type=int, default=None, help="default 2^(depth-2)")
 @click.option("-o", "out", default="distality.json", show_default=True)
 def distality_cmd(depth, rho, base, config_path, max_code_depth, steps, out):
     """Verify split-depth gap bounds for interval pairs."""
-    cfg = _load_config(config_path)
-    program, bundle = _build_program("main", cfg, depth, rho, base)
-    assert bundle is not None
+    program, bundle, _ = _configure("main", config_path, depth, rho, base)
     T = steps if steps is not None else 2 ** (depth - 2)
     _check_horizon(program, T)
     pairs = list(combinations(all_codes(max_code_depth), 2))
@@ -390,16 +355,11 @@ def distality_cmd(depth, rho, base, config_path, max_code_depth, steps, out):
 
 
 @main.command("convergence")
-@click.option("--depth", type=int, default=12, show_default=True)
-@click.option("--rho", default="1/2", show_default=True)
-@click.option("--base", type=int, default=4, show_default=True)
-@click.option("--config", "config_path", default=None)
+@_atlas_options()
 @click.option("-o", "out", default="convergence.json", show_default=True)
 def convergence_cmd(depth, rho, base, config_path, out):
     """Per-stage uniform-distance envelopes against the limit map."""
-    cfg = _load_config(config_path)
-    program, bundle = _build_program("main", cfg, depth, rho, base)
-    assert bundle is not None
+    program, bundle, _ = _configure("main", config_path, depth, rho, base)
     rows, strict = convergence_report(program, bundle.f)
     payload = {
         "rows": [r.to_json_dict() for r in rows],
@@ -419,20 +379,10 @@ def convergence_cmd(depth, rho, base, config_path, out):
 @click.option("--max-k", type=int, default=6, show_default=True)
 def verify_lemma_lm_cmd(max_k):
     """Exhaustive reversing-step orbit checks for all blocks up to max-k."""
-    checked = 0
-    for k in range(1, max_k + 1):
-        for w in all_blocks(k):
-            orbit = eta_orbit(w, ZERO, 2 ** k)
-            inside = [c for c in orbit[:-1] if c.starts_with(w.word)]
-            ok = (
-                orbit[-1] == ZERO
-                and len(set(orbit[:-1])) == 2 ** k
-                and inside == [canonicalize(w.word, 0)]
-            )
-            if not ok:
-                click.echo(f"FAIL at block {w.word}")
-                sys.exit(EXIT_CHECK_FAILED)
-            checked += 1
+    checked, failure = acceptance.reversing_orbit_scan(max_k)
+    if failure is not None:
+        click.echo(f"FAIL: {failure}")
+        sys.exit(EXIT_CHECK_FAILED)
     click.echo(f"{checked} blocks verified (orbit closure and single cylinder visit)")
 
 

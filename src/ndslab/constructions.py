@@ -71,32 +71,22 @@ class BlockProgram:
     def stage_length(self) -> int:
         return sum(len(s.maps) for s in self.stages)
 
-    def stage_boundaries(self) -> list[int]:
-        """Time of the last map of each stage."""
-        out, t = [], 0
-        for s in self.stages:
-            t += len(s.maps)
-            out.append(t)
-        return out
-
     def map_at(self, t: int) -> PLMap:
+        """The map applied at time t >= 1."""
         if t < 1:
             raise ValueError("time starts at 1")
         idx = t - 1
         total = self.stage_length
-        if idx < total:
-            for s in self.stages:
-                if idx < len(s.maps):
-                    return s.maps[idx]
-                idx -= len(s.maps)
-        if self.tail_mode == "cycle":
-            idx = (t - 1) % total
-            for s in self.stages:
-                if idx < len(s.maps):
-                    return s.maps[idx]
-                idx -= len(s.maps)
-        assert self.tail_map is not None
-        return self.tail_map
+        if idx >= total:
+            if self.tail_mode != "cycle":
+                assert self.tail_map is not None
+                return self.tail_map
+            idx %= total
+        for s in self.stages:
+            if idx < len(s.maps):
+                break
+            idx -= len(s.maps)
+        return s.maps[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +414,28 @@ def build_psi_stage(
     return pl_from_points(points)
 
 
+def _fold_unit(
+    bundle: LimitMapBundle, params: StageParams, i: int, n: int
+) -> tuple[PLMap, PLMap, list[PLMap]]:
+    """(elem, eta, unit): one fold-after-reverse step, then 2^k - 1 eta steps.
+
+    Every eta step of the unit is the same map object.
+    """
+    spec = params.stages[i - 1]
+    lam = build_lambda(bundle, spec.block)
+    eta = compose(bundle.f, lam)
+    elem = compose(build_phi_stage(bundle, params, i, n), lam)
+    return elem, eta, [elem] + [eta] * (2 ** spec.k - 1)
+
+
 def build_g1inf(
     bundle: LimitMapBundle, params: StageParams, i: int, n: int
 ) -> BlockProgram:
     """The single-stage periodic probe: fold step, then 2^k - 1 plain steps."""
     spec = params.stages[i - 1]
-    lam = build_lambda(bundle, spec.block)
-    eta = compose(bundle.f, lam)
-    elem = compose(build_phi_stage(bundle, params, i, n), lam)
-    unit = tuple([elem] + [eta] * (2 ** spec.k - 1))
     stage = Stage(
         label=f"g{i}n{n}",
-        maps=unit,
+        maps=tuple(_fold_unit(bundle, params, i, n)[2]),
         meta={"i": i, "n": n, "k": spec.k, "p": spec.p},
     )
     return BlockProgram(stages=(stage,), tail_mode="cycle", bundle=bundle)
@@ -450,11 +450,8 @@ def build_main_nds(bundle: LimitMapBundle, params: StageParams) -> BlockProgram:
     """
     stages = []
     for i, spec in enumerate(params.stages, start=1):
-        lam = build_lambda(bundle, spec.block)
-        eta = compose(bundle.f, lam)
-        elem = compose(build_phi_stage(bundle, params, i, i), lam)
+        elem, eta, unit = _fold_unit(bundle, params, i, i)
         psi = build_psi_stage(bundle, params, i, i)
-        unit = [elem] + [eta] * (2 ** spec.k - 1)
         maps = tuple(unit * spec.a + [psi])
         hull = bundle.atlas.hull(spec.k, spec.p)
         image_hull = bundle.atlas.hull(spec.k, (spec.p + 1) % 2 ** spec.k)

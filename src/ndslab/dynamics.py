@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .constructions import BlockProgram
-from .plmap import PLMap, eval_pl
+from .plmap import eval_pl
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,6 @@ class Trajectory:
             (t, v.numerator, v.denominator, fl)
             for t, (v, fl) in enumerate(zip(self.values, self.flags))
         ]
-
-
-def map_at(program: BlockProgram, t: int) -> PLMap:
-    """The map applied at time t >= 1."""
-    return program.map_at(t)
 
 
 def iterate_from(program: BlockProgram, i: int, x: Fraction, n: int) -> Fraction:

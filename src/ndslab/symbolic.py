@@ -112,16 +112,6 @@ class Block:
         return self.word
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """The set of sequences whose expansion starts with ``code_word``."""
-
-    code_word: Block
-
-    def contains(self, c: Code) -> bool:
-        return c.starts_with(self.code_word.word)
-
-
 def canonicalize(block: str, tail: int) -> Code:
     """Return the canonical Code for ``block + tail^inf``.
 

@@ -177,7 +177,67 @@ def test_distality_horizon_validation(runner, tmp_path):
     assert res.exit_code == 2
 
 
-def test_threads_env_validation(runner, monkeypatch):
-    monkeypatch.setenv("NDSLAB_THREADS", "zero")
-    res = runner.invoke(main, ["verify-lemma-lm", "--max-k", "1"])
-    assert res.exit_code == 2
+def test_ly_scan_small_depth(runner, tmp_path):
+    out = tmp_path / "ly.json"
+    res = runner.invoke(main, ["ly-scan", "--depth", "5", "--pairs", "20", "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    data = json.loads(out.read_text())
+    assert data["counts"] == {
+        "LY-candidate": 0,
+        "asymptotic-candidate": 0,
+        "distal-candidate": 20,
+    }
+    assert data["delta"] == "4/285"
+    assert data["horizon"] == 85
+    assert data["pairs"] == 20
+
+
+def test_settle_scan_reports_no_settled_points(runner, tmp_path):
+    # the known limitation of criterion 7c: no sampled trajectory is constant
+    out = tmp_path / "s.json"
+    res = runner.invoke(main, ["settle-scan", "--depth", "5", "-o", str(out)])
+    assert res.exit_code == 1, res.output
+    assert "0/812 settle" in res.output
+    assert json.loads(out.read_text()) == {"horizon": 85, "sampled": 812, "settled": 0}
+
+
+BAD_INPUTS = {
+    "block-not-binary": (
+        '{"stages": [{"block": "12", "a": 3}]}',
+        ["build-nds", "--family", "main", "--depth", "5", "--config"],
+    ),
+    "block-lengths-not-increasing": (
+        '{"stages": [{"block": "11", "a": 3}, {"block": "1", "a": 3}]}',
+        ["build-nds", "--family", "main", "--depth", "5", "--config"],
+    ),
+    "stage-without-a": (
+        '{"stages": [{"block": "1"}]}',
+        ["build-nds", "--family", "main", "--depth", "5", "--config"],
+    ),
+    "repeats-shorter-than-stages": (
+        '{"num_stages": 5, "repeats": [1, 2]}',
+        ["build-nds", "--family", "lemma", "--config"],
+    ),
+    "malformed-program-json": (
+        '{"stages": [',
+        ["trajectory", "--x", "1/3", "--steps", "3", "--program"],
+    ),
+    "bad-times-range": (None, ["entropy", "--family", "identity", "--times", "1..x"]),
+    "more-times-than-stages": (
+        None,
+        ["entropy", "--family", "main", "--depth", "5", "--times", "S", "--count", "20"],
+    ),
+    "depth-too-small-for-stages": (None, ["build-nds", "--family", "main", "--depth", "3"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_configuration_errors_exit_2(runner, tmp_path, case):
+    text, argv = BAD_INPUTS[case]
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    res = runner.invoke(main, argv + ["-o", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)

@@ -15,7 +15,7 @@ from ndslab.constructions import (
     lemma_phi,
     lemma_psi,
 )
-from ndslab.dynamics import code_rel_trajectory, iterate_from, map_at, trajectory
+from ndslab.dynamics import code_rel_trajectory, iterate_from, trajectory
 from ndslab.plmap import eval_pl
 from ndslab.symbolic import ZERO, all_codes, canonicalize
 
@@ -33,21 +33,30 @@ def main_prog():
 
 class TestMapAt:
     def test_lemma_schedule(self, lemma_prog):
-        assert map_at(lemma_prog, 1) == lemma_phi(1)
-        assert map_at(lemma_prog, 2) == lemma_psi(1)
+        assert lemma_prog.map_at(1) == lemma_phi(1)
+        assert lemma_prog.map_at(2) == lemma_psi(1)
 
     def test_tail(self, lemma_prog):
         t = lemma_prog.stage_length
-        assert map_at(lemma_prog, t + 1) == lemma_psi(3)
-        assert map_at(lemma_prog, t + 999) == lemma_psi(3)
+        assert lemma_prog.map_at(t + 1) == lemma_psi(3)
+        assert lemma_prog.map_at(t + 999) == lemma_psi(3)
 
     def test_main_block_end(self, main_prog):
         b1 = len(main_prog.stages[0].maps)
-        assert map_at(main_prog, b1) == main_prog.stages[0].maps[-1]
+        assert main_prog.map_at(b1) == main_prog.stages[0].maps[-1]
+
+    def test_matches_flat_schedule(self, lemma_prog):
+        flat = [m for s in lemma_prog.stages for m in s.maps]
+        cycled = BlockProgram(stages=lemma_prog.stages, tail_mode="cycle")
+        for t in range(1, 3 * len(flat) + 1):
+            i = t - 1
+            assert cycled.map_at(t) is flat[i % len(flat)]
+            expected = flat[i] if i < len(flat) else lemma_prog.tail_map
+            assert lemma_prog.map_at(t) is expected
 
     def test_time_starts_at_one(self, lemma_prog):
         with pytest.raises(ValueError):
-            map_at(lemma_prog, 0)
+            lemma_prog.map_at(0)
 
 
 class TestIterate:
@@ -56,7 +65,7 @@ class TestIterate:
 
     def test_one_step(self, lemma_prog):
         x = Fraction(3, 8)
-        assert iterate_from(lemma_prog, 1, x, 1) == eval_pl(map_at(lemma_prog, 1), x)
+        assert iterate_from(lemma_prog, 1, x, 1) == eval_pl(lemma_prog.map_at(1), x)
 
     @pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (4, 5)])
     def test_composition_identity(self, lemma_prog, m, n):
