@@ -407,16 +407,21 @@ def ly_scan(
     intervals of depth <= max_code_depth, drawn with ``random.Random(seed)``,
     and is classified over one pass of the program's stages at scale delta
     (default eps0/4).  Returns delta and the count per classification.
+    Raises ValueError before drawing when fewer than two intervals qualify.
     """
     T = program.stage_length
     if delta is None:
         delta = epsilon_zero(bundle) / 4
-    rng = random.Random(seed)
     groups = [
         grid_in(*bundle.atlas.interval_of(c), 10)
         for c in bundle.atlas.codes
         if c.depth <= max_code_depth
     ]
+    if len(groups) < 2:
+        raise ValueError(
+            f"{len(groups)} interval(s) of depth <= {max_code_depth}; pairs need two"
+        )
+    rng = random.Random(seed)
     counts = {"LY-candidate": 0, "asymptotic-candidate": 0, "distal-candidate": 0}
     made = 0
     while made < pairs:

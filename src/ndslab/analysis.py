@@ -2,7 +2,8 @@
 
 Everything here produces certified *lower* bounds or finite-horizon
 classifications; no limit quantity is ever claimed.  Distances are exact
-rationals; logarithms appear only in the reported estimates.
+rationals; logarithms appear only in the reported estimates, and floats only
+pre-select the steps whose exact distances are then compared.
 """
 
 from __future__ import annotations
@@ -281,6 +282,25 @@ def _split_depth(a: Code, b: Code) -> int:
     raise ValueError("codes must be distinct")
 
 
+def _min_gap(a: tuple, b: tuple) -> Fraction:
+    """Exact minimum over time of the gap between two interval orbits.
+
+    ``a`` and ``b`` hold the left and right endpoint orbits, exact and as
+    floats.  A float gap is within a few ulps of the exact one, so every
+    step with the minimal exact gap has a float gap within 1e-9 of the float
+    minimum; the exact gap is computed at those steps only.
+    """
+    al, ar, fal, far = a
+    bl, br, fbl, fbr = b
+    fgaps = [max(p - q, u - v, 0.0) for p, q, u, v in zip(fbl, far, fal, fbr)]
+    cut = min(fgaps) + 1e-9
+    return min(
+        max(bl[t] - ar[t], al[t] - br[t], Fraction(0))
+        for t, g in enumerate(fgaps)
+        if g <= cut
+    )
+
+
 def distality_report(
     bundle: LimitMapBundle,
     program: BlockProgram,
@@ -296,14 +316,13 @@ def distality_report(
     if T > bundle.exact_horizon:
         raise ValueError("horizon exceeds the atlas's exact range")
     cache: dict[Code, tuple] = {}
+    bounds: dict[int, Fraction] = {}
 
     def endpoints(c: Code):
         if c not in cache:
             l, r = bundle.g_interval(c)
-            cache[c] = (
-                trajectory(program, l, T).values,
-                trajectory(program, r, T).values,
-            )
+            exact = (trajectory(program, l, T).values, trajectory(program, r, T).values)
+            cache[c] = exact + tuple([v.numerator / v.denominator for v in vs] for vs in exact)
         return cache[c]
 
     out = []
@@ -311,12 +330,10 @@ def distality_report(
         if a == b:
             raise ValueError("pairs must consist of distinct codes")
         d = _split_depth(a, b)
-        bound = bundle.atlas.min_hull_gap(d)
-        ta, tb = endpoints(a), endpoints(b)
-        min_d = None
-        for t in range(T + 1):
-            gap = max(tb[0][t] - ta[1][t], ta[0][t] - tb[1][t], Fraction(0))
-            min_d = gap if min_d is None else min(min_d, gap)
+        if d not in bounds:
+            bounds[d] = bundle.atlas.min_hull_gap(d)
+        bound = bounds[d]
+        min_d = _min_gap(endpoints(a), endpoints(b))
         out.append(
             DistalityRow(
                 pair=(str(a), str(b)),

@@ -155,11 +155,17 @@ def load_program(path: str) -> BlockProgram:
     try:
         d = json.loads(Path(path).read_text())
         maps = [PLMap.from_json_dict(m) for m in d["map_table"]]
+
+        def pick(i: int) -> PLMap:
+            if not 0 <= i < len(maps):
+                raise IndexError(f"map index {i} outside the map table")
+            return maps[i]
+
         stages = tuple(
-            Stage(s["label"], tuple(maps[i] for i in s["maps"]), dict(s.get("meta", {})))
+            Stage(s["label"], tuple(pick(i) for i in s["maps"]), dict(s.get("meta", {})))
             for s in d["stages"]
         )
-        tail = None if d["tail_map"] is None else maps[d["tail_map"]]
+        tail = None if d["tail_map"] is None else pick(d["tail_map"])
         frontier = tuple((Fraction(l), Fraction(r)) for l, r in d["frontier"])
         return BlockProgram(
             stages=stages,
@@ -306,9 +312,12 @@ def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, coun
 def ly_scan_cmd(depth, rho, base, config_path, pairs, max_code_depth, delta, seed, out):
     """Classify sampled pairs from distinct blown intervals; fail on LY."""
     program, bundle, _ = _configure("main", config_path, depth, rho, base)
-    dl, counts = acceptance.ly_scan(
-        bundle, program, pairs, max_code_depth, _frac(delta) if delta else None, seed
-    )
+    try:
+        dl, counts = acceptance.ly_scan(
+            bundle, program, pairs, max_code_depth, _frac(delta) if delta else None, seed
+        )
+    except ValueError as e:
+        raise click.UsageError(str(e))
     payload = {
         "delta": str(dl),
         "horizon": program.stage_length,

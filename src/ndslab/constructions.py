@@ -55,12 +55,19 @@ class BlockProgram:
     bundle: Optional[LimitMapBundle] = None
     frontier: tuple[Interval, ...] = ()
     exact_horizon: Optional[int] = None
+    # the stage maps in time order, so map_at is one index
+    _schedule: tuple[PLMap, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.tail_mode not in ("repeat", "cycle"):
+            raise ValueError(f"unknown tail mode {self.tail_mode!r}")
         if self.tail_mode == "repeat" and self.tail_map is None:
             raise ValueError("repeat tail needs a map")
         if not self.stages:
             raise ValueError("a program needs at least one stage")
+        object.__setattr__(
+            self, "_schedule", tuple(m for s in self.stages for m in s.maps)
+        )
         if self.bundle is not None and not self.frontier:
             object.__setattr__(
                 self, "frontier", tuple(self.bundle.frontier_intervals())
@@ -69,24 +76,18 @@ class BlockProgram:
 
     @property
     def stage_length(self) -> int:
-        return sum(len(s.maps) for s in self.stages)
+        return len(self._schedule)
 
     def map_at(self, t: int) -> PLMap:
         """The map applied at time t >= 1."""
         if t < 1:
             raise ValueError("time starts at 1")
         idx = t - 1
-        total = self.stage_length
-        if idx >= total:
-            if self.tail_mode != "cycle":
-                assert self.tail_map is not None
+        if idx >= len(self._schedule):
+            if self.tail_mode == "repeat":
                 return self.tail_map
-            idx %= total
-        for s in self.stages:
-            if idx < len(s.maps):
-                break
-            idx -= len(s.maps)
-        return s.maps[idx]
+            idx %= len(self._schedule)
+        return self._schedule[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -59,13 +59,22 @@ def trajectory(program: BlockProgram, x: Fraction, T: int) -> Trajectory:
     if T < 0:
         raise ValueError("horizon must be >= 0")
     frontier = program.frontier
+    # float() rounds monotonically, so l <= v <= r implies
+    # float(l) <= float(v) <= float(r): a value outside every float interval
+    # cannot lie in a frontier interval and skips the exact test.
+    float_frontier = [(float(l), float(r)) for l, r in frontier]
     values = [Fraction(x)]
     flags = [False]
     tainted = False
     for t in range(1, T + 1):
-        if frontier and not tainted and _in_any(values[-1], frontier):
-            tainted = True
-        values.append(eval_pl(program.map_at(t), values[-1]))
+        v = values[-1]
+        if float_frontier and not tainted:
+            fv = v.numerator / v.denominator  # float(v), without the Rational dispatch
+            for l, r in float_frontier:
+                if l <= fv <= r:
+                    tainted = _in_any(v, frontier)
+                    break
+        values.append(eval_pl(program.map_at(t), v))
         flags.append(tainted)
     return Trajectory(Fraction(x), tuple(values), tuple(flags))
 

@@ -8,9 +8,11 @@ orbits should be iterated pointwise via the dynamics module instead.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -48,6 +50,11 @@ class PLMap:
 
     def __call__(self, x: Fraction) -> Fraction:
         return eval_pl(self, x)
+
+    @cached_property
+    def float_xs(self) -> array:
+        """``float(xs)``, built on first use; it only locates pieces."""
+        return array("d", map(float, self.xs))
 
     @property
     def piece_count(self) -> int:
@@ -117,18 +124,34 @@ def tent_map() -> PLMap:
 
 
 def eval_pl(f: PLMap, x: Fraction) -> Fraction:
-    """Exact evaluation; breakpoints return their stored value."""
+    """Exact evaluation; breakpoints return their stored value.
+
+    ``float`` rounds monotonically, so xs[j] <= x implies
+    float(xs[j]) <= float(x): the float bisection never lands left of x's
+    piece, and the exact integer comparisons below walk it back onto it.
+    """
     x = _as_frac(x)
-    if x < 0 or x > 1:
+    n, d = x.numerator, x.denominator
+    if n < 0 or n > d:
         raise ValueError(f"argument {x} outside [0,1]")
-    i = bisect_right(f.xs, x) - 1
-    if i >= len(f.xs) - 1:
+    xs = f.xs
+    i = bisect_right(f.float_xs, n / d) - 1
+    while xs[i].numerator * d > n * xs[i].denominator:
+        i -= 1
+    if i >= len(xs) - 1:
         return f.ys[-1]
-    x0, x1 = f.xs[i], f.xs[i + 1]
     y0, y1 = f.ys[i], f.ys[i + 1]
-    if x == x0:
+    a, b = xs[i].numerator, xs[i].denominator
+    c, e = xs[i + 1].numerator, xs[i + 1].denominator
+    p, q = y0.numerator, y0.denominator
+    r, s = y1.numerator, y1.denominator
+    # y0 + (y1 - y0) * (x - x0) / (x1 - x0) over one common denominator
+    rise = r * q - p * s
+    run = n * b - a * d
+    if rise == 0 or run == 0:
         return y0
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    sdw = s * d * (c * b - a * e)
+    return Fraction(p * sdw + rise * run * e, q * sdw)
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:

@@ -201,6 +201,21 @@ def test_settle_scan_reports_no_settled_points(runner, tmp_path):
     assert json.loads(out.read_text()) == {"horizon": 85, "sampled": 812, "settled": 0}
 
 
+def _program_json(maps, tail_map=None, tail_mode="cycle"):
+    return json.dumps(
+        {
+            "map_table": [{"x": ["0", "1"], "y": ["0", "1"]}],
+            "stages": [{"label": "s", "maps": maps}],
+            "tail_mode": tail_mode,
+            "tail_map": tail_map,
+            "frontier": [],
+            "exact_horizon": None,
+        }
+    )
+
+
+TRAJECTORY_ARGV = ["trajectory", "--x", "1/3", "--steps", "3", "--program"]
+
 BAD_INPUTS = {
     "block-not-binary": (
         '{"stages": [{"block": "12", "a": 3}]}',
@@ -221,6 +236,13 @@ BAD_INPUTS = {
     "malformed-program-json": (
         '{"stages": [',
         ["trajectory", "--x", "1/3", "--steps", "3", "--program"],
+    ),
+    "negative-map-index": (_program_json([-1]), TRAJECTORY_ARGV),
+    "negative-tail-map-index": (_program_json([0], -1, "repeat"), TRAJECTORY_ARGV),
+    "unknown-tail-mode": (_program_json([0], None, "foo"), TRAJECTORY_ARGV),
+    "ly-scan-without-two-intervals": (
+        None,
+        ["ly-scan", "--depth", "4", "--max-code-depth", "-1"],
     ),
     "bad-times-range": (None, ["entropy", "--family", "identity", "--times", "1..x"]),
     "more-times-than-stages": (

@@ -58,6 +58,10 @@ class TestMapAt:
         with pytest.raises(ValueError):
             lemma_prog.map_at(0)
 
+    def test_rejects_unknown_tail_mode(self, lemma_prog):
+        with pytest.raises(ValueError, match="tail mode"):
+            BlockProgram(stages=lemma_prog.stages, tail_mode="foo")
+
 
 class TestIterate:
     def test_zero_steps(self, lemma_prog):

@@ -1,0 +1,161 @@
+"""Differential tests: the float-located exact kernels against their oracles.
+
+``eval_pl``, the distality minimum and the frontier taint of ``trajectory``
+use floats only to locate an answer and decide it exactly.  Each is
+compared here with the all-``Fraction`` version in ``oracles`` on the cases
+where a float filter could go wrong: points on or 2^-70 from a breakpoint,
+breakpoints closer than float resolution, minima reached at many steps or
+within 2^-70 of each other, and frontier endpoints.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from ndslab.analysis import _min_gap, distality_report
+from ndslab.blowup import build_atlas, build_limit_map
+from ndslab.constructions import BlockProgram, Stage, StageParams, build_main_nds
+from ndslab.dynamics import trajectory
+from ndslab.plmap import constant_map, eval_pl, pl_from_points
+from ndslab.symbolic import all_codes
+
+TINY = Fraction(1, 2 ** 70)
+
+rationals01 = st.fractions(min_value=0, max_value=1, max_denominator=997)
+
+
+def _near(points):
+    """The points, 0 and 1, and everything 2^-70 or 2^-69 away, inside [0,1]."""
+    out = {Fraction(0), Fraction(1)}
+    for p in points:
+        out.update(p + k * TINY for k in (-2, -1, 0, 1, 2))
+    return sorted(v for v in out if 0 <= v <= 1)
+
+
+@st.composite
+def crowded_plmaps(draw):
+    """PL maps some of whose breakpoints are 2^-70 apart."""
+    base = draw(st.lists(rationals01, max_size=5))
+    crowd = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=len(base)))
+    xs = {Fraction(0), Fraction(1)} | {b for b in base if 0 < b < 1}
+    xs |= {b + k * TINY for b, k in zip(base, crowd) if 0 < b + k * TINY < 1}
+    xs = sorted(xs)
+    ys = draw(st.lists(rationals01, min_size=len(xs), max_size=len(xs)))
+    return pl_from_points(zip(xs, ys))
+
+
+def _same(a: Fraction, b: Fraction) -> bool:
+    return (a.numerator, a.denominator) == (b.numerator, b.denominator)
+
+
+@pytest.fixture(scope="module")
+def main_fixture():
+    bundle = build_limit_map(build_atlas(6, Fraction(1, 2), 4))
+    return bundle, build_main_nds(bundle, StageParams())
+
+
+class TestEvalPl:
+    @given(crowded_plmaps(), rationals01)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_near_breakpoints(self, f, x):
+        for p in _near(list(f.xs) + [x]):
+            assert _same(eval_pl(f, p), oracles.eval_pl(f, p))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_breakpoints_closer_than_float_resolution(self, k):
+        third = Fraction(1, 3)
+        f = pl_from_points(
+            [(0, 0), (third, Fraction(1, 2)), (third + k * TINY, Fraction(1, 5)), (1, 1)]
+        )
+        assert f.float_xs[1] == f.float_xs[2]
+        for p in _near([third, third + k * TINY]):
+            assert _same(eval_pl(f, p), oracles.eval_pl(f, p))
+
+    @pytest.mark.parametrize("x", [-TINY, 1 + TINY])
+    def test_rejects_points_just_outside(self, x):
+        with pytest.raises(ValueError):
+            eval_pl(pl_from_points([(0, 0), (1, 1)]), x)
+
+    def test_program_maps(self, main_fixture):
+        _, prog = main_fixture
+        for f in {id(m): m for s in prog.stages for m in s.maps}.values():
+            for p in _near(f.xs[:: max(1, len(f.xs) // 40)]):
+                assert _same(eval_pl(f, p), oracles.eval_pl(f, p))
+
+
+def _orbit(lefts, rights):
+    return (lefts, rights, [float(v) for v in lefts], [float(v) for v in rights])
+
+
+@st.composite
+def interval_orbit_pairs(draw):
+    """Two interval orbits whose gap repeats its minimum or misses it by 2^-70."""
+    steps = draw(st.integers(min_value=1, max_value=30))
+    base = draw(st.fractions(min_value=0, max_value=Fraction(1, 4), max_denominator=64))
+    offsets = st.sampled_from([0, 0, TINY, 2 * TINY, -TINY, Fraction(1, 1000), Fraction(-1, 8)])
+    a, b = ([], []), ([], [])
+    for _ in range(steps):
+        x = draw(rationals01) / 4
+        w = draw(st.fractions(min_value=0, max_value=Fraction(1, 4), max_denominator=64))
+        gap = base + draw(offsets)
+        lo, hi = (x, x + w), (x + w + gap, x + w + gap + w)
+        if draw(st.booleans()):
+            lo, hi = hi, lo
+        for orbit, (left, right) in ((a, lo), (b, hi)):
+            orbit[0].append(left)
+            orbit[1].append(right)
+    return a, b
+
+
+class TestDistalityMinimum:
+    @given(interval_orbit_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, pair):
+        a, b = pair
+        assert _same(_min_gap(_orbit(*a), _orbit(*b)), oracles.min_gap(a, b))
+
+    def test_minimum_at_every_step(self):
+        a = ([Fraction(0)] * 9, [Fraction(1, 3)] * 9)
+        b = ([Fraction(1, 3) + TINY] * 9, [Fraction(1)] * 9)
+        assert _min_gap(_orbit(*a), _orbit(*b)) == TINY == oracles.min_gap(a, b)
+
+    def test_report_matches_reference(self, main_fixture):
+        bundle, prog = main_fixture
+        T = 2 ** 5
+        pairs = list(combinations(all_codes(3), 2))
+        rows = distality_report(bundle, prog, pairs, T)
+        orbits = {}
+        for c in all_codes(3):
+            l, r = bundle.g_interval(c)
+            orbits[str(c)] = (
+                oracles.trajectory(prog, l, T).values,
+                oracles.trajectory(prog, r, T).values,
+            )
+        for row in rows:
+            a, b = row.pair
+            assert _same(row.min_distance, oracles.min_gap(orbits[a], orbits[b]))
+
+
+class TestFrontierTaint:
+    @given(crowded_plmaps(), rationals01, rationals01, st.integers(-2, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_at_endpoints(self, f, l, r, k):
+        l, r = min(l, r), max(l, r)
+        hit = min(max(l + k * TINY, Fraction(0)), Fraction(1))
+        prog = BlockProgram(
+            stages=(Stage("s", (f, constant_map(hit), f)),),
+            tail_mode="cycle",
+            frontier=((l, r),),
+        )
+        for x in _near([l, r]):
+            assert trajectory(prog, x, 7) == oracles.trajectory(prog, x, 7)
+
+    def test_program_frontier(self, main_fixture):
+        _, prog = main_fixture
+        T = prog.stage_length
+        for x in _near([v for iv in prog.frontier for v in iv]):
+            assert trajectory(prog, x, T) == oracles.trajectory(prog, x, T)
