@@ -407,8 +407,11 @@ def ly_scan(
     intervals of depth <= max_code_depth, drawn with ``random.Random(seed)``,
     and is classified over one pass of the program's stages at scale delta
     (default eps0/4).  Returns delta and the count per classification.
-    Raises ValueError before drawing when fewer than two intervals qualify.
+    Raises ValueError before drawing when ``pairs`` < 1 or fewer than two
+    intervals qualify.
     """
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
     T = program.stage_length
     if delta is None:
         delta = epsilon_zero(bundle) / 4

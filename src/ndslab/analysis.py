@@ -187,6 +187,10 @@ def entropy_estimate(
     double limit from below only; callers choose the cells, and the identity
     program yields exactly 0 whenever epsilon dominates the candidate spread.
     """
+    if any(eps <= 0 for eps in epsilons):
+        raise ValueError("epsilon must be positive")
+    if not all(1 <= n <= len(A) for n in n_list):
+        raise ValueError("n must satisfy 1 <= n <= len(A)")
     n_max = max(n_list)
     times = list(A[:n_max])
     rows_cache = [_sampled_values(program, Fraction(x), times)[0] for x in candidates]
@@ -275,8 +279,7 @@ class DistalityRow:
 
 def _split_depth(a: Code, b: Code) -> int:
     n = max(a.depth, b.depth) + 1
-    ea, eb = a.expand(n), b.expand(n)
-    for i, (p, q) in enumerate(zip(ea, eb), start=1):
+    for i, (p, q) in enumerate(zip(a.prefix(n), b.prefix(n)), start=1):
         if p != q:
             return i
     raise ValueError("codes must be distinct")
@@ -312,11 +315,25 @@ def distality_report(
     For each pair the orbits of the two intervals (tracked through their
     endpoints, which ride every program map exactly) must stay at least the
     minimal gap between distinct cylinder hulls at the pair's split depth.
+    Bad horizons and pairs raise ValueError before any orbit is computed.
     """
+    if T < 0:
+        raise ValueError("horizon must be >= 0")
     if T > bundle.exact_horizon:
         raise ValueError("horizon exceeds the atlas's exact range")
+    depths = []
+    for a, b in code_pairs:
+        if a == b:
+            raise ValueError("pairs must consist of distinct codes")
+        d = _split_depth(a, b)
+        need = max(d, a.depth, b.depth)
+        if need > bundle.atlas.depth:
+            raise ValueError(
+                f"pair {a}, {b} needs depth {need}, beyond atlas depth {bundle.atlas.depth}"
+            )
+        depths.append(d)
+    bounds = {d: bundle.atlas.min_hull_gap(d) for d in set(depths)}
     cache: dict[Code, tuple] = {}
-    bounds: dict[int, Fraction] = {}
 
     def endpoints(c: Code):
         if c not in cache:
@@ -326,12 +343,7 @@ def distality_report(
         return cache[c]
 
     out = []
-    for a, b in code_pairs:
-        if a == b:
-            raise ValueError("pairs must consist of distinct codes")
-        d = _split_depth(a, b)
-        if d not in bounds:
-            bounds[d] = bundle.atlas.min_hull_gap(d)
+    for (a, b), d in zip(code_pairs, depths):
         bound = bounds[d]
         min_d = _min_gap(endpoints(a), endpoints(b))
         out.append(

@@ -32,6 +32,7 @@ from .symbolic import (
     all_codes,
     code_at_index,
     theta,
+    word_to_int,
 )
 
 Interval = tuple[Fraction, Fraction]
@@ -48,8 +49,8 @@ class Atlas:
     intervals: tuple[Interval, ...]              # G(c), same order
     total_weight: Fraction                       # W
     hulls: dict[tuple[int, int], Interval]       # (n, e(word)) -> J(n, k)
+    index: dict[Code, int] = field(repr=False, compare=False)  # code -> position
     _lefts: tuple[Fraction, ...] = field(repr=False, default=())
-    _thetas: tuple[Fraction, ...] = field(repr=False, default=())  # theta(codes)
 
     @property
     def size(self) -> int:
@@ -57,13 +58,8 @@ class Atlas:
 
     def locate_code(self, c: Code) -> Optional[Interval]:
         """G(c) if the code is represented, else None."""
-        if c.depth > self.depth:
-            return None
-        th = theta(c)
-        i = bisect_right(self._thetas, th) - 1
-        if i >= 0 and self.codes[i] == c:
-            return self.intervals[i]
-        return None
+        i = self.index.get(c)
+        return None if i is None else self.intervals[i]
 
     def interval_of(self, c: Code) -> Interval:
         iv = self.locate_code(c)
@@ -134,12 +130,11 @@ def build_atlas(depth: int, rho: Fraction, weight_base: int) -> Atlas:
 
     hulls: dict[tuple[int, int], Interval] = {}
     for n in range(1, depth + 1):
-        groups: dict[tuple[int, ...], list[Interval]] = {}
+        groups: dict[str, list[Interval]] = {}
         for c, iv in zip(codes, intervals):
-            groups.setdefault(c.expand(n), []).append(iv)
-        for prefix, ivs in groups.items():
-            k = sum(2 ** i for i, b in enumerate(prefix) if b)
-            hulls[(n, k)] = (min(a for a, _ in ivs), max(b for _, b in ivs))
+            groups.setdefault(c.prefix(n), []).append(iv)
+        for word, ivs in groups.items():
+            hulls[(n, word_to_int(word))] = (min(a for a, _ in ivs), max(b for _, b in ivs))
 
     return Atlas(
         depth=depth,
@@ -149,8 +144,8 @@ def build_atlas(depth: int, rho: Fraction, weight_base: int) -> Atlas:
         intervals=tuple(intervals),
         total_weight=w,
         hulls=hulls,
+        index={c: i for i, c in enumerate(codes)},
         _lefts=tuple(iv[0] for iv in intervals),
-        _thetas=tuple(thetas),
     )
 
 
@@ -295,7 +290,7 @@ def hull_nesting_holds(atlas: Atlas, n: int, k: int, bit: int) -> bool:
 
 def order_isomorphism_holds(atlas: Atlas) -> bool:
     """Interval order along the layout equals theta order of the codes."""
-    ths = atlas._thetas
+    ths = [theta(c) for c in atlas.codes]
     if any(a >= b for a, b in zip(ths, ths[1:])):
         return False
     return all(
@@ -309,5 +304,5 @@ def one_code_per_deep_cylinder(atlas: Atlas) -> bool:
     The represented codes biject with the words of length depth+1: the
     expansion prefix of that length determines the code and vice versa.
     """
-    prefixes = {c.expand(atlas.depth + 1) for c in atlas.codes}
+    prefixes = {c.prefix(atlas.depth + 1) for c in atlas.codes}
     return len(prefixes) == len(atlas.codes) == 2 ** (atlas.depth + 1)

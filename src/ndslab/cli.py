@@ -248,6 +248,8 @@ def trajectory_cmd(program_path, x_text, steps, out):
     x = _frac(x_text)
     if not 0 <= x <= 1:
         raise click.UsageError("start point must lie in [0,1]")
+    if steps < 0:
+        raise click.UsageError("steps must be >= 0")
     traj = trajectory(program, x, steps)
     lines = ["t,value_num,value_den,flag"]
     lines += [f"{t},{n},{d},{int(fl)}" for t, n, d, fl in traj.rows()]
@@ -295,7 +297,10 @@ def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, coun
         eps_default = [Fraction(1, 6)]
     epsilons = [_frac(e) for e in epsilon] or eps_default
     n_list = sorted({1, max(1, len(A) // 2), len(A)})
-    table = entropy_estimate(program, A, epsilons, n_list, cands)
+    try:
+        table = entropy_estimate(program, A, epsilons, n_list, cands)
+    except ValueError as e:
+        raise click.UsageError(str(e))
     _dump_json(out, table.to_json_dict())
     click.echo(f"headline {table.headline:.6g} -> {out}")
     if min_headline is not None and table.headline < min_headline:
@@ -355,7 +360,10 @@ def distality_cmd(depth, rho, base, config_path, max_code_depth, steps, out):
     T = steps if steps is not None else 2 ** (depth - 2)
     _check_horizon(program, T)
     pairs = list(combinations(all_codes(max_code_depth), 2))
-    rows = distality_report(bundle, program, pairs, T)
+    try:
+        rows = distality_report(bundle, program, pairs, T)
+    except ValueError as e:
+        raise click.UsageError(str(e))
     bad = [r for r in rows if not r.ok]
     _dump_json(out, {"steps": T, "rows": [r.to_json_dict() for r in rows]})
     click.echo(f"{len(rows) - len(bad)}/{len(rows)} pairs hold -> {out}")

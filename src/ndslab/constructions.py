@@ -338,8 +338,7 @@ def build_lambda(bundle: LimitMapBundle, n_block: Block) -> PLMap:
         points.append((r, r2))
 
     # collars: locate the spatial neighbours of the hull
-    order = {c: i for i, c in enumerate(atlas.codes)}
-    i0, i1 = order[first], order[last]
+    i0, i1 = atlas.index[first], atlas.index[last]
     if jl > 0:
         u = atlas.intervals[i0 - 1][1]
         prev_code = atlas.codes[i0 - 1]

@@ -35,6 +35,18 @@ def _check_word(word: str) -> str:
     return word
 
 
+def word_to_int(word: str) -> int:
+    """Value of a binary word, position i weighted by 2^(i-1); "" is 0."""
+    return int(word[::-1] or "0", 2)
+
+
+def int_to_word(m: int, length: int) -> str:
+    """The ``length``-letter word of value ``m``: inverse of :func:`word_to_int`."""
+    if not 0 <= m < 1 << length:
+        raise ValueError(f"{m} does not fit in {length} binary letters")
+    return format(m, f"0{length}b")[::-1] if length else ""  # format(0, "00b") is "0"
+
+
 @dataclass(frozen=True, order=False)
 class Code:
     """An eventually-constant binary sequence ``block + tail^inf``.
@@ -70,14 +82,20 @@ class Code:
             return int(self.block[i - 1])
         return self.tail
 
+    def prefix(self, n: int) -> str:
+        """First ``n`` letters of the infinite expansion, as a word."""
+        if n < 0:
+            raise ValueError("prefix length must be >= 0")
+        return self.block[:n] + str(self.tail) * (n - len(self.block))
+
     def expand(self, n: int) -> tuple[Bit, ...]:
         """First ``n`` letters of the infinite expansion."""
-        return tuple(self.symbol(i) for i in range(1, n + 1))
+        return tuple(map(int, self.prefix(n)))
 
     def starts_with(self, word: str) -> bool:
         """Whether the expansion begins with ``word`` (cylinder membership)."""
         _check_word(word)
-        return all(self.symbol(i + 1) == int(ch) for i, ch in enumerate(word))
+        return self.prefix(len(word)) == word
 
     def __str__(self) -> str:
         return f"{self.block}|{self.tail}"
@@ -159,6 +177,9 @@ def alpha_iter(c: Code, steps: int) -> Code:
     return c
 
 
+_FLIP = str.maketrans("01", "10")
+
+
 def tau(n: Block, c: Code) -> Code:
     """The 0-1-after-k-symbols-reversing map for the cylinder of ``n``.
 
@@ -168,9 +189,7 @@ def tau(n: Block, c: Code) -> Code:
     k = len(n)
     if not c.starts_with(n.word):
         return c
-    kept = "".join(str(c.symbol(i)) for i in range(1, k + 1))
-    rest = "".join(str(1 - c.symbol(i)) for i in range(k + 1, c.depth + 1))
-    return canonicalize(kept + rest, 1 - c.tail)
+    return canonicalize(c.prefix(k) + c.block[k:].translate(_FLIP), 1 - c.tail)
 
 
 def eta(n: Block, c: Code) -> Code:
@@ -189,18 +208,18 @@ def eta_orbit(n: Block, c: Code, steps: int) -> list[Code]:
 
 def evaluate_e(n: Block) -> int:
     """Binary evaluation of a block, position i weighted by 2^(i-1)."""
-    return sum(2 ** i for i, ch in enumerate(n.word) if ch == "1")
+    return word_to_int(n.word)
 
 
 def theta(c: Code) -> Fraction:
     """Increasing embedding into the Cantor middle-third set.
 
     theta(c) = sum_i 2*c_i / 3^i; the constant tail contributes a geometric
-    series with closed form tail/3^depth.
+    series with closed form tail/3^depth.  Over the denominator 3^depth the
+    head is the block read as a base-3 numeral with digit 2 for each 1.
     """
-    d = c.depth
-    head = sum(Fraction(2 * int(ch), 3 ** (i + 1)) for i, ch in enumerate(c.block))
-    return head + Fraction(c.tail, 3 ** d)
+    head = int(c.block.replace("1", "2") or "0", 3)
+    return Fraction(head + c.tail, 3 ** c.depth)
 
 
 def orbit_index(c: Code) -> int:
@@ -209,29 +228,16 @@ def orbit_index(c: Code) -> int:
     Tail-0 codes are the forward orbit (j = e(block) >= 0), tail-1 codes the
     backward orbit (j = e(block) - 2^depth < 0).
     """
-    e = sum(2 ** i for i, ch in enumerate(c.block) if ch == "1")
-    if c.tail == 0:
-        return e
-    return e - 2 ** c.depth
+    return word_to_int(c.block) - c.tail * 2 ** c.depth
 
 
 def code_at_index(j: int) -> Code:
     """Inverse of :func:`orbit_index`."""
     if j >= 0:
-        bits = ""
-        m = j
-        while m:
-            bits += str(m & 1)
-            m >>= 1
-        return canonicalize(bits, 0)
-    m = -j
-    # smallest depth d with 2^d >= m; block encodes 2^d - m
-    d = max(1, m.bit_length() if m & (m - 1) else (m.bit_length() - 1))
-    while 2 ** d < m:
-        d += 1
-    e = 2 ** d - m
-    bits = "".join(str((e >> i) & 1) for i in range(d))
-    return canonicalize(bits, 1)
+        return canonicalize(int_to_word(j, j.bit_length()), 0)
+    # smallest depth d >= 1 with 2^d >= -j; the block encodes 2^d + j
+    d = max(1, (-j - 1).bit_length())
+    return canonicalize(int_to_word(2 ** d + j, d), 1)
 
 
 def compare(a: Code, b: Code) -> int:
@@ -240,10 +246,8 @@ def compare(a: Code, b: Code) -> int:
     Distinct canonical codes always differ within max(depth)+1 symbols.
     """
     n = max(a.depth, b.depth) + 1
-    ea, eb = a.expand(n), b.expand(n)
-    if ea == eb:
-        return 0
-    return -1 if ea < eb else 1
+    pa, pb = a.prefix(n), b.prefix(n)
+    return (pa > pb) - (pa < pb)
 
 
 def all_codes(max_depth: int) -> list[Code]:
@@ -254,18 +258,18 @@ def all_codes(max_depth: int) -> list[Code]:
     codes: list[Code] = [ZERO, ONE]
     for d in range(1, max_depth + 1):
         for head in range(2 ** (d - 1)):
-            bits = "".join(str((head >> i) & 1) for i in range(d - 1))
+            bits = int_to_word(head, d - 1)
             for tail in (0, 1):
                 codes.append(Code(bits + str(1 - tail), tail))
     width = max_depth + 1
-    codes.sort(key=lambda c: c.expand(width))
+    codes.sort(key=lambda c: c.prefix(width))
     return codes
 
 
 def all_blocks(k: int) -> Iterator[Block]:
     """All 2^k binary blocks of length k, in evaluation order."""
     for m in range(2 ** k):
-        yield Block("".join(str((m >> i) & 1) for i in range(k)))
+        yield Block(int_to_word(m, k))
 
 
 def block_successor(w: Block) -> Block:
@@ -275,8 +279,7 @@ def block_successor(w: Block) -> Block:
     image depend only on the first k symbols of the argument.
     """
     k = len(w)
-    m = (evaluate_e(w) + 1) % (2 ** k)
-    return Block("".join(str((m >> i) & 1) for i in range(k)))
+    return Block(int_to_word((evaluate_e(w) + 1) % 2 ** k, k))
 
 
 def eta_period(n: Block, c: Code, max_steps: int = 1 << 14) -> int:

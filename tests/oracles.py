@@ -1,9 +1,12 @@
-"""Exact reference implementations that the float-located fast paths replace.
+"""Reference implementations that faster or shorter code in ``src/`` replaced.
 
 These are the all-``Fraction`` versions of ``plmap.eval_pl``, the distality
 minimum of ``analysis.distality_report`` and the frontier taint of
-``dynamics.trajectory``.  They are kept here, not in ``src/``, as oracles
-for the differential tests.
+``dynamics.trajectory``, and the per-symbol versions of the symbolic layer:
+``theta`` as a sum of ``Fraction``s, ``code_at_index`` as a bit loop,
+``tau`` and ``compare`` symbol by symbol, and ``Atlas.locate_code`` as a
+bisection over the thetas of the atlas codes.  They are kept here, not in
+``src/``, as oracles for the differential tests.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from ndslab.dynamics import Trajectory
+from ndslab.symbolic import canonicalize
 
 
 def eval_pl(f, x) -> Fraction:
@@ -48,3 +52,55 @@ def trajectory(program, x, T: int) -> Trajectory:
         values.append(eval_pl(program.map_at(t), values[-1]))
         flags.append(tainted)
     return Trajectory(Fraction(x), tuple(values), tuple(flags))
+
+
+def theta(c) -> Fraction:
+    d = c.depth
+    head = sum(Fraction(2 * int(ch), 3 ** (i + 1)) for i, ch in enumerate(c.block))
+    return head + Fraction(c.tail, 3 ** d)
+
+
+def code_at_index(j: int):
+    if j >= 0:
+        bits = ""
+        m = j
+        while m:
+            bits += str(m & 1)
+            m >>= 1
+        return canonicalize(bits, 0)
+    m = -j
+    # smallest depth d with 2^d >= m; block encodes 2^d - m
+    d = max(1, m.bit_length() if m & (m - 1) else (m.bit_length() - 1))
+    while 2 ** d < m:
+        d += 1
+    e = 2 ** d - m
+    bits = "".join(str((e >> i) & 1) for i in range(d))
+    return canonicalize(bits, 1)
+
+
+def tau(n, c):
+    k = len(n)
+    if not all(c.symbol(i + 1) == int(ch) for i, ch in enumerate(n.word)):
+        return c
+    kept = "".join(str(c.symbol(i)) for i in range(1, k + 1))
+    rest = "".join(str(1 - c.symbol(i)) for i in range(k + 1, c.depth + 1))
+    return canonicalize(kept + rest, 1 - c.tail)
+
+
+def compare(a, b) -> int:
+    n = max(a.depth, b.depth) + 1
+    ea = tuple(a.symbol(i) for i in range(1, n + 1))
+    eb = tuple(b.symbol(i) for i in range(1, n + 1))
+    if ea == eb:
+        return 0
+    return -1 if ea < eb else 1
+
+
+def locate_code(atlas, c):
+    if c.depth > atlas.depth:
+        return None
+    thetas = [theta(x) for x in atlas.codes]
+    i = bisect_right(thetas, theta(c)) - 1
+    if i >= 0 and atlas.codes[i] == c:
+        return atlas.intervals[i]
+    return None

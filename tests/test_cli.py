@@ -244,6 +244,25 @@ BAD_INPUTS = {
         None,
         ["ly-scan", "--depth", "4", "--max-code-depth", "-1"],
     ),
+    "ly-scan-pairs-below-one": (None, ["ly-scan", "--depth", "4", "--pairs", "-5"]),
+    "entropy-epsilon-zero": (
+        None,
+        ["entropy", "--family", "identity", "--times", "1..3", "--epsilon", "0"],
+    ),
+    "entropy-epsilon-negative": (
+        None,
+        ["entropy", "--family", "tent", "--times", "1..3", "--epsilon", "-1"],
+    ),
+    "distality-split-beyond-atlas": (None, ["distality", "--depth", "4"]),
+    "distality-codes-beyond-atlas": (
+        None,
+        ["distality", "--depth", "6", "--max-code-depth", "7"],
+    ),
+    "distality-negative-steps": (None, ["distality", "--depth", "6", "--steps", "-3"]),
+    "trajectory-negative-steps": (
+        _program_json([0]),
+        ["trajectory", "--x", "1/3", "--steps", "-1", "--program"],
+    ),
     "bad-times-range": (None, ["entropy", "--family", "identity", "--times", "1..x"]),
     "more-times-than-stages": (
         None,

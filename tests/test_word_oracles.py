@@ -1,0 +1,142 @@
+"""Differential tests: the word-based symbolic layer against per-symbol oracles.
+
+Binary words and their values have one home in ``symbolic`` (``Code.prefix``,
+``word_to_int``, ``int_to_word``), and code positions one home in
+``Atlas.index``.  Each rewritten function is compared here with the
+per-symbol version in ``oracles`` on the constant codes, codes of depth
+0-14, orbit indices around powers of two, and codes deeper than the atlas.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import oracles
+from ndslab.blowup import build_atlas
+from ndslab.symbolic import (
+    ONE,
+    ZERO,
+    Block,
+    all_blocks,
+    all_codes,
+    block_successor,
+    canonicalize,
+    code_at_index,
+    compare,
+    int_to_word,
+    tau,
+    theta,
+    word_to_int,
+)
+
+codes = st.one_of(
+    st.sampled_from([ZERO, ONE]),
+    st.builds(canonicalize, st.text(alphabet="01", max_size=14), st.integers(0, 1)),
+)
+blocks = st.builds(Block, st.text(alphabet="01", min_size=1, max_size=8))
+near_powers = st.builds(
+    lambda sign, k, off: sign * 2 ** k + off,
+    st.sampled_from([1, -1]),
+    st.integers(0, 40),
+    st.sampled_from([-1, 0, 1]),
+)
+indices = st.one_of(st.integers(-(2 ** 16), 2 ** 16), near_powers)
+
+
+def _bits(m: int, k: int) -> str:
+    return "".join(str((m >> i) & 1) for i in range(k))
+
+
+@pytest.fixture(scope="module")
+def atlas6():
+    return build_atlas(6, Fraction(1, 2), 4)
+
+
+def test_empty_word_edge_cases():
+    # the two Python facts the word helpers guard against
+    assert format(0, "00b") == "0"
+    with pytest.raises(ValueError):
+        int("", 2)
+    assert int_to_word(0, 0) == ""
+    assert word_to_int("") == 0
+
+
+@given(st.text(alphabet="01", max_size=20))
+def test_word_to_int_matches_weighted_sum(word):
+    assert word_to_int(word) == sum(2 ** i for i, ch in enumerate(word) if ch == "1")
+    assert int_to_word(word_to_int(word), len(word)) == word
+
+
+@given(st.integers(0, 20), st.data())
+def test_int_to_word_matches_bit_loop(k, data):
+    m = data.draw(st.integers(0, 2 ** k - 1))
+    assert int_to_word(m, k) == _bits(m, k)
+    for bad in (-1, 2 ** k):
+        with pytest.raises(ValueError):
+            int_to_word(bad, k)
+
+
+@given(codes, st.integers(0, 20))
+def test_prefix_matches_symbols(c, n):
+    assert c.prefix(n) == "".join(str(c.symbol(i)) for i in range(1, n + 1))
+    assert c.expand(n) == tuple(c.symbol(i) for i in range(1, n + 1))
+
+
+def test_prefix_rejects_negative_length():
+    with pytest.raises(ValueError):
+        ZERO.prefix(-1)
+
+
+@given(codes)
+def test_theta_matches_fraction_sum(c):
+    th = theta(c)
+    ref = oracles.theta(c)
+    assert (th.numerator, th.denominator) == (ref.numerator, ref.denominator)
+
+
+@given(indices)
+@example(0)
+@example(-1)
+def test_code_at_index_matches_bit_loop(j):
+    assert code_at_index(j) == oracles.code_at_index(j)
+
+
+@given(blocks, codes)
+def test_tau_matches_per_symbol(n, c):
+    assert tau(n, c) == oracles.tau(n, c)
+
+
+@given(codes, codes)
+def test_compare_matches_expansions(a, b):
+    assert compare(a, b) == oracles.compare(a, b)
+
+
+@given(codes)
+def test_locate_code_matches_theta_bisect(atlas6, c):
+    got = atlas6.locate_code(c)
+    assert got == oracles.locate_code(atlas6, c)
+    if c.depth > atlas6.depth:
+        assert got is None
+
+
+def test_locate_code_every_atlas_code(atlas6):
+    assert atlas6.index == {c: i for i, c in enumerate(atlas6.codes)}
+    for c, iv in zip(atlas6.codes, atlas6.intervals):
+        assert atlas6.locate_code(c) == iv == oracles.locate_code(atlas6, c)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_block_enumeration_matches_bit_loop(k):
+    words = [b.word for b in all_blocks(k)]
+    assert words == [_bits(m, k) for m in range(2 ** k)]
+    succ = [block_successor(Block(w)).word for w in words]
+    assert succ == words[1:] + words[:1]
+
+
+@pytest.mark.parametrize("depth", range(0, 9))
+def test_all_codes_in_theta_order(depth):
+    cs = all_codes(depth)
+    assert len(set(cs)) == len(cs) == 2 ** (depth + 1)
+    assert cs == sorted(cs, key=oracles.theta)
