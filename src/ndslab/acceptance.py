@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import wraps
 from fractions import Fraction
 from itertools import combinations
 from time import perf_counter
@@ -92,10 +93,31 @@ class CriterionResult:
         return f"[{verdict}] {self.number} {self.name}: {self.details}{note} [{self.elapsed:.1f}s]"
 
 
-def _timed(fn: Callable[[], tuple[bool, str]]) -> tuple[bool, str, float]:
-    t0 = perf_counter()
-    ok, details = fn()
-    return ok, details, perf_counter() - t0
+def _criterion(
+    number: str, name: str, expected_fail: bool = False, limit: Optional[float] = None
+):
+    """Turn a ``check(...) -> (ok, details)`` into a timed criterion.
+
+    The decorated function takes the check's arguments and returns its
+    :class:`CriterionResult`.  With a runtime ``limit`` (seconds) the
+    criterion also fails when the check takes that long, and the details
+    say so.
+    """
+
+    def decorate(check: Callable[..., tuple[bool, str]]) -> Callable[..., CriterionResult]:
+        @wraps(check)
+        def criterion(*args, **kwargs) -> CriterionResult:
+            t0 = perf_counter()
+            ok, details = check(*args, **kwargs)
+            dt = perf_counter() - t0
+            if limit is not None:
+                ok = ok and dt < limit
+                details += f"; runtime limit {limit:g}s"
+            return CriterionResult(number, name, ok, expected_fail, details, dt)
+
+        return criterion
+
+    return decorate
 
 
 def grid_in(l: Fraction, r: Fraction, m: int) -> list[Fraction]:
@@ -146,7 +168,10 @@ def reversing_orbit_scan(max_k: int = 6) -> tuple[int, Optional[str]]:
     """Orbit closure and single cylinder visit for every block of length <= max_k.
 
     Returns the number of blocks verified and the first failure, or None.
+    Raises ValueError when ``max_k`` < 1.
     """
+    if max_k < 1:
+        raise ValueError(f"max_k must be >= 1, got {max_k}")
     checked = 0
     for k in range(1, max_k + 1):
         period = 2 ** k
@@ -164,144 +189,118 @@ def reversing_orbit_scan(max_k: int = 6) -> tuple[int, Optional[str]]:
     return checked, None
 
 
-def criterion_1() -> CriterionResult:
+@_criterion("1", "reversing-step orbit closure", limit=5.0)
+def criterion_1():
     """Reversing-step periodicity, exhaustively over all blocks of length <= 6."""
-
-    def run():
-        checked, failure = reversing_orbit_scan()
-        if failure is not None:
-            return False, failure
-        return True, f"{checked} blocks verified exactly"
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("1", "reversing-step orbit closure", ok and dt < 5.0,
-                           False, details + f"; runtime limit 5s", dt)
+    checked, failure = reversing_orbit_scan()
+    if failure is not None:
+        return False, failure
+    return True, f"{checked} blocks verified exactly"
 
 
-def criterion_2() -> CriterionResult:
+@_criterion("2", "cylinder first-return times")
+def criterion_2():
     """Every k-cylinder, k <= 8, first returns to itself after exactly 2^k."""
-
-    def run():
-        for k in range(1, 9):
-            for w in all_blocks(k):
-                x, steps = w, 0
-                while True:
-                    x = block_successor(x)
-                    steps += 1
-                    if x.word == w.word:
-                        break
-                    if steps > 2 ** k:
-                        return False, f"no return for {w.word}"
-                if steps != 2 ** k:
-                    return False, f"return time {steps} != 2^{k} for {w.word}"
-        return True, "all cylinders of length <= 8 return in exactly 2^k steps"
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("2", "cylinder first-return times", ok, False, details, dt)
+    for k in range(1, 9):
+        for w in all_blocks(k):
+            x, steps = w, 0
+            while True:
+                x = block_successor(x)
+                steps += 1
+                if x.word == w.word:
+                    break
+                if steps > 2 ** k:
+                    return False, f"no return for {w.word}"
+            if steps != 2 ** k:
+                return False, f"return time {steps} != 2^{k} for {w.word}"
+    return True, "all cylinders of length <= 8 return in exactly 2^k steps"
 
 
-def criterion_3() -> CriterionResult:
+@_criterion("3", "block collapse to the flattening map")
+def criterion_3():
     """Block and prefix collapse of the stacked-interval family, exact."""
-
-    def run():
-        params = LemmaParams()
-        grid = [Fraction(i, 512) for i in range(513)]
-        prefix_maps = []
-        for k in range(1, 6):
-            phi, psi = lemma_phi(k, params), lemma_psi(k, params)
-            block = compose_chain([phi] * k + [psi])
-            for x in grid:
-                if eval_pl(block, x) != eval_pl(psi, x):
-                    return False, f"block {k} does not collapse at x={x}"
-            prefix_maps += [phi] * k + [psi]
-            prefix = compose_chain(prefix_maps)
-            for x in grid:
-                if eval_pl(prefix, x) != eval_pl(psi, x):
-                    return False, f"prefix of {k} blocks differs at x={x}"
-        return True, "blocks 1..5 collapse exactly on the 1/512 grid"
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("3", "block collapse to the flattening map", ok, False, details, dt)
+    params = LemmaParams()
+    grid = [Fraction(i, 512) for i in range(513)]
+    prefix_maps = []
+    for k in range(1, 6):
+        phi, psi = lemma_phi(k, params), lemma_psi(k, params)
+        block = compose_chain([phi] * k + [psi])
+        for x in grid:
+            if eval_pl(block, x) != eval_pl(psi, x):
+                return False, f"block {k} does not collapse at x={x}"
+        prefix_maps += [phi] * k + [psi]
+        prefix = compose_chain(prefix_maps)
+        for x in grid:
+            if eval_pl(prefix, x) != eval_pl(psi, x):
+                return False, f"prefix of {k} blocks differs at x={x}"
+    return True, "blocks 1..5 collapse exactly on the 1/512 grid"
 
 
-def criterion_4() -> CriterionResult:
+@_criterion("4", "three-branch horseshoe counting", limit=60.0)
+def criterion_4():
     """Greedy horseshoe counts: 3^i separated points for i <= 5."""
-
-    def run():
-        params = LemmaParams()
-        phi1 = lemma_phi(1, params)
-        prog = autonomous_program(phi1)
-        a1, b1 = params.K(1)
-        eps = (b1 - a1) / 10
-        cands = [a1 + Fraction(j, 3 ** 7) * (b1 - a1) for j in range(3 ** 7 + 1)]
-        times = [1, 2, 3, 4, 5]
-        cards = []
-        for i in range(1, 6):
-            rep = greedy_separated(prog, cands, times, i, eps)
-            cards.append(rep.cardinality)
-            if rep.cardinality < 3 ** i:
-                return False, f"i={i}: {rep.cardinality} < {3 ** i}"
-        return True, f"cards {cards} vs bounds {[3**i for i in range(1,6)]}"
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("4", "three-branch horseshoe counting", ok and dt < 60.0,
-                           False, details + "; runtime limit 60s", dt)
+    params = LemmaParams()
+    phi1 = lemma_phi(1, params)
+    prog = autonomous_program(phi1)
+    a1, b1 = params.K(1)
+    eps = (b1 - a1) / 10
+    cands = [a1 + Fraction(j, 3 ** 7) * (b1 - a1) for j in range(3 ** 7 + 1)]
+    times = [1, 2, 3, 4, 5]
+    cards = []
+    for i in range(1, 6):
+        rep = greedy_separated(prog, cands, times, i, eps)
+        cards.append(rep.cardinality)
+        if rep.cardinality < 3 ** i:
+            return False, f"i={i}: {rep.cardinality} < {3 ** i}"
+    return True, f"cards {cards} vs bounds {[3**i for i in range(1,6)]}"
 
 
-def criterion_5() -> CriterionResult:
+@_criterion("5", "blow-up structure at depth 10")
+def criterion_5():
     """Atlas structure at depth 10: order, action, hull periodicity."""
-
-    def run():
-        atlas = build_atlas(10, DEFAULT_RHO, DEFAULT_BASE)
-        bundle = build_limit_map(atlas)
-        if not order_isomorphism_holds(atlas):
-            return False, "interval order does not match code order"
-        if not one_code_per_deep_cylinder(atlas):
-            return False, "deep-cylinder bijection broken"
-        for c, iv in zip(atlas.codes, atlas.intervals):
-            if c in bundle.frontier_codes:
-                continue
-            if interval_image(bundle.f, *iv) != atlas.interval_of(alpha(c)):
-                return False, f"interval action wrong at {c}"
-        act = verify_orbit_action(bundle, bundle.exact_horizon)
-        if not act["ok"]:
-            return False, f"orbit action fails at step {act['first_failure']}"
-        full = []
-        for n in range(1, 11):
-            rep = verify_hull_periodicity(bundle, n)
-            if not rep["ok"]:
-                return False, f"hull cycle broken at level {n}, step {rep['first_failure']}"
-            full.append(rep["certified_full_cycle"])
-        for n in range(1, 10):
-            for k in range(2 ** n):
-                for bit in (0, 1):
-                    if not hull_nesting_holds(atlas, n, k, bit):
-                        return False, f"nesting broken at ({n},{k},{bit})"
-        return True, (
-            "order, deep-cylinder bijection, interval action, "
-            f"hull cycles (full cycles certified up to level {sum(full)}), nesting"
-        )
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("5", "blow-up structure at depth 10", ok, False, details, dt)
+    atlas = build_atlas(10, DEFAULT_RHO, DEFAULT_BASE)
+    bundle = build_limit_map(atlas)
+    if not order_isomorphism_holds(atlas):
+        return False, "interval order does not match code order"
+    if not one_code_per_deep_cylinder(atlas):
+        return False, "deep-cylinder bijection broken"
+    for c, iv in zip(atlas.codes, atlas.intervals):
+        if c in bundle.frontier_codes:
+            continue
+        if interval_image(bundle.f, *iv) != atlas.interval_of(alpha(c)):
+            return False, f"interval action wrong at {c}"
+    act = verify_orbit_action(bundle, bundle.exact_horizon)
+    if not act["ok"]:
+        return False, f"orbit action fails at step {act['first_failure']}"
+    full = []
+    for n in range(1, 11):
+        rep = verify_hull_periodicity(bundle, n)
+        if not rep["ok"]:
+            return False, f"hull cycle broken at level {n}, step {rep['first_failure']}"
+        full.append(rep["certified_full_cycle"])
+    for n in range(1, 10):
+        for k in range(2 ** n):
+            for bit in (0, 1):
+                if not hull_nesting_holds(atlas, n, k, bit):
+                    return False, f"nesting broken at ({n},{k},{bit})"
+    return True, (
+        "order, deep-cylinder bijection, interval action, "
+        f"hull cycles (full cycles certified up to level {sum(full)}), nesting"
+    )
 
 
-def criterion_6() -> CriterionResult:
+@_criterion("6", "zero-entropy proxy of the limit map")
+def criterion_6():
     """Separated-set entropy proxy of the limit map stays under 0.05."""
-
-    def run():
-        atlas = build_atlas(10, DEFAULT_RHO, DEFAULT_BASE)
-        bundle = build_limit_map(atlas)
-        prog = autonomous_program(bundle.f, bundle)
-        horizon = 2 ** 8
-        eps = atlas.min_hull_gap(10) / 2
-        cands = [Fraction(2 * j + 1, 1024) for j in range(512)]
-        rep = greedy_separated(prog, cands, list(range(1, horizon + 1)), horizon, eps)
-        est = math.log(rep.cardinality) / horizon
-        return est <= 0.05, f"estimate {est:.4f} (cardinality {rep.cardinality}) <= 0.05"
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("6", "zero-entropy proxy of the limit map", ok, False, details, dt)
+    atlas = build_atlas(10, DEFAULT_RHO, DEFAULT_BASE)
+    bundle = build_limit_map(atlas)
+    prog = autonomous_program(bundle.f, bundle)
+    horizon = 2 ** 8
+    eps = atlas.min_hull_gap(10) / 2
+    cands = [Fraction(2 * j + 1, 1024) for j in range(512)]
+    rep = greedy_separated(prog, cands, list(range(1, horizon + 1)), horizon, eps)
+    est = rep.entropy_estimate
+    return est <= 0.05, f"estimate {est:.4f} (cardinality {rep.cardinality}) <= 0.05"
 
 
 def _main_fixture():
@@ -312,51 +311,43 @@ def _main_fixture():
     return bundle, params, program
 
 
-def criterion_7a(fixture=None) -> CriterionResult:
+@_criterion("7a", "uniform convergence envelopes")
+def criterion_7a(fixture=None):
     """Uniform-convergence envelopes under the hull-image bounds, decreasing."""
-
-    def run():
-        bundle, params, program = fixture or _main_fixture()
-        rows, strict = convergence_report(program, bundle.f)
-        for r in rows:
-            if not r.within_bound:
-                return False, f"{r.label}: envelope {float(r.envelope):.4f} exceeds bound"
-        if not strict:
-            return False, "envelopes not strictly decreasing"
-        desc = ", ".join(f"{r.label}={float(r.envelope):.4f}<={float(r.bound):.4f}" for r in rows)
-        return True, desc
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("7a", "uniform convergence envelopes", ok, False, details, dt)
+    bundle, params, program = fixture or _main_fixture()
+    rows, strict = convergence_report(program, bundle.f)
+    for r in rows:
+        if not r.within_bound:
+            return False, f"{r.label}: envelope {float(r.envelope):.4f} exceeds bound"
+    if not strict:
+        return False, "envelopes not strictly decreasing"
+    desc = ", ".join(f"{r.label}={float(r.envelope):.4f}<={float(r.bound):.4f}" for r in rows)
+    return True, desc
 
 
-def criterion_7b(fixture=None) -> CriterionResult:
+@_criterion("7b", "separated-set growth along S")
+def criterion_7b(fixture=None):
     """Separated-set counts along the stitched sampling times."""
-
-    def run():
-        bundle, params, program = fixture or _main_fixture()
-        S = times_S(params, 8)
-        eps = epsilon_zero(bundle) / 2
-        cands = main_candidates(bundle)
-        rep3 = greedy_separated(program, cands, S, 3, eps)
-        rep8 = greedy_separated(program, cands, S, 8, eps)
-        if rep3.cardinality < 9:
-            return False, f"n=3 count {rep3.cardinality} < 9"
-        if rep8.cardinality < 81:
-            return False, f"n=8 count {rep8.cardinality} < 81"
-        if not (verify_separated(program, rep3) and verify_separated(program, rep8)):
-            return False, "witness sets fail post-hoc verification"
-        table = entropy_estimate(program, S, [eps], [1, 3, 8], cands)
-        target = 0.9 * math.log(3)
-        if table.headline < target:
-            return False, f"headline {table.headline:.4f} < {target:.4f}"
-        return True, (
-            f"counts n=3:{rep3.cardinality}>=9, n=8:{rep8.cardinality}>=81, "
-            f"headline {table.headline:.3f}>=0.9*log3"
-        )
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("7b", "separated-set growth along S", ok, False, details, dt)
+    bundle, params, program = fixture or _main_fixture()
+    S = times_S(params, 8)
+    eps = epsilon_zero(bundle) / 2
+    cands = main_candidates(bundle)
+    rep3 = greedy_separated(program, cands, S, 3, eps)
+    rep8 = greedy_separated(program, cands, S, 8, eps)
+    if rep3.cardinality < 9:
+        return False, f"n=3 count {rep3.cardinality} < 9"
+    if rep8.cardinality < 81:
+        return False, f"n=8 count {rep8.cardinality} < 81"
+    if not (verify_separated(program, rep3) and verify_separated(program, rep8)):
+        return False, "witness sets fail post-hoc verification"
+    table = entropy_estimate(program, S, [eps], [1, 3, 8], cands)
+    target = 0.9 * math.log(3)
+    if table.headline < target:
+        return False, f"headline {table.headline:.4f} < {target:.4f}"
+    return True, (
+        f"counts n=3:{rep3.cardinality}>=9, n=8:{rep8.cardinality}>=81, "
+        f"headline {table.headline:.3f}>=0.9*log3"
+    )
 
 
 def settle_scan(bundle, params, program) -> tuple[int, int]:
@@ -378,19 +369,14 @@ def settle_scan(bundle, params, program) -> tuple[int, int]:
     return settled, len(pts)
 
 
-def criterion_7c(fixture=None) -> CriterionResult:
+@_criterion("7c", "eventual constancy of sampled trajectories", expected_fail=True)
+def criterion_7c(fixture=None):
     """Settlement to exactly constant trajectories (expected to fail)."""
-
-    def run():
-        bundle, params, program = fixture or _main_fixture()
-        settled, sampled = settle_scan(bundle, params, program)
-        return settled == sampled, (
-            f"{settled}/{sampled} sampled points settle within {program.stage_length} steps"
-        )
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("7c", "eventual constancy of sampled trajectories",
-                           ok, True, details, dt)
+    bundle, params, program = fixture or _main_fixture()
+    settled, sampled = settle_scan(bundle, params, program)
+    return settled == sampled, (
+        f"{settled}/{sampled} sampled points settle within {program.stage_length} steps"
+    )
 
 
 def ly_scan(
@@ -437,90 +423,74 @@ def ly_scan(
     return delta, counts
 
 
-def criterion_7d(fixture=None) -> CriterionResult:
+@_criterion("7d", "LY-candidate scan")
+def criterion_7d(fixture=None):
     """No LY-candidates among pairs from distinct shallow intervals."""
-
-    def run():
-        bundle, params, program = fixture or _main_fixture()
-        _, counts = ly_scan(bundle, program)
-        bad = counts["LY-candidate"]
-        return bad == 0, f"{bad}/1000 LY-candidates at delta=eps0/4"
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("7d", "LY-candidate scan", ok, False, details, dt)
+    bundle, params, program = fixture or _main_fixture()
+    _, counts = ly_scan(bundle, program)
+    bad = counts["LY-candidate"]
+    return bad == 0, f"{bad}/1000 LY-candidates at delta=eps0/4"
 
 
-def criterion_7e(fixture=None) -> CriterionResult:
+@_criterion("7e", "distality of interval pairs")
+def criterion_7e(fixture=None):
     """Distality floor for interval pairs of depth <= 4 over 2^(D-2) steps."""
-
-    def run():
-        bundle, params, program = fixture or _main_fixture()
-        pairs = list(combinations(all_codes(4), 2))
-        rows = distality_report(bundle, program, pairs, 2 ** 10)
-        bad = [r for r in rows if not r.ok]
-        if bad:
-            r = bad[0]
-            return False, f"{len(bad)} pairs below bound, first {r.pair}"
-        return True, f"all {len(rows)} pairs keep their split-depth gap bound"
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("7e", "distality of interval pairs", ok, False, details, dt)
+    bundle, params, program = fixture or _main_fixture()
+    pairs = list(combinations(all_codes(4), 2))
+    rows = distality_report(bundle, program, pairs, 2 ** 10)
+    bad = [r for r in rows if not r.ok]
+    if bad:
+        r = bad[0]
+        return False, f"{len(bad)} pairs below bound, first {r.pair}"
+    return True, f"all {len(rows)} pairs keep their split-depth gap bound"
 
 
-def criterion_8() -> CriterionResult:
+@_criterion("8", "estimator sanity oracles")
+def criterion_8():
     """Estimator oracle: tent map near log 2, identity exactly zero."""
-
-    def run():
-        tent = autonomous_program(tent_map())
-        grid = [Fraction(j, 2 ** 12) for j in range(2 ** 12 + 1)]
-        table = entropy_estimate(tent, list(range(1, 11)), [Fraction(1, 6)], [10], grid)
-        if not (0.6 <= table.headline <= 0.75):
-            return False, f"tent headline {table.headline:.4f} outside [0.6, 0.75]"
-        ident = autonomous_program(identity_map())
-        zero = entropy_estimate(ident, [1, 2, 3], [Fraction(1)], [3], grid[::64])
-        if zero.headline != 0.0:
-            return False, f"identity headline {zero.headline} != 0"
-        return True, f"tent headline {table.headline:.4f} around log2, identity 0.0"
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("8", "estimator sanity oracles", ok, False, details, dt)
+    tent = autonomous_program(tent_map())
+    grid = [Fraction(j, 2 ** 12) for j in range(2 ** 12 + 1)]
+    table = entropy_estimate(tent, list(range(1, 11)), [Fraction(1, 6)], [10], grid)
+    if not (0.6 <= table.headline <= 0.75):
+        return False, f"tent headline {table.headline:.4f} outside [0.6, 0.75]"
+    ident = autonomous_program(identity_map())
+    zero = entropy_estimate(ident, [1, 2, 3], [Fraction(1)], [3], grid[::64])
+    if zero.headline != 0.0:
+        return False, f"identity headline {zero.headline} != 0"
+    return True, f"tent headline {table.headline:.4f} around log2, identity 0.0"
 
 
-def criterion_9() -> CriterionResult:
+@_criterion("9", "cross-depth model consistency")
+def criterion_9():
     """Unflagged trajectories agree across depths 6 and 7 in orbit coordinates."""
-
-    def run():
-        progs = {}
-        for d in (6, 7):
-            atlas = build_atlas(d, DEFAULT_RHO, DEFAULT_BASE)
-            bundle = build_limit_map(atlas)
-            progs[d] = (
-                bundle,
-                build_main_nds(bundle, StageParams()),
-                autonomous_program(bundle.f, bundle),
-            )
-        starts = [
-            (c, rel)
-            for c in all_codes(3)
-            for rel in (Fraction(1, 7), Fraction(1, 2), Fraction(6, 7))
-        ]
-        horizon = 32
-        compared = 0
-        for idx in (1, 2):
-            for cr in starts:
-                v6 = trajectory(progs[6][idx], progs[6][0].point_at(*cr), horizon)
-                v7 = trajectory(progs[7][idx], progs[7][0].point_at(*cr), horizon)
-                if v6.tainted or v7.tainted:
-                    continue
-                t6 = code_rel_trajectory(progs[6][idx], cr, horizon)
-                t7 = code_rel_trajectory(progs[7][idx], cr, horizon)
-                if t6 != t7 or len(t6) != horizon + 1:
-                    return False, f"divergence from {cr[0]} rel {cr[1]}"
-                compared += 1
-        return True, f"{compared} trajectory pairs agree exactly in orbit coordinates"
-
-    ok, details, dt = _timed(run)
-    return CriterionResult("9", "cross-depth model consistency", ok, False, details, dt)
+    progs = {}
+    for d in (6, 7):
+        atlas = build_atlas(d, DEFAULT_RHO, DEFAULT_BASE)
+        bundle = build_limit_map(atlas)
+        progs[d] = (
+            bundle,
+            build_main_nds(bundle, StageParams()),
+            autonomous_program(bundle.f, bundle),
+        )
+    starts = [
+        (c, rel)
+        for c in all_codes(3)
+        for rel in (Fraction(1, 7), Fraction(1, 2), Fraction(6, 7))
+    ]
+    horizon = 32
+    compared = 0
+    for idx in (1, 2):
+        for cr in starts:
+            v6 = trajectory(progs[6][idx], progs[6][0].point_at(*cr), horizon)
+            v7 = trajectory(progs[7][idx], progs[7][0].point_at(*cr), horizon)
+            if v6.tainted or v7.tainted:
+                continue
+            t6 = code_rel_trajectory(progs[6][idx], cr, horizon)
+            t7 = code_rel_trajectory(progs[7][idx], cr, horizon)
+            if t6 != t7 or len(t6) != horizon + 1:
+                return False, f"divergence from {cr[0]} rel {cr[1]}"
+            compared += 1
+    return True, f"{compared} trajectory pairs agree exactly in orbit coordinates"
 
 
 def run_all(echo: Callable[[str], None] = print) -> list[CriterionResult]:

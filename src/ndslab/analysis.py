@@ -58,12 +58,29 @@ class PairVerdict:
         }
 
 
-def _sampled_values(
-    program: BlockProgram, x: Fraction, times: Sequence[int]
-) -> tuple[list[Fraction], bool]:
+def _check_cells(A: Sequence[int], n_list: Sequence[int], epsilons: Sequence) -> None:
+    if any(eps <= 0 for eps in epsilons):
+        raise ValueError("epsilon must be positive")
+    if not all(1 <= n <= len(A) for n in n_list):
+        raise ValueError("n must satisfy 1 <= n <= len(A)")
+
+
+def _sample(
+    program: BlockProgram, xs: Sequence[Fraction], times: Sequence[int]
+) -> tuple[list[list[Fraction]], bool]:
+    """Each start's exact values at the given times, and whether any is inexact.
+
+    The flag is set when a trajectory touched a frontier interval or the
+    last sampled time exceeds the program's exact horizon.
+    """
     T = max(times) if times else 0
-    traj = trajectory(program, x, T)
-    return [traj.values[t] for t in times], traj.tainted
+    flagged = program.exact_horizon is not None and T > program.exact_horizon
+    rows = []
+    for x in xs:
+        traj = trajectory(program, Fraction(x), T)
+        rows.append([traj.values[t] for t in times])
+        flagged = flagged or traj.tainted
+    return rows, flagged
 
 
 def _separated(
@@ -71,6 +88,24 @@ def _separated(
 ) -> bool:
     """True when row differs by more than epsilon somewhere from every chosen row."""
     return all(any(abs(a - b) > epsilon for a, b in zip(row, c)) for c in chosen)
+
+
+def _greedy(rows: Sequence[Sequence[Fraction]], n: int, epsilon: Fraction) -> list[int]:
+    """Indices of the rows kept by one greedy pass over their first n values."""
+    kept: list[int] = []
+    chosen: list[Sequence[Fraction]] = []
+    for i, row in enumerate(rows):
+        vx = row[:n]
+        if _separated(vx, chosen, epsilon):
+            chosen.append(vx)
+            kept.append(i)
+    return kept
+
+
+def _estimate(card: int, a_n: int) -> float:
+    # time 0 may legitimately appear in Bowen-style checks; those cells carry
+    # no entropy normalisation
+    return math.log(card) / a_n if card and a_n > 0 else 0.0
 
 
 def rho_nA(
@@ -85,14 +120,8 @@ def rho_nA(
     The flag is set when either trajectory touched a frontier interval or
     the last sampled time exceeds the program's exact horizon.
     """
-    if not 1 <= n <= len(A):
-        raise ValueError("n must satisfy 1 <= n <= len(A)")
-    times = list(A[:n])
-    vx, fx = _sampled_values(program, Fraction(x), times)
-    vy, fy = _sampled_values(program, Fraction(y), times)
-    flagged = fx or fy
-    if program.exact_horizon is not None and times and max(times) > program.exact_horizon:
-        flagged = True
+    _check_cells(A, [n], [])
+    (vx, vy), flagged = _sample(program, [x, y], A[:n])
     return max(abs(a - b) for a, b in zip(vx, vy)), flagged
 
 
@@ -107,32 +136,19 @@ def greedy_separated(
 
     A candidate joins the witness set when its sampled values differ from
     every chosen witness by more than epsilon at one of the first n times.
+    The report is flagged when any candidate's values are inexact.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if not 1 <= n <= len(A):
-        raise ValueError("n must satisfy 1 <= n <= len(A)")
+    _check_cells(A, [n], [epsilon])
     times = list(A[:n])
     epsilon = Fraction(epsilon)
-    rows: list[list[Fraction]] = []
-    flagged = False
-    selected: list[Fraction] = []
-    for x in candidates:
-        vx, fx = _sampled_values(program, Fraction(x), times)
-        flagged = flagged or fx
-        if _separated(vx, rows, epsilon):
-            rows.append(vx)
-            selected.append(Fraction(x))
-    a_n = times[-1]
-    # time 0 may legitimately appear in Bowen-style checks; those cells carry
-    # no entropy normalisation
-    est = math.log(len(selected)) / a_n if selected and a_n > 0 else 0.0
+    rows, flagged = _sample(program, candidates, times)
+    selected = [Fraction(candidates[i]) for i in _greedy(rows, n, epsilon)]
     return SeparationReport(
         times=tuple(times),
         epsilon=epsilon,
         n=n,
         cardinality=len(selected),
-        entropy_estimate=est,
+        entropy_estimate=_estimate(len(selected), times[-1]),
         witnesses=tuple(selected),
         flagged=flagged,
     )
@@ -143,8 +159,7 @@ def verify_separated(
     report: SeparationReport,
 ) -> bool:
     """Post-hoc soundness check of a report's witness set."""
-    times = report.times
-    rows = [_sampled_values(program, w, times)[0] for w in report.witnesses]
+    rows, _ = _sample(program, report.witnesses, report.times)
     return all(_separated(row, rows[:j], report.epsilon) for j, row in enumerate(rows))
 
 
@@ -165,15 +180,6 @@ class EntropyTable:
         }
 
 
-def _greedy_count(rows: list[list[Fraction]], n: int, epsilon: Fraction) -> int:
-    chosen: list[list[Fraction]] = []
-    for row in rows:
-        vx = row[:n]
-        if _separated(vx, chosen, epsilon):
-            chosen.append(vx)
-    return len(chosen)
-
-
 def entropy_estimate(
     program: BlockProgram,
     A: Sequence[int],
@@ -187,21 +193,16 @@ def entropy_estimate(
     double limit from below only; callers choose the cells, and the identity
     program yields exactly 0 whenever epsilon dominates the candidate spread.
     """
-    if any(eps <= 0 for eps in epsilons):
-        raise ValueError("epsilon must be positive")
-    if not all(1 <= n <= len(A) for n in n_list):
-        raise ValueError("n must satisfy 1 <= n <= len(A)")
-    n_max = max(n_list)
-    times = list(A[:n_max])
-    rows_cache = [_sampled_values(program, Fraction(x), times)[0] for x in candidates]
+    _check_cells(A, n_list, epsilons)
+    times = list(A[:max(n_list)])
+    samples, _ = _sample(program, candidates, times)
     rows = []
     headline = 0.0
     for eps in epsilons:
         eps = Fraction(eps)
         for n in n_list:
-            card = _greedy_count(rows_cache, n, eps)
-            a_n = times[n - 1]
-            est = math.log(card) / a_n if card and a_n > 0 else 0.0
+            card = len(_greedy(samples, n, eps))
+            est = _estimate(card, times[n - 1])
             rows.append((str(eps), n, card, est))
             headline = max(headline, est)
     return EntropyTable(A=tuple(times), rows=tuple(rows), headline=headline)

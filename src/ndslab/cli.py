@@ -396,7 +396,10 @@ def convergence_cmd(depth, rho, base, config_path, out):
 @click.option("--max-k", type=int, default=6, show_default=True)
 def verify_lemma_lm_cmd(max_k):
     """Exhaustive reversing-step orbit checks for all blocks up to max-k."""
-    checked, failure = acceptance.reversing_orbit_scan(max_k)
+    try:
+        checked, failure = acceptance.reversing_orbit_scan(max_k)
+    except ValueError as e:
+        raise click.UsageError(str(e))
     if failure is not None:
         click.echo(f"FAIL: {failure}")
         sys.exit(EXIT_CHECK_FAILED)

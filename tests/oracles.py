@@ -5,8 +5,12 @@ minimum of ``analysis.distality_report`` and the frontier taint of
 ``dynamics.trajectory``, and the per-symbol versions of the symbolic layer:
 ``theta`` as a sum of ``Fraction``s, ``code_at_index`` as a bit loop,
 ``tau`` and ``compare`` symbol by symbol, and ``Atlas.locate_code`` as a
-bisection over the thetas of the atlas codes.  They are kept here, not in
-``src/``, as oracles for the differential tests.
+bisection over the thetas of the atlas codes.  The separated-set greedy
+pass is kept twice: as the count over pre-sampled rows that
+``analysis.entropy_estimate`` made, and as the loop of
+``analysis.greedy_separated`` that sampled each candidate and tested it
+before sampling the next.  They are kept here, not in ``src/``, as oracles
+for the differential tests.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 
+from ndslab import dynamics
 from ndslab.dynamics import Trajectory
 from ndslab.symbolic import canonicalize
 
@@ -104,3 +109,30 @@ def locate_code(atlas, c):
     if i >= 0 and atlas.codes[i] == c:
         return atlas.intervals[i]
     return None
+
+
+def separated(row, chosen, epsilon) -> bool:
+    return all(any(abs(a - b) > epsilon for a, b in zip(row, c)) for c in chosen)
+
+
+def greedy_count(rows, n: int, epsilon) -> int:
+    chosen = []
+    for row in rows:
+        vx = row[:n]
+        if separated(vx, chosen, epsilon):
+            chosen.append(vx)
+    return len(chosen)
+
+
+def greedy_witnesses(program, candidates, A, n: int, epsilon) -> tuple[Fraction, ...]:
+    """Witnesses of ``greedy_separated``, each candidate sampled as it is tested."""
+    times = list(A[:n])
+    rows = []
+    selected = []
+    for x in candidates:
+        traj = dynamics.trajectory(program, Fraction(x), max(times))
+        vx = [traj.values[t] for t in times]
+        if separated(vx, rows, epsilon):
+            rows.append(vx)
+            selected.append(Fraction(x))
+    return tuple(selected)

@@ -19,7 +19,9 @@ from ndslab.analysis import (
 )
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import (
+    BlockProgram,
     LemmaParams,
+    Stage,
     StageParams,
     build_main_nds,
     lemma_nds,
@@ -95,6 +97,17 @@ class TestGreedy:
             greedy_separated(ident_prog, [Fraction(0)], [1, 2], 0, Fraction(1, 2))
         with pytest.raises(ValueError):
             rho_nA(ident_prog, Fraction(0), Fraction(1), [1, 2], 3)
+
+    def test_horizon_flag_matches_rho(self):
+        # greedy reports and rho_nA share one flag rule: sampling beyond the
+        # exact horizon is inexact even when no trajectory is tainted
+        prog = BlockProgram(
+            stages=(Stage("id", (identity_map(),)),), tail_mode="cycle", exact_horizon=2
+        )
+        cands = [Fraction(0), Fraction(1)]
+        assert greedy_separated(prog, cands, [1, 2, 3], 3, Fraction(1, 2)).flagged
+        assert rho_nA(prog, *cands, [1, 2, 3], 3)[1]
+        assert not greedy_separated(prog, cands, [1, 2, 3], 2, Fraction(1, 2)).flagged
 
 
 class TestEntropyTable:

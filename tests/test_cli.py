@@ -269,6 +269,8 @@ BAD_INPUTS = {
         ["entropy", "--family", "main", "--depth", "5", "--times", "S", "--count", "20"],
     ),
     "depth-too-small-for-stages": (None, ["build-nds", "--family", "main", "--depth", "3"]),
+    "verify-lemma-lm-max-k-zero": (None, ["verify-lemma-lm", "--max-k", "0"]),
+    "verify-lemma-lm-max-k-negative": (None, ["verify-lemma-lm", "--max-k", "-1"]),
 }
 
 
@@ -279,6 +281,9 @@ def test_configuration_errors_exit_2(runner, tmp_path, case):
         path = tmp_path / "input.json"
         path.write_text(text)
         argv = argv + [str(path)]
-    res = runner.invoke(main, argv + ["-o", str(tmp_path / "out")])
+    # only commands that write a file take -o; an unknown option would exit 2 too
+    if any("-o" in p.opts for p in main.commands[argv[0]].params):
+        argv = argv + ["-o", str(tmp_path / "out")]
+    res = runner.invoke(main, argv)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
