@@ -246,12 +246,11 @@ def criterion_4():
     eps = (b1 - a1) / 10
     cands = [a1 + Fraction(j, 3 ** 7) * (b1 - a1) for j in range(3 ** 7 + 1)]
     times = [1, 2, 3, 4, 5]
-    cards = []
-    for i in range(1, 6):
-        rep = greedy_separated(prog, cands, times, i, eps)
-        cards.append(rep.cardinality)
-        if rep.cardinality < 3 ** i:
-            return False, f"i={i}: {rep.cardinality} < {3 ** i}"
+    table = entropy_estimate(prog, times, [eps], times, cands)
+    cards = [card for _, _, card, _ in table.rows]
+    for i, card in enumerate(cards, start=1):
+        if card < 3 ** i:
+            return False, f"i={i}: {card} < {3 ** i}"
     return True, f"cards {cards} vs bounds {[3**i for i in range(1,6)]}"
 
 

@@ -338,7 +338,7 @@ def distality_report(
 
     def endpoints(c: Code):
         if c not in cache:
-            l, r = bundle.g_interval(c)
+            l, r = bundle.atlas.interval_of(c)
             exact = (trajectory(program, l, T).values, trajectory(program, r, T).values)
             cache[c] = exact + tuple([v.numerator / v.denominator for v in vs] for vs in exact)
         return cache[c]

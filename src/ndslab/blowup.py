@@ -15,6 +15,11 @@ The layout formulas:
   (1 - rho) * (theta(c') - theta(c));
 * G(all-zeros) starts at 0 and G(all-ones) ends at 1, so the pieces tile
   [0,1] exactly and f_D is surjective.
+
+Codes are laid out in the order of their expansions, so for a word w of
+length n <= D the level-n cylinder of w is the contiguous run of intervals
+from G(w0-bar) to G(w1-bar), both of which are represented; the hull
+J(n, e(w)) is the span of that run.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .plmap import PLMap, interval_image, is_surjective, pl_from_points
@@ -30,9 +36,10 @@ from .symbolic import (
     Code,
     alpha,
     all_codes,
+    canonicalize,
     code_at_index,
+    int_to_word,
     theta,
-    word_to_int,
 )
 
 Interval = tuple[Fraction, Fraction]
@@ -48,9 +55,7 @@ class Atlas:
     codes: tuple[Code, ...]                      # theta-sorted
     intervals: tuple[Interval, ...]              # G(c), same order
     total_weight: Fraction                       # W
-    hulls: dict[tuple[int, int], Interval]       # (n, e(word)) -> J(n, k)
     index: dict[Code, int] = field(repr=False, compare=False)  # code -> position
-    _lefts: tuple[Fraction, ...] = field(repr=False, default=())
 
     @property
     def size(self) -> int:
@@ -73,18 +78,30 @@ class Atlas:
 
     def find_g(self, x: Fraction) -> Optional[int]:
         """Index in theta-order of the G containing x, or None (gap point)."""
-        i = bisect_right(self._lefts, x) - 1
+        i = bisect_right(self.intervals, x, key=itemgetter(0)) - 1
         if i >= 0 and self.intervals[i][0] <= x <= self.intervals[i][1]:
             return i
         return None
 
+    def cylinder(self, word: str) -> range:
+        """Positions of the codes whose expansion begins with ``word``.
+
+        The run goes from w0-bar to w1-bar.  Beyond the atlas depth a
+        cylinder holds at most one represented code and the run formula
+        fails, so longer words raise ValueError.
+        """
+        if len(word) > self.depth:
+            raise ValueError(f"word {word!r} is longer than atlas depth {self.depth}")
+        return range(self.index[canonicalize(word, 0)], self.index[canonicalize(word, 1)] + 1)
+
     def hull(self, n: int, k: int) -> Interval:
-        return self.hulls[(n, k)]
+        """J(n, k): the span of the level-n cylinder of the word of value k."""
+        run = self.cylinder(int_to_word(k, n))
+        return self.intervals[run[0]][0], self.intervals[run[-1]][1]
 
     def hulls_at_level(self, n: int) -> list[Interval]:
         """The 2^n level-n hulls in spatial order."""
-        ivs = [v for (m, _), v in self.hulls.items() if m == n]
-        return sorted(ivs)
+        return sorted(self.hull(n, k) for k in range(2 ** n))
 
     def min_hull_gap(self, n: int) -> Fraction:
         """Smallest gap between consecutive level-n cylinder hulls."""
@@ -128,14 +145,6 @@ def build_atlas(depth: int, rho: Fraction, weight_base: int) -> Atlas:
     if intervals[-1][1] != 1:
         raise AssertionError("layout does not tile [0,1] exactly")
 
-    hulls: dict[tuple[int, int], Interval] = {}
-    for n in range(1, depth + 1):
-        groups: dict[str, list[Interval]] = {}
-        for c, iv in zip(codes, intervals):
-            groups.setdefault(c.prefix(n), []).append(iv)
-        for word, ivs in groups.items():
-            hulls[(n, word_to_int(word))] = (min(a for a, _ in ivs), max(b for _, b in ivs))
-
     return Atlas(
         depth=depth,
         rho=rho,
@@ -143,9 +152,7 @@ def build_atlas(depth: int, rho: Fraction, weight_base: int) -> Atlas:
         codes=tuple(codes),
         intervals=tuple(intervals),
         total_weight=w,
-        hulls=hulls,
         index={c: i for i, c in enumerate(codes)},
-        _lefts=tuple(iv[0] for iv in intervals),
     )
 
 
@@ -158,10 +165,6 @@ class LimitMapBundle:
     exact_horizon: int
     frontier_codes: frozenset[Code]
     frontier_image: Interval
-    image_of: dict[Code, Interval]
-
-    def g_interval(self, c: Code) -> Interval:
-        return self.atlas.interval_of(c)
 
     def frontier_intervals(self) -> list[Interval]:
         out = [self.atlas.interval_of(c) for c in self.frontier_codes]
@@ -170,7 +173,7 @@ class LimitMapBundle:
 
     def point_at(self, c: Code, rel: Fraction) -> Fraction:
         """The point of G(c) at relative position rel in [0,1]."""
-        l, r = self.g_interval(c)
+        l, r = self.atlas.interval_of(c)
         return l + Fraction(rel) * (r - l)
 
     def rel_of(self, x: Fraction) -> Optional[tuple[Code, Fraction]]:
@@ -209,14 +212,9 @@ def build_limit_map(atlas: Atlas) -> LimitMapBundle:
     half = min(true_len / 2, (center - gap_lo) / 2, (gap_hi - center) / 2)
     frontier_image: Interval = (center - half, center + half)
 
-    image_of: dict[Code, Interval] = {}
     points: list[tuple[Fraction, Fraction]] = []
     for c, (l, r) in zip(atlas.codes, atlas.intervals):
-        if c == frontier:
-            img = frontier_image
-        else:
-            img = atlas.interval_of(alpha(c))
-        image_of[c] = img
+        img = frontier_image if c == frontier else atlas.interval_of(alpha(c))
         points.append((l, img[0]))
         points.append((r, img[1]))
     f = pl_from_points(points)
@@ -229,7 +227,6 @@ def build_limit_map(atlas: Atlas) -> LimitMapBundle:
         exact_horizon=2 ** (d - 1),
         frontier_codes=frozenset([frontier]),
         frontier_image=frontier_image,
-        image_of=image_of,
     )
 
 
@@ -243,12 +240,12 @@ def verify_orbit_action(bundle: LimitMapBundle, steps: int) -> dict:
         raise ValueError(
             f"steps {steps} beyond exact horizon {bundle.exact_horizon}"
         )
-    cur = bundle.g_interval(ZERO)
+    cur = bundle.atlas.interval_of(ZERO)
     code = ZERO
     for m in range(1, steps + 1):
         cur = interval_image(bundle.f, *cur)
         code = alpha(code)
-        if cur != bundle.g_interval(code):
+        if cur != bundle.atlas.interval_of(code):
             return {"ok": False, "steps": steps, "first_failure": m}
     return {"ok": True, "steps": steps, "first_failure": None}
 

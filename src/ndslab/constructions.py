@@ -24,7 +24,7 @@ from typing import Callable, Literal, Optional
 
 from .blowup import Interval, LimitMapBundle
 from .plmap import PLMap, compose, eval_pl, pl_from_points
-from .symbolic import Block, Code, code_at_index, evaluate_e, tau
+from .symbolic import Block, code_at_index, evaluate_e, tau
 
 # ---------------------------------------------------------------------------
 # programs
@@ -265,19 +265,11 @@ def build_k_interval(
     code = code_at_index(j)
     if code.depth > bundle.atlas.depth:
         raise ValueError(f"orbit index {j} needs depth {code.depth} > atlas depth")
-    l, r = bundle.g_interval(code)
+    l, r = bundle.atlas.interval_of(code)
     rel = params.rel(n)  # level 0 is legal here: it serves as the fold divider
     mid = (l + r) / 2
     half = rel * (r - l) / 2
     return (mid - half, mid + half)
-
-
-def cylinder_codes(bundle: LimitMapBundle, word: str) -> list[Code]:
-    """Theta-ordered atlas codes lying in the cylinder of ``word``."""
-    out = [c for c in bundle.atlas.codes if c.starts_with(word)]
-    if not out:
-        raise ValueError(f"cylinder {word} not represented at this depth")
-    return out
 
 
 def _collar_width(
@@ -316,47 +308,34 @@ def build_lambda(bundle: LimitMapBundle, n_block: Block) -> PLMap:
     from the diagonal to the permuted boundary value.
     """
     atlas = bundle.atlas
-    word = n_block.word
-    codes = cylinder_codes(bundle, word)
-    first, last = codes[0], codes[-1]
-    jl = atlas.interval_of(first)[0]
-    jr = atlas.interval_of(last)[1]
-    k = len(word)
-    hull = atlas.hull(k, evaluate_e(n_block))
-    assert hull == (jl, jr)
-    image_hull = atlas.hull(k, (evaluate_e(n_block) + 1) % 2 ** k)
+    f = bundle.f
+    run = atlas.cylinder(n_block.word)
+    k, e = len(n_block), evaluate_e(n_block)
+    jl, jr = atlas.hull(k, e)
+    image_hull = atlas.hull(k, (e + 1) % 2 ** k)
 
     points: list[tuple[Fraction, Fraction]] = []
     if jl > 0:
         points.append((Fraction(0), Fraction(0)))
     if jr < 1:
         points.append((Fraction(1), Fraction(1)))
-    for c in codes:
-        l, r = atlas.interval_of(c)
-        l2, r2 = atlas.interval_of(tau(n_block, c))
+    for i in run:
+        l, r = atlas.intervals[i]
+        l2, r2 = atlas.interval_of(tau(n_block, atlas.codes[i]))
         points.append((l, l2))
         points.append((r, r2))
 
     # collars: locate the spatial neighbours of the hull
-    i0, i1 = atlas.index[first], atlas.index[last]
     if jl > 0:
-        u = atlas.intervals[i0 - 1][1]
-        prev_code = atlas.codes[i0 - 1]
+        u = atlas.intervals[run[0] - 1][1]
         delta = _collar_width(
-            (u, jl),
-            image_hull,
-            f_at_inner=bundle.image_of[first][0],
-            f_at_outer=bundle.image_of[prev_code][1],
+            (u, jl), image_hull, f_at_inner=eval_pl(f, jl), f_at_outer=eval_pl(f, u)
         )
         points.append((jl - delta, jl - delta))
     if jr < 1:
-        w = atlas.intervals[i1 + 1][0]
-        next_code = atlas.codes[i1 + 1]
+        w = atlas.intervals[run[-1] + 1][0]
         delta = _collar_width(
-            (jr, w),
-            image_hull,
-            f_at_inner=bundle.image_of[last][1],
-            f_at_outer=bundle.image_of[next_code][0],
+            (jr, w), image_hull, f_at_inner=eval_pl(f, jr), f_at_outer=eval_pl(f, w)
         )
         points.append((jr + delta, jr + delta))
     return pl_from_points(points)

@@ -5,7 +5,10 @@ minimum of ``analysis.distality_report`` and the frontier taint of
 ``dynamics.trajectory``, and the per-symbol versions of the symbolic layer:
 ``theta`` as a sum of ``Fraction``s, ``code_at_index`` as a bit loop,
 ``tau`` and ``compare`` symbol by symbol, and ``Atlas.locate_code`` as a
-bisection over the thetas of the atlas codes.  The separated-set greedy
+bisection over the thetas of the atlas codes.  ``Atlas.cylinder`` and
+``Atlas.hull`` are kept as a scan of every code for its prefix and as a
+table of hulls grouped by prefix at every level, and the limit map's values
+at interval ends as its table of interval images.  The separated-set greedy
 pass is kept twice: as the count over pre-sampled rows that
 ``analysis.entropy_estimate`` made, and as the loop of
 ``analysis.greedy_separated`` that sampled each candidate and tested it
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 from ndslab import dynamics
 from ndslab.dynamics import Trajectory
-from ndslab.symbolic import canonicalize
+from ndslab.symbolic import alpha, canonicalize, word_to_int
 
 
 def eval_pl(f, x) -> Fraction:
@@ -109,6 +112,32 @@ def locate_code(atlas, c):
     if i >= 0 and atlas.codes[i] == c:
         return atlas.intervals[i]
     return None
+
+
+def cylinder_codes(atlas, word: str) -> list:
+    """Theta-ordered atlas codes lying in the cylinder of ``word``."""
+    return [c for c in atlas.codes if c.starts_with(word)]
+
+
+def hull_table(atlas) -> dict:
+    """(n, e(word)) -> J(n, e(word)) for every level n <= depth, by prefix grouping."""
+    hulls = {}
+    for n in range(1, atlas.depth + 1):
+        groups: dict[str, list] = {}
+        for c, iv in zip(atlas.codes, atlas.intervals):
+            groups.setdefault(c.prefix(n), []).append(iv)
+        for word, ivs in groups.items():
+            hulls[(n, word_to_int(word))] = (min(a for a, _ in ivs), max(b for _, b in ivs))
+    return hulls
+
+
+def limit_images(bundle) -> dict:
+    """code -> the interval the limit map carries G(code) onto."""
+    atlas = bundle.atlas
+    return {
+        c: bundle.frontier_image if c in bundle.frontier_codes else atlas.interval_of(alpha(c))
+        for c in atlas.codes
+    }
 
 
 def separated(row, chosen, epsilon) -> bool:

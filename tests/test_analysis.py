@@ -184,7 +184,7 @@ class TestEventualConstancy:
 
     def test_moving_point_does_not_settle(self, main_prog):
         bundle = main_prog.bundle
-        c0 = sum(bundle.g_interval(ZERO)) / 2
+        c0 = sum(bundle.atlas.interval_of(ZERO)) / 2
         assert eventual_constancy(main_prog, c0, 30) is None
 
 

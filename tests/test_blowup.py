@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from ndslab.blowup import (
     build_atlas,
     build_limit_map,
@@ -13,7 +14,7 @@ from ndslab.blowup import (
     verify_orbit_action,
 )
 from ndslab.plmap import interval_image, is_surjective
-from ndslab.symbolic import ZERO, ONE, alpha, canonicalize, theta
+from ndslab.symbolic import ZERO, ONE, alpha, canonicalize, int_to_word, theta
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +92,8 @@ class TestLimitMap:
             assert interval_image(bundle8.f, *iv) == atlas.interval_of(alpha(c))
 
     def test_wraparound(self, bundle8):
-        g1 = bundle8.g_interval(ONE)
-        assert interval_image(bundle8.f, *g1) == bundle8.g_interval(ZERO)
+        g1 = bundle8.atlas.interval_of(ONE)
+        assert interval_image(bundle8.f, *g1) == bundle8.atlas.interval_of(ZERO)
 
     def test_frontier_is_single_all_ones_block(self, bundle8):
         (c,) = bundle8.frontier_codes
@@ -111,11 +112,11 @@ class TestLimitMap:
             verify_orbit_action(bundle8, bundle8.exact_horizon + 1)
 
     def test_orbit_action_examples(self, bundle8):
-        cur = bundle8.g_interval(ZERO)
+        cur = bundle8.atlas.interval_of(ZERO)
         expected = [canonicalize("1", 0), canonicalize("01", 0), canonicalize("11", 0)]
         for code in expected:
             cur = interval_image(bundle8.f, *cur)
-            assert cur == bundle8.g_interval(code)
+            assert cur == bundle8.atlas.interval_of(code)
 
 
 class TestHulls:
@@ -142,6 +143,33 @@ class TestHulls:
     def test_min_gap_positive(self, atlas8):
         for n in (1, 4, 8):
             assert atlas8.min_hull_gap(n) > 0
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_hulls_match_prefix_grouping(self, depth):
+        atlas = build_atlas(depth, Fraction(1, 2), 4)
+        table = oracles.hull_table(atlas)
+        assert {(n, k): atlas.hull(n, k) for n, k in table} == table
+        assert len(table) == 2 ** (depth + 1) - 2
+        for n in range(1, depth + 1):
+            assert atlas.hulls_at_level(n) == sorted(v for (m, _), v in table.items() if m == n)
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_cylinders_match_prefix_scan(self, depth):
+        atlas = build_atlas(depth, Fraction(1, 2), 4)
+        for n in range(depth + 1):
+            for k in range(2 ** n):
+                word = int_to_word(k, n)
+                run = atlas.cylinder(word)
+                assert [atlas.codes[i] for i in run] == oracles.cylinder_codes(atlas, word)
+
+    def test_cylinder_rejects_words_beyond_depth(self, atlas8):
+        # a depth-9 word's cylinder holds one represented code, but not as a run
+        # from w0-bar to w1-bar
+        for word in ("0" * 9, "1" * 9, "0" * 8 + "1", "1" * 10):
+            with pytest.raises(ValueError):
+                atlas8.cylinder(word)
+        with pytest.raises(ValueError):
+            atlas8.hull(9, 0)
 
 
 def test_rel_coordinates_roundtrip(bundle8):

@@ -1,10 +1,12 @@
 """Command-line surface: artefact formats, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
+from ndslab import cli
 from ndslab.cli import load_program, main
 
 
@@ -122,6 +124,20 @@ def test_entropy_command_identity(runner, tmp_path):
     assert data["headline"] == 0.0
 
 
+def test_entropy_headline_is_set_by_the_one_time_cell(runner, tmp_path):
+    # the headline is the table maximum; even the identity map separates six
+    # points at one time, so the n = 1 cell sets it at log 6
+    out = tmp_path / "e.json"
+    res = runner.invoke(main, ["entropy", "--family", "identity", "--times", "1..5", "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    data = json.loads(out.read_text())
+    cells = {r["n"]: r for r in data["rows"]}
+    assert sorted(cells) == [1, 2, 5]
+    assert cells[1]["epsilon"] == "1/6" and cells[1]["cardinality"] == 6
+    assert data["headline"] == cells[1]["estimate"] == math.log(6)
+    assert all(cells[n]["estimate"] < data["headline"] for n in (2, 5))
+
+
 def test_entropy_rejects_stage_times_for_other_families(runner, tmp_path):
     res = runner.invoke(
         main,
@@ -175,6 +191,46 @@ def test_distality_horizon_validation(runner, tmp_path):
         ["distality", "--depth", "6", "--steps", "4096", "-o", str(tmp_path / "d.json")],
     )
     assert res.exit_code == 2
+
+
+def _refuse(*args):
+    raise AssertionError("called before the configuration was checked")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build-atlas"], ["build-nds", "--family", "main"], ["entropy", "--family", "main"], ["distality"]],
+)
+def test_depth_above_cap_exits_2_before_building(runner, tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(cli, "build_atlas", _refuse)
+    depth = str(cli.MAX_DEPTH + 1)
+    res = runner.invoke(main, argv + ["--depth", depth, "-o", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_depth_cap_admits_the_cap(runner, tmp_path, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli, "build_atlas", reached)
+    depth = str(cli.MAX_DEPTH)
+    res = runner.invoke(main, ["build-atlas", "--depth", depth, "-o", str(tmp_path / "out")])
+    assert isinstance(res.exception, Reached)
+
+
+@pytest.mark.parametrize("max_code_depth", ["-1", "6", "7", "40"])
+def test_distality_max_code_depth_exits_2_before_enumerating(
+    runner, tmp_path, monkeypatch, max_code_depth
+):
+    monkeypatch.setattr(cli, "all_codes", _refuse)
+    argv = ["distality", "--depth", "6", "--max-code-depth", max_code_depth]
+    res = runner.invoke(main, argv + ["-o", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
 
 
 def test_ly_scan_small_depth(runner, tmp_path):

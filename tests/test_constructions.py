@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from oracles import cylinder_codes
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import (
     BlockProgram,
@@ -18,7 +20,7 @@ from ndslab.constructions import (
     build_main_nds,
     build_phi_stage,
     build_psi_stage,
-    cylinder_codes,
+    _collar_width,
     lemma_nds,
     lemma_phi,
     lemma_psi,
@@ -125,7 +127,7 @@ class TestLemmaProgram:
 class TestLambda:
     def test_permutes_intervals_by_reversal(self, bundle):
         lam = build_lambda(bundle, Block("1"))
-        for c in cylinder_codes(bundle, "1"):
+        for c in cylinder_codes(bundle.atlas, "1"):
             g = bundle.atlas.interval_of(c)
             assert interval_image(lam, *g) == bundle.atlas.interval_of(tau(Block("1"), c))
 
@@ -137,7 +139,7 @@ class TestLambda:
 
     def test_interval_involution(self, bundle):
         lam = build_lambda(bundle, Block("11"))
-        for c in cylinder_codes(bundle, "11")[:16]:
+        for c in cylinder_codes(bundle.atlas, "11")[:16]:
             g = bundle.atlas.interval_of(c)
             once = interval_image(lam, *g)
             assert interval_image(lam, *once) == g
@@ -172,7 +174,7 @@ class TestEtaStage:
         word = "11"
         eta = build_eta_stage(bundle, Block(word))
         hull = bundle.atlas.hull(2, evaluate_e(Block(word)))
-        cur = bundle.g_interval(ZERO)
+        cur = bundle.atlas.interval_of(ZERO)
         visits = 0
         for _ in range(4):
             cur = interval_image(eta, *cur)
@@ -188,7 +190,7 @@ class TestEtaStage:
         k = len(word)
         eta = build_eta_stage(bundle, Block(word))
         base_cycle = set()
-        cur = bundle.g_interval(ZERO)
+        cur = bundle.atlas.interval_of(ZERO)
         for _ in range(2 ** k):
             base_cycle.add(cur)
             cur = interval_image(eta, *cur)
@@ -223,7 +225,7 @@ class TestEtaStage:
 
 class TestKIntervals:
     def test_nested_and_longer_than_a_third(self, bundle, params):
-        g0 = bundle.g_interval(ZERO)
+        g0 = bundle.atlas.interval_of(ZERO)
         k1 = build_k_interval(bundle, params, 1, 0)
         k2 = build_k_interval(bundle, params, 2, 0)
         assert g0[0] < k1[0] < k2[0] or (k1[0] > k2[0])  # ordering below
@@ -337,12 +339,38 @@ class TestPrograms:
 
 
 class TestMiddleCylinders:
+    @pytest.mark.parametrize("word", ["0", "1", "01", "10", "011", "1111", "11111111"])
+    def test_collars_match_the_image_table(self, bundle, word):
+        # the collar widths read the limit map at the hull ends and at the
+        # neighbours' ends; the table of interval images must give the same
+        # collar points ("11111111" starts with the frontier code)
+        atlas = bundle.atlas
+        images = oracles.limit_images(bundle)
+        codes = cylinder_codes(atlas, word)
+        k = len(word)
+        image_hull = oracles.hull_table(atlas)[(k, (evaluate_e(Block(word)) + 1) % 2 ** k)]
+        lam = build_lambda(bundle, Block(word))
+        i0, i1 = atlas.index[codes[0]], atlas.index[codes[-1]]
+        jl, jr = atlas.intervals[i0][0], atlas.intervals[i1][1]
+        collars = []
+        if jl > 0:
+            u = atlas.intervals[i0 - 1][1]
+            inner, outer = images[codes[0]][0], images[atlas.codes[i0 - 1]][1]
+            collars.append(jl - _collar_width((u, jl), image_hull, inner, outer))
+        if jr < 1:
+            w = atlas.intervals[i1 + 1][0]
+            inner, outer = images[codes[-1]][1], images[atlas.codes[i1 + 1]][0]
+            collars.append(jr + _collar_width((jr, w), image_hull, inner, outer))
+        assert collars
+        for x in collars:
+            assert x in lam.xs and eval_pl(lam, x) == x
+
     def test_two_collar_lambda_permutes_and_involutes(self, bundle):
         # a cylinder whose hull touches neither endpoint needs collars on
         # both sides
         lam = build_lambda(bundle, Block("01"))
         assert is_surjective(lam)
-        for c in cylinder_codes(bundle, "01"):
+        for c in cylinder_codes(bundle.atlas, "01"):
             g = bundle.atlas.interval_of(c)
             once = interval_image(lam, *g)
             assert once == bundle.atlas.interval_of(tau(Block("01"), c))
@@ -409,7 +437,7 @@ class TestCentreOrbit:
         prog = build_main_nds(bundle, params)
         atlas = bundle.atlas
         centres = {(l + r) / 2 for l, r in atlas.intervals}
-        x = sum(bundle.g_interval(ZERO)) / 2
+        x = sum(bundle.atlas.interval_of(ZERO)) / 2
         for t in range(1, 30):
             x = eval_pl(prog.map_at(t), x)
             assert x in centres, t

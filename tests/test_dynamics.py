@@ -104,7 +104,7 @@ class TestTrajectory:
     def test_frontier_taints(self, main_prog):
         bundle = main_prog.bundle
         (frontier_code,) = bundle.frontier_codes
-        l, r = bundle.g_interval(frontier_code)
+        l, r = bundle.atlas.interval_of(frontier_code)
         traj = trajectory(main_prog, (l + r) / 2, 3)
         assert not traj.flags[0] and traj.flags[1] and traj.tainted
 

@@ -130,7 +130,7 @@ class TestDistalityMinimum:
         rows = distality_report(bundle, prog, pairs, T)
         orbits = {}
         for c in all_codes(3):
-            l, r = bundle.g_interval(c)
+            l, r = bundle.atlas.interval_of(c)
             orbits[str(c)] = (
                 oracles.trajectory(prog, l, T).values,
                 oracles.trajectory(prog, r, T).values,
