@@ -18,6 +18,7 @@ tail policy so that the map at any time t >= 1 is well defined.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Literal, Optional
@@ -365,7 +366,8 @@ def build_phi_stage(
     nl, nr = build_k_interval(bundle, params, n, p + 1)
     f = bundle.f
     assert eval_pl(f, kl) == nl and eval_pl(f, kr) == nr
-    points = [(x, y) for x, y in zip(f.xs, f.ys) if x < kl or x > kr]
+    i, j = bisect_left(f.xs, kl), bisect_right(f.xs, kr)
+    points = list(zip(f.xs[:i], f.ys[:i])) + list(zip(f.xs[j:], f.ys[j:]))
     points += [(kl, nl), (il, nr), (ir, nl), (kr, nr)]
     return pl_from_points(points)
 
@@ -388,7 +390,8 @@ def build_psi_stage(
     g_next = bundle.atlas.interval_at_index(p + 1)
     centre = (g_next[0] + g_next[1]) / 2
     f = bundle.f
-    points = [(x, y) for x, y in zip(f.xs, f.ys) if x < ol or x > orr]
+    i, j = bisect_left(f.xs, ol), bisect_right(f.xs, orr)
+    points = list(zip(f.xs[:i], f.ys[:i])) + list(zip(f.xs[j:], f.ys[j:]))
     points += [(ol, eval_pl(f, ol)), (kl, centre), (kr, centre), (orr, eval_pl(f, orr))]
     return pl_from_points(points)
 

@@ -9,10 +9,12 @@ orbits should be iterated pointwise via the dynamics module instead.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import merge
+from itertools import groupby
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -43,9 +45,12 @@ class PLMap:
             raise ValueError("need matching xs/ys with at least two points")
         if self.xs[0] != 0 or self.xs[-1] != 1:
             raise ValueError("domain must be exactly [0,1]")
-        if any(a >= b for a, b in zip(self.xs, self.xs[1:])):
+        if any(
+            a.numerator * b.denominator >= b.numerator * a.denominator
+            for a, b in zip(self.xs, self.xs[1:])
+        ):
             raise ValueError("breakpoints must increase strictly")
-        if any(y < 0 or y > 1 for y in self.ys):
+        if any(y.numerator < 0 or y.numerator > y.denominator for y in self.ys):
             raise ValueError("values must lie in [0,1]")
 
     def __call__(self, x: Fraction) -> Fraction:
@@ -79,35 +84,37 @@ class PLMap:
         return pl_from_points(zip(xs, ys))
 
 
-def _canonical_points(
-    pts: Sequence[tuple[Fraction, Fraction]]
-) -> list[tuple[Fraction, Fraction]]:
-    """Sort, merge duplicates (must agree), drop collinear interior points."""
-    pts = sorted(pts)
-    merged: list[tuple[Fraction, Fraction]] = []
-    for x, y in pts:
-        if merged and merged[-1][0] == x:
-            if merged[-1][1] != y:
-                raise ValueError(f"conflicting values at x={x}: {merged[-1][1]} vs {y}")
-            continue
-        merged.append((x, y))
+def _canonical_map(pts: Sequence[tuple[Fraction, Fraction]]) -> PLMap:
+    """The map through x-sorted points, duplicates merged (they must agree) and
+    collinear interior points dropped.  With x = a/b and y = c/d, (x1, y1) is on
+    the segment from (x0, y0) to (x2, y2) iff the integer cross-differences give
+    (c1 d0 - c0 d1)(a2 b1 - a1 b2) d2 b0 == (c2 d1 - c1 d2)(a1 b0 - a0 b1) d0 b2.
+    """
     out: list[tuple[Fraction, Fraction]] = []
-    for p in merged:
-        while len(out) >= 2:
-            (x0, y0), (x1, y1) = out[-2], out[-1]
-            # drop (x1,y1) if collinear with neighbours
-            if (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
-                out.pop()
-            else:
+    nums: list[tuple[int, int, int, int]] = []  # (a, b, c, d) of each point of out
+    for p in pts:
+        x, y = p
+        a2, b2, c2, d2 = x.numerator, x.denominator, y.numerator, y.denominator
+        if nums and nums[-1][0] == a2 and nums[-1][1] == b2:
+            if nums[-1][2] != c2 or nums[-1][3] != d2:
+                raise ValueError(f"conflicting values at x={x}: {out[-1][1]} vs {y}")
+            continue
+        while len(nums) >= 2:
+            (a0, b0, c0, d0), (a1, b1, c1, d1) = nums[-2], nums[-1]
+            if (c1 * d0 - c0 * d1) * (a2 * b1 - a1 * b2) * d2 * b0 != (
+                c2 * d1 - c1 * d2
+            ) * (a1 * b0 - a0 * b1) * d0 * b2:
                 break
+            out.pop()
+            nums.pop()
         out.append(p)
-    return out
+        nums.append((a2, b2, c2, d2))
+    return PLMap(tuple(p[0] for p in out), tuple(p[1] for p in out))
 
 
 def pl_from_points(points: Iterable[tuple[Fraction, Fraction]]) -> PLMap:
     """Build a canonical PLMap through the given (x, y) pairs."""
-    pts = _canonical_points([(_as_frac(x), _as_frac(y)) for x, y in points])
-    return PLMap(tuple(p[0] for p in pts), tuple(p[1] for p in pts))
+    return _canonical_map(sorted((_as_frac(x), _as_frac(y)) for x, y in points))
 
 
 def identity_map() -> PLMap:
@@ -158,22 +165,24 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     """The composition f after g, computed exactly.
 
     Breakpoints are g's own plus the preimages under g of f's breakpoints,
-    found piece by piece; the result is canonical.
+    emitted piece by piece in x-order, so they need no sort; the result is
+    canonical.
     """
-    cuts: set[Fraction] = set(g.xs)
+    fx = f.xs
+    xs: list[Fraction] = []
     for (x0, x1, y0, y1) in zip(g.xs, g.xs[1:], g.ys, g.ys[1:]):
+        xs.append(x0)
         if y0 == y1:
             continue
         lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-        i0 = bisect_right(f.xs, lo)
-        # every breakpoint of f strictly inside the value range pulls back
-        for b in f.xs[max(i0 - 1, 0) :]:
-            if b > hi:
-                break
-            if lo < b < hi:
-                cuts.add(x0 + (b - y0) * (x1 - x0) / (y1 - y0))
-    xs = sorted(cuts)
-    return pl_from_points((x, eval_pl(f, eval_pl(g, x))) for x in xs)
+        # every breakpoint of f strictly inside the value range pulls back,
+        # in x-order, so in reverse on a falling piece
+        inner = fx[bisect_right(fx, lo) : bisect_left(fx, hi)]
+        if y0 > y1:
+            inner = inner[::-1]
+        xs.extend(x0 + (b - y0) * (x1 - x0) / (y1 - y0) for b in inner)
+    xs.append(g.xs[-1])
+    return _canonical_map([(x, eval_pl(f, eval_pl(g, x))) for x in xs])
 
 
 def compose_chain(maps: Sequence[PLMap]) -> PLMap:
@@ -188,7 +197,7 @@ def compose_chain(maps: Sequence[PLMap]) -> PLMap:
 
 def sup_distance(f: PLMap, g: PLMap) -> Fraction:
     """Exact uniform distance: the max of |f - g| over merged breakpoints."""
-    xs = sorted(set(f.xs) | set(g.xs))
+    xs = (x for x, _ in groupby(merge(f.xs, g.xs)))
     return max(abs(eval_pl(f, x) - eval_pl(g, x)) for x in xs)
 
 

@@ -14,6 +14,12 @@ pass is kept twice: as the count over pre-sampled rows that
 ``analysis.greedy_separated`` that sampled each candidate and tested it
 before sampling the next.  They are kept here, not in ``src/``, as oracles
 for the differential tests.
+
+The map-construction kernels of ``plmap`` are kept in their all-``Fraction``
+form too: ``canonical_points`` sorts, merges and tests collinearity on
+``Fraction`` differences, ``plmap_check`` is ``PLMap``'s validation with
+``Fraction`` comparisons, ``compose`` collects its cuts in a set and sorts
+them, and ``sup_distance`` evaluates over the sorted union of breakpoints.
 """
 
 from __future__ import annotations
@@ -38,6 +44,68 @@ def eval_pl(f, x) -> Fraction:
     if x == x0:
         return y0
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def canonical_points(pts) -> list[tuple[Fraction, Fraction]]:
+    """Sort, merge duplicates (must agree), drop collinear interior points."""
+    pts = sorted(pts)
+    merged: list[tuple[Fraction, Fraction]] = []
+    for x, y in pts:
+        if merged and merged[-1][0] == x:
+            if merged[-1][1] != y:
+                raise ValueError(f"conflicting values at x={x}: {merged[-1][1]} vs {y}")
+            continue
+        merged.append((x, y))
+    out: list[tuple[Fraction, Fraction]] = []
+    for p in merged:
+        while len(out) >= 2:
+            (x0, y0), (x1, y1) = out[-2], out[-1]
+            if (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
+                out.pop()
+            else:
+                break
+        out.append(p)
+    return out
+
+
+def plmap_check(xs, ys) -> None:
+    """Raise the ValueError ``PLMap`` raises for invalid breakpoints and values."""
+    if len(xs) != len(ys) or len(xs) < 2:
+        raise ValueError("need matching xs/ys with at least two points")
+    if xs[0] != 0 or xs[-1] != 1:
+        raise ValueError("domain must be exactly [0,1]")
+    if any(a >= b for a, b in zip(xs, xs[1:])):
+        raise ValueError("breakpoints must increase strictly")
+    if any(y < 0 or y > 1 for y in ys):
+        raise ValueError("values must lie in [0,1]")
+
+
+def pl_points(points) -> list[tuple[Fraction, Fraction]]:
+    """The (x, y) pairs of the canonical map through ``points``, checked."""
+    pts = canonical_points([(Fraction(x), Fraction(y)) for x, y in points])
+    plmap_check([x for x, _ in pts], [y for _, y in pts])
+    return pts
+
+
+def compose(f, g) -> list[tuple[Fraction, Fraction]]:
+    """The (x, y) pairs of f after g, from the set of cuts, sorted."""
+    cuts: set[Fraction] = set(g.xs)
+    for (x0, x1, y0, y1) in zip(g.xs, g.xs[1:], g.ys, g.ys[1:]):
+        if y0 == y1:
+            continue
+        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
+        i0 = bisect_right(f.xs, lo)
+        for b in f.xs[max(i0 - 1, 0) :]:
+            if b > hi:
+                break
+            if lo < b < hi:
+                cuts.add(x0 + (b - y0) * (x1 - x0) / (y1 - y0))
+    return pl_points((x, eval_pl(f, eval_pl(g, x))) for x in sorted(cuts))
+
+
+def sup_distance(f, g) -> Fraction:
+    xs = sorted(set(f.xs) | set(g.xs))
+    return max(abs(eval_pl(f, x) - eval_pl(g, x)) for x in xs)
 
 
 def min_gap(ta, tb) -> Fraction:

@@ -1,0 +1,193 @@
+"""Differential tests: the integer map-construction kernels against their oracles.
+
+``pl_from_points`` tests collinearity by integer cross-multiplication,
+``PLMap`` validates by comparing numerators and denominators, ``compose``
+emits its cuts in x-order from bisect slices, and ``sup_distance`` merges
+two sorted breakpoint tuples.  Each is compared here with the all-``Fraction``
+version in ``oracles`` on inputs that a friendly strategy misses:
+coordinates 2^-70 apart, ~200-bit denominators, exactly collinear triples
+and triples 2^-70 off, duplicate points that agree or conflict, constant
+and falling pieces, value ranges ending exactly on a breakpoint, and values
+2^-70 outside [0,1].
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from ndslab import plmap
+from ndslab.plmap import PLMap, compose, pl_from_points, sup_distance, tent_map
+
+TINY = Fraction(1, 2 ** 70)
+
+small = st.fractions(min_value=0, max_value=1, max_denominator=97)
+
+
+@st.composite
+def wide(draw):
+    """A value in [0,1] with a denominator of about 200 bits."""
+    d = draw(st.integers(min_value=2 ** 199, max_value=2 ** 200))
+    return Fraction(draw(st.integers(min_value=0, max_value=d)), d)
+
+
+@st.composite
+def near(draw):
+    """A small rational moved by up to two steps of 2^-70, kept in [0,1]."""
+    v = draw(small) + draw(st.integers(min_value=-2, max_value=2)) * TINY
+    return min(max(v, Fraction(0)), Fraction(1))
+
+
+coords = st.one_of(small, wide(), near())
+coords_or_outside = st.one_of(coords, st.sampled_from([-TINY, 1 + TINY]))
+
+
+@st.composite
+def point_lists(draw):
+    """Raw (x, y) points, mostly a valid map's, with collinear and repeated points."""
+    xs = draw(st.lists(coords, max_size=6))
+    if draw(st.booleans()):
+        xs += [Fraction(0), Fraction(1)]
+    pts = [(x, draw(coords)) for x in xs]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if len(pts) < 2:
+            break
+        (x0, y0), (x2, y2) = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        t = draw(st.one_of(small, wide()))
+        off = draw(st.sampled_from([0, 0, TINY, -TINY]))
+        pts.append((x0 + t * (x2 - x0), y0 + t * (y2 - y0) + off))
+    if pts and draw(st.booleans()):
+        x, y = draw(st.sampled_from(pts))
+        pts.append((x, y if draw(st.booleans()) else draw(coords)))
+    if pts and draw(st.integers(min_value=0, max_value=5)) == 0:
+        x, _ = draw(st.sampled_from(pts))
+        pts.append((x, draw(st.sampled_from([-TINY, 1 + TINY]))))
+    return draw(st.permutations(pts))
+
+
+@st.composite
+def hard_plmaps(draw, values=coords):
+    xs = sorted({Fraction(0), Fraction(1)} | set(draw(st.lists(coords, max_size=5))))
+    ys = [draw(values)]
+    for _ in xs[1:]:
+        # a repeated value makes a constant piece
+        ys.append(ys[-1] if draw(st.integers(min_value=0, max_value=3)) == 0 else draw(values))
+    return pl_from_points(zip(xs, ys))
+
+
+@st.composite
+def map_pairs(draw):
+    """(f, g) where some values of g, so some ends of its pieces' ranges, are breakpoints of f."""
+    f = draw(hard_plmaps())
+    g = draw(hard_plmaps(st.one_of(coords, st.sampled_from(f.xs))))
+    return f, g
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def _exact(v):
+    """A map's or a point list's points as exact strings, or an outcome's error."""
+    if isinstance(v, PLMap):
+        v = list(zip(v.xs, v.ys))
+    return v if isinstance(v, tuple) else [(str(x), str(y)) for x, y in v]
+
+
+def _check(xs, ys) -> None:
+    PLMap(tuple(xs), tuple(ys))
+
+
+class TestPlFromPoints:
+    @given(point_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, pts):
+        got = _exact(_outcome(pl_from_points, pts))
+        assert got == _exact(_outcome(oracles.pl_points, pts))
+
+    @pytest.mark.parametrize("off", [0, TINY, -TINY])
+    def test_collinear_triple_with_wide_denominators(self, off):
+        d0, d1 = 2 ** 200 - 3, 2 ** 199 + 7
+        p0, p2 = (Fraction(1, d0), Fraction(5, d1)), (1 - Fraction(3, d1), 1 - Fraction(1, d0))
+        t = Fraction(2 ** 150 + 1, 2 ** 201 - 1)
+        p1 = (p0[0] + t * (p2[0] - p0[0]), p0[1] + t * (p2[1] - p0[1]) + off)
+        pts = [(0, 0), p0, p1, p2, (1, 1)]
+        got = pl_from_points(pts)
+        assert _exact(got) == _exact(oracles.pl_points(pts))
+        assert (p1[0] in got.xs) == (off != 0)
+
+    def test_conflicting_duplicate_raises_the_same_error(self):
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        pts = [(0, 0), (third, half), (third, half + TINY), (1, 1)]
+        got = _outcome(pl_from_points, pts)
+        assert got[0] == "ValueError" and got == _outcome(oracles.pl_points, pts)
+
+
+class TestPLMapChecks:
+    @given(st.lists(coords_or_outside, max_size=6), st.lists(coords_or_outside, max_size=6),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, xs, ys, frame):
+        if frame:
+            xs = [Fraction(0)] + xs + [Fraction(1)]
+            ys = (ys + [Fraction(0)] * len(xs))[: len(xs)]
+        assert _outcome(_check, xs, ys) == _outcome(oracles.plmap_check, xs, ys)
+
+    @pytest.mark.parametrize("y", [-TINY, 1 + TINY])
+    def test_rejects_values_just_outside(self, y):
+        with pytest.raises(ValueError, match="values must lie"):
+            PLMap((Fraction(0), Fraction(1)), (Fraction(1, 2), y))
+
+    @pytest.mark.parametrize("second", [Fraction(1, 3), Fraction(1, 3) - TINY])
+    def test_rejects_breakpoints_that_do_not_increase(self, second):
+        with pytest.raises(ValueError, match="increase strictly"):
+            PLMap((Fraction(0), Fraction(1, 3), second, Fraction(1)), (Fraction(0),) * 4)
+
+
+class TestCompose:
+    @given(map_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, fg):
+        f, g = fg
+        with mock.patch.object(plmap, "_canonical_map", wraps=plmap._canonical_map) as spy:
+            got = compose(f, g)
+        assert _exact(got) == _exact(oracles.compose(f, g))
+        # the cuts reach the canonical pass sorted, without repeats
+        cuts = [x for x, _ in spy.call_args.args[0]]
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))
+
+    def test_range_ending_on_a_breakpoint_is_not_cut(self):
+        # g's first piece rises onto 1/2, the tent's peak; its second falls from it
+        g = pl_from_points([(0, 0), (Fraction(1, 3), Fraction(1, 2)), (1, Fraction(1, 4))])
+        with mock.patch.object(plmap, "_canonical_map", wraps=plmap._canonical_map) as spy:
+            got = compose(tent_map(), g)
+        assert [x for x, _ in spy.call_args.args[0]] == [0, Fraction(1, 3), 1]
+        assert _exact(got) == _exact(oracles.compose(tent_map(), g))
+
+    def test_falling_piece_cuts_in_x_order(self):
+        f = pl_from_points([(Fraction(i, 4), i % 2) for i in range(5)])
+        g = pl_from_points([(0, 1), (1, 0)])
+        with mock.patch.object(plmap, "_canonical_map", wraps=plmap._canonical_map) as spy:
+            got = compose(f, g)
+        assert [x for x, _ in spy.call_args.args[0]] == [Fraction(i, 4) for i in range(5)]
+        assert _exact(got) == _exact(oracles.compose(f, g))
+
+
+class TestSupDistance:
+    @given(map_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, fg):
+        f, g = fg
+        assert sup_distance(f, g) == oracles.sup_distance(f, g)
+        assert sup_distance(g, f) == oracles.sup_distance(g, f)
+
+    def test_shared_breakpoints_2_to_the_minus_70_apart(self):
+        f = pl_from_points([(0, 0), (Fraction(1, 3), 1), (1, 0)])
+        g = pl_from_points([(0, 0), (Fraction(1, 3), 1), (Fraction(1, 3) + TINY, 0), (1, 0)])
+        assert sup_distance(f, g) == oracles.sup_distance(f, g) > 0
