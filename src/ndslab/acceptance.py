@@ -392,14 +392,16 @@ def ly_scan(
     intervals of depth <= max_code_depth, drawn with ``random.Random(seed)``,
     and is classified over one pass of the program's stages at scale delta
     (default eps0/4).  Returns delta and the count per classification.
-    Raises ValueError before drawing when ``pairs`` < 1 or fewer than two
-    intervals qualify.
+    Raises ValueError before drawing when ``pairs`` < 1, ``delta`` <= 0 or
+    fewer than two intervals qualify.
     """
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
     T = program.stage_length
     if delta is None:
         delta = epsilon_zero(bundle) / 4
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     groups = [
         grid_in(*bundle.atlas.interval_of(c), 10)
         for c in bundle.atlas.codes

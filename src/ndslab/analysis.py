@@ -9,6 +9,7 @@ pre-select the steps whose exact distances are then compared.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -226,11 +227,22 @@ def ly_classify(
         raise ValueError("horizon must be >= 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    tx = trajectory(program, Fraction(x), T)
-    ty = trajectory(program, Fraction(y), T)
-    lo = T // 2
-    dists = [abs(a - b) for a, b in zip(tx.values[lo:], ty.values[lo:])]
-    tail_min, tail_max = min(dists), max(dists)
+    tails = []  # each start's values[T // 2 :] as (num, den), computed once per program
+    for start in (x, y):
+        key = (Fraction(start), T)
+        if key not in program._tails:
+            window = trajectory(program, key[0], T).values[T // 2 :]
+            program._tails[key] = [(v.numerator, v.denominator) for v in window]
+        tails.append(program._tails[key])
+    # |p/q - r/s| = |ps - rq| / (qs); min and max compared by cross-multiplication
+    dists = [(abs(p * s - r * q), q * s) for (p, q), (r, s) in zip(*tails)]
+    lo = hi = dists[0]
+    for d in dists[1:]:
+        if d[0] * lo[1] < lo[0] * d[1]:
+            lo = d
+        elif d[0] * hi[1] > hi[0] * d[1]:
+            hi = d
+    tail_min, tail_max = Fraction(*lo), Fraction(*hi)
     if tail_min >= delta:
         cls = "distal-candidate"
     elif tail_max > delta:
@@ -335,12 +347,16 @@ def distality_report(
         depths.append(d)
     bounds = {d: bundle.atlas.min_hull_gap(d) for d in set(depths)}
     cache: dict[Code, tuple] = {}
+    seen: dict[tuple[int, int], Fraction] = {}  # one object per value: orbits revisit few
 
     def endpoints(c: Code):
         if c not in cache:
-            l, r = bundle.atlas.interval_of(c)
-            exact = (trajectory(program, l, T).values, trajectory(program, r, T).values)
-            cache[c] = exact + tuple([v.numerator / v.denominator for v in vs] for vs in exact)
+            exact = []
+            for e in bundle.atlas.interval_of(c):
+                vs = trajectory(program, e, T).values
+                exact.append([seen.setdefault((v.numerator, v.denominator), v) for v in vs])
+            fl = [array("d", [v.numerator / v.denominator for v in vs]) for vs in exact]
+            cache[c] = (*exact, *fl)
         return cache[c]
 
     out = []

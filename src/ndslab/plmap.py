@@ -166,23 +166,23 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
 
     Breakpoints are g's own plus the preimages under g of f's breakpoints,
     emitted piece by piece in x-order, so they need no sort; the result is
-    canonical.
+    canonical, and a preimage of f's breakpoint k takes the value f.ys[k].
     """
-    fx = f.xs
-    xs: list[Fraction] = []
+    fx, fy = f.xs, f.ys
+    pts: list[tuple[Fraction, Fraction]] = []
     for (x0, x1, y0, y1) in zip(g.xs, g.xs[1:], g.ys, g.ys[1:]):
-        xs.append(x0)
+        pts.append((x0, eval_pl(f, y0)))
         if y0 == y1:
             continue
         lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
         # every breakpoint of f strictly inside the value range pulls back,
         # in x-order, so in reverse on a falling piece
-        inner = fx[bisect_right(fx, lo) : bisect_left(fx, hi)]
+        inner = range(bisect_right(fx, lo), bisect_left(fx, hi))
         if y0 > y1:
             inner = inner[::-1]
-        xs.extend(x0 + (b - y0) * (x1 - x0) / (y1 - y0) for b in inner)
-    xs.append(g.xs[-1])
-    return _canonical_map([(x, eval_pl(f, eval_pl(g, x))) for x in xs])
+        pts.extend((x0 + (fx[k] - y0) * (x1 - x0) / (y1 - y0), fy[k]) for k in inner)
+    pts.append((g.xs[-1], eval_pl(f, g.ys[-1])))
+    return _canonical_map(pts)
 
 
 def compose_chain(maps: Sequence[PLMap]) -> PLMap:

@@ -20,6 +20,11 @@ form too: ``canonical_points`` sorts, merges and tests collinearity on
 ``Fraction`` differences, ``plmap_check`` is ``PLMap``'s validation with
 ``Fraction`` comparisons, ``compose`` collects its cuts in a set and sorts
 them, and ``sup_distance`` evaluates over the sorted union of breakpoints.
+
+``ly_classify`` is kept as the version that computed both trajectories on
+every call and took the tail minimum and maximum of ``Fraction`` distances;
+``analysis.ly_classify`` now reads each start's tail window from a memo on
+the program and compares distances as integer pairs.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from ndslab import dynamics
+from ndslab.analysis import PairVerdict
 from ndslab.dynamics import Trajectory
 from ndslab.symbolic import alpha, canonicalize, word_to_int
 
@@ -233,3 +239,23 @@ def greedy_witnesses(program, candidates, A, n: int, epsilon) -> tuple[Fraction,
             rows.append(vx)
             selected.append(Fraction(x))
     return tuple(selected)
+
+
+def ly_classify(program, x, y, T: int, delta) -> PairVerdict:
+    """Tail window [T/2, T] of both trajectories, computed afresh each call."""
+    if T < 1:
+        raise ValueError("horizon must be >= 1")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    tx = dynamics.trajectory(program, Fraction(x), T)
+    ty = dynamics.trajectory(program, Fraction(y), T)
+    lo = T // 2
+    dists = [abs(a - b) for a, b in zip(tx.values[lo:], ty.values[lo:])]
+    tail_min, tail_max = min(dists), max(dists)
+    if tail_min >= delta:
+        cls = "distal-candidate"
+    elif tail_max > delta:
+        cls = "LY-candidate"
+    else:
+        cls = "asymptotic-candidate"
+    return PairVerdict(tail_min=tail_min, tail_max=tail_max, horizon=T, classification=cls)

@@ -2,11 +2,12 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
-from ndslab import cli
+from ndslab import acceptance, cli
 from ndslab.cli import load_program, main
 
 
@@ -231,6 +232,16 @@ def test_distality_max_code_depth_exits_2_before_enumerating(
     res = runner.invoke(main, argv + ["-o", str(tmp_path / "out")])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("delta", ["0", "-1/4"])
+def test_ly_scan_bad_delta_exits_2_before_drawing(runner, tmp_path, monkeypatch, delta):
+    monkeypatch.setattr(acceptance, "random", SimpleNamespace(Random=_refuse))
+    argv = ["ly-scan", "--depth", "4", "--delta", delta, "-o", str(tmp_path / "out")]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "delta must be positive" in res.output
 
 
 def test_ly_scan_small_depth(runner, tmp_path):

@@ -8,6 +8,7 @@ breakpoints closer than float resolution, minima reached at many steps or
 within 2^-70 of each other, and frontier endpoints.
 """
 
+from array import array
 from fractions import Fraction
 from itertools import combinations
 
@@ -88,7 +89,9 @@ class TestEvalPl:
 
 
 def _orbit(lefts, rights):
-    return (lefts, rights, [float(v) for v in lefts], [float(v) for v in rights])
+    """An endpoint cache entry of ``distality_report``: exact orbits, then floats."""
+    fl = [array("d", [v.numerator / v.denominator for v in vs]) for vs in (lefts, rights)]
+    return (lefts, rights) + tuple(fl)
 
 
 @st.composite
@@ -138,6 +141,23 @@ class TestDistalityMinimum:
         for row in rows:
             a, b = row.pair
             assert _same(row.min_distance, oracles.min_gap(orbits[a], orbits[b]))
+
+    def test_report_keeps_values_that_share_a_numerator(self, main_fixture):
+        # the report keeps one object per orbit value; 1/2, 1/3, 1/4, ... share
+        # a numerator and must still be told apart
+        bundle, _ = main_fixture
+        ends = sorted(v for c in all_codes(2) for v in bundle.atlas.interval_of(c))
+        points = {Fraction(0): Fraction(1, 2), Fraction(1): Fraction(1, 2)}
+        points.update((e, Fraction(1, k + 2)) for k, e in enumerate(ends))
+        f = pl_from_points(points.items())
+        prog = BlockProgram(stages=(Stage("s", (f,)),), tail_mode="cycle")
+        pairs = list(combinations(all_codes(2), 2))
+        for row, (a, b) in zip(distality_report(bundle, prog, pairs, 1), pairs):
+            orbits = [
+                tuple(oracles.trajectory(prog, e, 1).values for e in bundle.atlas.interval_of(c))
+                for c in (a, b)
+            ]
+            assert _same(row.min_distance, oracles.min_gap(*orbits))
 
 
 class TestFrontierTaint:
