@@ -194,6 +194,8 @@ def entropy_estimate(
     double limit from below only; callers choose the cells, and the identity
     program yields exactly 0 whenever epsilon dominates the candidate spread.
     """
+    if not epsilons or not n_list:
+        raise ValueError("the table needs at least one epsilon and one n")
     _check_cells(A, n_list, epsilons)
     times = list(A[:max(n_list)])
     samples, _ = _sample(program, candidates, times)
@@ -347,14 +349,11 @@ def distality_report(
         depths.append(d)
     bounds = {d: bundle.atlas.min_hull_gap(d) for d in set(depths)}
     cache: dict[Code, tuple] = {}
-    seen: dict[tuple[int, int], Fraction] = {}  # one object per value: orbits revisit few
+    steps: dict = {}  # one step memo for every endpoint orbit: they revisit few values
 
     def endpoints(c: Code):
         if c not in cache:
-            exact = []
-            for e in bundle.atlas.interval_of(c):
-                vs = trajectory(program, e, T).values
-                exact.append([seen.setdefault((v.numerator, v.denominator), v) for v in vs])
+            exact = [trajectory(program, e, T, steps).values for e in bundle.atlas.interval_of(c)]
             fl = [array("d", [v.numerator / v.denominator for v in vs]) for vs in exact]
             cache[c] = (*exact, *fl)
         return cache[c]

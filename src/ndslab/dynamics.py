@@ -50,12 +50,14 @@ def iterate_from(program: BlockProgram, i: int, x: Fraction, n: int) -> Fraction
     return v
 
 
-def _in_any(x: Fraction, intervals) -> bool:
-    return any(l <= x <= r for l, r in intervals)
+def trajectory(
+    program: BlockProgram, x: Fraction, T: int, steps: Optional[dict] = None
+) -> Trajectory:
+    """The exact value list x, f_1(x), f_2 f_1(x), ... up to time T.
 
-
-def trajectory(program: BlockProgram, x: Fraction, T: int) -> Trajectory:
-    """The exact value list x, f_1(x), f_2 f_1(x), ... up to time T."""
+    A ``steps`` dict, shared by orbits of one program, memoizes each step
+    v -> f_t(v) by (id(f_t), v), so a step is evaluated only on a miss.
+    """
     if T < 0:
         raise ValueError("horizon must be >= 0")
     frontier = program.frontier
@@ -72,9 +74,16 @@ def trajectory(program: BlockProgram, x: Fraction, T: int) -> Trajectory:
             fv = v.numerator / v.denominator  # float(v), without the Rational dispatch
             for l, r in float_frontier:
                 if l <= fv <= r:
-                    tainted = _in_any(v, frontier)
+                    tainted = any(a <= v <= b for a, b in frontier)
                     break
-        values.append(eval_pl(program.map_at(t), v))
+        f = program.map_at(t)
+        if steps is None:
+            values.append(eval_pl(f, v))
+        else:
+            key = (id(f), v.numerator, v.denominator)
+            if key not in steps:
+                steps[key] = eval_pl(f, v)
+            values.append(steps[key])
         flags.append(tainted)
     return Trajectory(Fraction(x), tuple(values), tuple(flags))
 

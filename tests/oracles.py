@@ -2,8 +2,11 @@
 
 These are the all-``Fraction`` versions of ``plmap.eval_pl``, the distality
 minimum of ``analysis.distality_report`` and the frontier taint of
-``dynamics.trajectory``, and the per-symbol versions of the symbolic layer:
-``theta`` as a sum of ``Fraction``s, ``code_at_index`` as a bit loop,
+``dynamics.trajectory``.  This ``trajectory`` also evaluates every step,
+where ``dynamics.trajectory`` may look a step up in a memo shared over
+orbits (``distality_report`` shares one over its endpoint orbits).  Then
+come the per-symbol versions of the symbolic layer: ``theta`` as a sum of
+``Fraction``s, ``code_at_index`` as a bit loop,
 ``tau`` and ``compare`` symbol by symbol, and ``Atlas.locate_code`` as a
 bisection over the thetas of the atlas codes.  ``Atlas.cylinder`` and
 ``Atlas.hull`` are kept as a scan of every code for its prefix and as a

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from ndslab import analysis
 from ndslab.acceptance import autonomous_program, epsilon_zero, grid_in
 from ndslab.analysis import (
     convergence_report,
@@ -125,6 +126,19 @@ class TestEntropyTable:
         small = [r for r in table.rows if r[0] == "1/8"][0]
         big = [r for r in table.rows if r[0] == "1/4"][0]
         assert small[2] >= big[2]
+
+    @pytest.mark.parametrize(
+        "epsilons, n_list", [([Fraction(1, 4)], []), ([], [1]), ([], [])]
+    )
+    def test_empty_cells_rejected_before_sampling(
+        self, ident_prog, monkeypatch, epsilons, n_list
+    ):
+        def no_sampling(*args):
+            raise AssertionError("sampled before validating the cells")
+
+        monkeypatch.setattr(analysis, "_sample", no_sampling)
+        with pytest.raises(ValueError, match="at least one epsilon and one n"):
+            entropy_estimate(ident_prog, [1, 2], epsilons, n_list, [Fraction(0)])
 
     def test_cells_bounded_by_candidate_count(self):
         prog = autonomous_program(tent_map())

@@ -5,7 +5,10 @@ use floats only to locate an answer and decide it exactly.  Each is
 compared here with the all-``Fraction`` version in ``oracles`` on the cases
 where a float filter could go wrong: points on or 2^-70 from a breakpoint,
 breakpoints closer than float resolution, minima reached at many steps or
-within 2^-70 of each other, and frontier endpoints.
+within 2^-70 of each other, and frontier endpoints.  The step memo that
+``trajectory`` takes (and ``distality_report`` shares over its endpoint
+orbits) is compared with ``oracles.trajectory`` too, and its saving is
+counted.
 """
 
 from array import array
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ndslab import dynamics
 from ndslab.analysis import _min_gap, distality_report
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import BlockProgram, Stage, StageParams, build_main_nds
@@ -89,7 +93,11 @@ class TestEvalPl:
 
 
 def _orbit(lefts, rights):
-    """An endpoint cache entry of ``distality_report``: exact orbits, then floats."""
+    """An endpoint cache entry of ``distality_report``: exact orbits, then floats.
+
+    The report's exact orbits are ``trajectory`` values computed through one
+    step memo per report; any sequences of ``Fraction``s stand in for them.
+    """
     fl = [array("d", [v.numerator / v.denominator for v in vs]) for vs in (lefts, rights)]
     return (lefts, rights) + tuple(fl)
 
@@ -143,8 +151,9 @@ class TestDistalityMinimum:
             assert _same(row.min_distance, oracles.min_gap(orbits[a], orbits[b]))
 
     def test_report_keeps_values_that_share_a_numerator(self, main_fixture):
-        # the report keeps one object per orbit value; 1/2, 1/3, 1/4, ... share
-        # a numerator and must still be told apart
+        # the report's step memo is keyed by numerator and denominator; the
+        # first step lands on 1/2, 1/3, 1/4, ..., which share a numerator and
+        # must still be told apart when the second step looks them up
         bundle, _ = main_fixture
         ends = sorted(v for c in all_codes(2) for v in bundle.atlas.interval_of(c))
         points = {Fraction(0): Fraction(1, 2), Fraction(1): Fraction(1, 2)}
@@ -152,12 +161,87 @@ class TestDistalityMinimum:
         f = pl_from_points(points.items())
         prog = BlockProgram(stages=(Stage("s", (f,)),), tail_mode="cycle")
         pairs = list(combinations(all_codes(2), 2))
-        for row, (a, b) in zip(distality_report(bundle, prog, pairs, 1), pairs):
-            orbits = [
-                tuple(oracles.trajectory(prog, e, 1).values for e in bundle.atlas.interval_of(c))
-                for c in (a, b)
-            ]
-            assert _same(row.min_distance, oracles.min_gap(*orbits))
+        interval_of = bundle.atlas.interval_of
+        for T in (1, 2):
+            for row, (a, b) in zip(distality_report(bundle, prog, pairs, T), pairs):
+                orbits = [
+                    tuple(oracles.trajectory(prog, e, T).values for e in interval_of(c))
+                    for c in (a, b)
+                ]
+                assert _same(row.min_distance, oracles.min_gap(*orbits))
+
+    def test_report_evaluates_each_distinct_step_once(self, main_fixture, monkeypatch):
+        bundle, prog = main_fixture
+        T = bundle.exact_horizon
+        calls = []
+
+        def counting_eval_pl(f, x):
+            calls.append((f, x))
+            return eval_pl(f, x)
+
+        monkeypatch.setattr(dynamics, "eval_pl", counting_eval_pl)
+        pairs = list(combinations(all_codes(3), 2))
+        rows = distality_report(bundle, prog, pairs, T)
+        orbits, distinct = {}, set()
+        for c in all_codes(3):
+            ends = tuple(oracles.trajectory(prog, e, T).values for e in bundle.atlas.interval_of(c))
+            for vs in ends:
+                distinct.update((id(prog.map_at(t)), vs[t - 1]) for t in range(1, T + 1))
+            orbits[str(c)] = ends
+        assert len(calls) == len(distinct) < 2 * len(orbits) * T
+        for row in rows:
+            a, b = row.pair
+            assert _same(row.min_distance, oracles.min_gap(orbits[a], orbits[b]))
+
+
+@st.composite
+def memo_programs(draw):
+    """A program in which two maps meet the value c, and a frontier that may hold c.
+
+    The schedule is f, c, g, c, ... (c a constant map), so c goes through f
+    at time 5 and through g at time 3; when f(c) != g(c) a memo keyed by the
+    value alone answers one of them wrongly.
+    """
+    f, g = draw(crowded_plmaps()), draw(crowded_plmaps())
+    l, r = sorted((draw(rationals01), draw(rationals01)))
+    c = draw(st.sampled_from([l, r, (l + r) / 2, draw(rationals01)]))
+    return BlockProgram(
+        stages=(Stage("s", (f, constant_map(c), g, constant_map(c))),),
+        tail_mode="cycle",
+        frontier=((l, r),),
+    )
+
+
+class TestStepMemo:
+    SHARED_NUMERATOR = [Fraction(1, k) for k in range(1, 7)]
+
+    @given(memo_programs(), st.lists(rationals01, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_memo_matches_reference(self, prog, starts):
+        steps: dict = {}
+        l, r = prog.frontier[0]
+        for x in self.SHARED_NUMERATOR + starts + [l, r] + self.SHARED_NUMERATOR:
+            assert trajectory(prog, x, 9, steps) == oracles.trajectory(prog, x, 9)
+
+    def test_two_maps_one_value(self):
+        third = Fraction(1, 3)
+        up, down = pl_from_points([(0, 0), (1, 1)]), pl_from_points([(0, 1), (1, 0)])
+        prog = BlockProgram(
+            stages=(Stage("s", (up, constant_map(third), down, constant_map(third))),),
+            tail_mode="cycle",
+            frontier=((Fraction(1, 4), third),),
+        )
+        steps: dict = {}
+        for x in self.SHARED_NUMERATOR:
+            traj = trajectory(prog, x, 9, steps)
+            assert traj == oracles.trajectory(prog, x, 9)
+            assert traj.values[3] == 2 * third and traj.values[5] == third and traj.tainted
+
+    def test_program_maps(self, main_fixture):
+        _, prog = main_fixture
+        steps: dict = {}
+        for x in self.SHARED_NUMERATOR + self.SHARED_NUMERATOR[::-1]:
+            assert trajectory(prog, x, 32, steps) == oracles.trajectory(prog, x, 32)
 
 
 class TestFrontierTaint:
