@@ -50,7 +50,6 @@ from .blowup import (
 )
 from .constructions import (
     BlockProgram,
-    LemmaParams,
     Stage,
     StageParams,
     StageSpec,
@@ -61,9 +60,11 @@ from .constructions import (
     build_main_nds,
     build_phi_stage,
     build_psi_stage,
+    lemma_K,
     lemma_nds,
     lemma_phi,
     lemma_psi,
+    stack_rel,
     times_R,
     times_S,
 )

@@ -47,11 +47,11 @@ from .blowup import (
 )
 from .constructions import (
     BlockProgram,
-    LemmaParams,
     Stage,
     StageParams,
     build_k_interval,
     build_main_nds,
+    lemma_K,
     lemma_phi,
     lemma_psi,
     times_S,
@@ -219,11 +219,10 @@ def criterion_2():
 @_criterion("3", "block collapse to the flattening map")
 def criterion_3():
     """Block and prefix collapse of the stacked-interval family, exact."""
-    params = LemmaParams()
     grid = [Fraction(i, 512) for i in range(513)]
     prefix_maps = []
     for k in range(1, 6):
-        phi, psi = lemma_phi(k, params), lemma_psi(k, params)
+        phi, psi = lemma_phi(k), lemma_psi(k)
         block = compose_chain([phi] * k + [psi])
         for x in grid:
             if eval_pl(block, x) != eval_pl(psi, x):
@@ -239,10 +238,8 @@ def criterion_3():
 @_criterion("4", "three-branch horseshoe counting", limit=60.0)
 def criterion_4():
     """Greedy horseshoe counts: 3^i separated points for i <= 5."""
-    params = LemmaParams()
-    phi1 = lemma_phi(1, params)
-    prog = autonomous_program(phi1)
-    a1, b1 = params.K(1)
+    prog = autonomous_program(lemma_phi(1))
+    a1, b1 = lemma_K(1)
     eps = (b1 - a1) / 10
     cands = [a1 + Fraction(j, 3 ** 7) * (b1 - a1) for j in range(3 ** 7 + 1)]
     times = [1, 2, 3, 4, 5]
@@ -264,7 +261,7 @@ def criterion_5():
     if not one_code_per_deep_cylinder(atlas):
         return False, "deep-cylinder bijection broken"
     for c, iv in zip(atlas.codes, atlas.intervals):
-        if c in bundle.frontier_codes:
+        if c == bundle.frontier_code:
             continue
         if interval_image(bundle.f, *iv) != atlas.interval_of(alpha(c)):
             return False, f"interval action wrong at {c}"
@@ -349,7 +346,7 @@ def criterion_7b(fixture=None):
     )
 
 
-def settle_scan(bundle, params, program) -> tuple[int, int]:
+def settle_scan(bundle, program) -> tuple[int, int]:
     """(settled, sampled): points whose trajectory ends exactly constant.
 
     The sample is a 50-point grid in every blown interval of depth <= 3 plus
@@ -362,7 +359,7 @@ def settle_scan(bundle, params, program) -> tuple[int, int]:
             pts += grid_in(*bundle.atlas.interval_of(c), 50)
     for n in (1, 2, 3):
         for j in (0, 1):
-            pts += build_k_interval(bundle, params, n, j)
+            pts += build_k_interval(bundle, n, j)
     T = program.stage_length
     settled = sum(1 for x in pts if eventual_constancy(program, x, T) is not None)
     return settled, len(pts)
@@ -372,7 +369,7 @@ def settle_scan(bundle, params, program) -> tuple[int, int]:
 def criterion_7c(fixture=None):
     """Settlement to exactly constant trajectories (expected to fail)."""
     bundle, params, program = fixture or _main_fixture()
-    settled, sampled = settle_scan(bundle, params, program)
+    settled, sampled = settle_scan(bundle, program)
     return settled == sampled, (
         f"{settled}/{sampled} sampled points settle within {program.stage_length} steps"
     )

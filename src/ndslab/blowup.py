@@ -163,13 +163,11 @@ class LimitMapBundle:
     atlas: Atlas
     f: PLMap
     exact_horizon: int
-    frontier_codes: frozenset[Code]
+    frontier_code: Code
     frontier_image: Interval
 
     def frontier_intervals(self) -> list[Interval]:
-        out = [self.atlas.interval_of(c) for c in self.frontier_codes]
-        out.append(self.frontier_image)
-        return out
+        return [self.atlas.interval_of(self.frontier_code), self.frontier_image]
 
     def point_at(self, c: Code, rel: Fraction) -> Fraction:
         """The point of G(c) at relative position rel in [0,1]."""
@@ -225,7 +223,7 @@ def build_limit_map(atlas: Atlas) -> LimitMapBundle:
         atlas=atlas,
         f=f,
         exact_horizon=2 ** (d - 1),
-        frontier_codes=frozenset([frontier]),
+        frontier_code=frontier,
         frontier_image=frontier_image,
     )
 

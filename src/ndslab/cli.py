@@ -22,7 +22,6 @@ from .analysis import convergence_report, distality_report, entropy_estimate
 from .blowup import build_atlas, build_limit_map
 from .constructions import (
     BlockProgram,
-    LemmaParams,
     Stage,
     StageParams,
     StageSpec,
@@ -107,14 +106,7 @@ def _configure(family: str, config_path: str | None, depth: int, rho: str, base:
             raise click.UsageError(f"config {config_path} is not a JSON object")
     try:
         if family == "lemma":
-            num = int(cfg.get("num_stages", 5))
-            lemma = LemmaParams()
-            if "repeats" in cfg:
-                reps = [int(v) for v in cfg["repeats"]]
-                if len(reps) < num:
-                    raise click.UsageError(f"{len(reps)} repeats for {num} stages")
-                lemma = LemmaParams(repeats=lambda k: reps[k - 1])
-            return lemma_nds(lemma, num), None, None
+            return lemma_nds(int(cfg.get("num_stages", 5)), cfg.get("repeats")), None, None
         params = StageParams()
         if "stages" in cfg:
             params = StageParams(stages=tuple(
@@ -219,7 +211,7 @@ def build_atlas_cmd(depth, rho, base, out):
     bundle = _bundle_from_options(depth, rho, base)
     payload = bundle.atlas.to_json_dict()
     payload["exact_horizon"] = bundle.exact_horizon
-    payload["frontier_codes"] = sorted(str(c) for c in bundle.frontier_codes)
+    payload["frontier_codes"] = [str(bundle.frontier_code)]
     _dump_json(out, payload)
     click.echo(f"atlas with {bundle.atlas.size} intervals -> {out}")
 
@@ -340,8 +332,8 @@ def ly_scan_cmd(depth, rho, base, config_path, pairs, max_code_depth, delta, see
 @click.option("-o", "out", default="settle_scan.json", show_default=True)
 def settle_scan_cmd(depth, rho, base, config_path, out):
     """Check sampled points for exactly constant trajectory tails."""
-    program, bundle, params = _configure("main", config_path, depth, rho, base)
-    settled, sampled = acceptance.settle_scan(bundle, params, program)
+    program, bundle, _ = _configure("main", config_path, depth, rho, base)
+    settled, sampled = acceptance.settle_scan(bundle, program)
     payload = {"horizon": program.stage_length, "sampled": sampled, "settled": settled}
     _dump_json(out, payload)
     click.echo(f"{settled}/{sampled} settle -> {out}")

@@ -1,16 +1,19 @@
 """The two block-built map sequences and their auxiliary maps.
 
 Family one ("lemma" family): surjective maps phi_n / psi_n supported on a
-growing stack of intervals K_n = [a_n, 1-a_n]; blocks of repeated phi_n
-followed by one psi_n collapse K_n to the common fixed point 1/2 while the
-phi's create a 3-horseshoe inside K_n.
+growing stack of intervals K_n = [a_n, 1-a_n] with a_n = 1/(n+2) (lemma_K);
+blocks of repeated phi_n followed by one psi_n collapse K_n to the common
+fixed point 1/2 while the phi's create a 3-horseshoe inside K_n.  Only the
+number of blocks and their repeat counts are configurable.
 
 Family two ("main" family): perturbations of the blow-up limit map f_D.
 Each stage picks a cylinder block n_i; lambda_i permutes the blown intervals
 of that cylinder the way the symbol-reversing involution permutes codes,
 eta_i = f_D after lambda_i, phi_{i,n} folds the orbit interval K^n at the
 cylinder's visit point three-fold, and psi_{i,n} collapses it to the centre
-of the next blown interval.
+of the next blown interval.  The stacks K^n have the fixed relative length
+1 - 2^(-n-1) of their blown interval (stack_rel); only the stage blocks and
+their repeat counts are configurable.
 
 All maps are exact PLMaps; programs are finite stage lists plus an explicit
 tail policy so that the map at any time t >= 1 is well defined.
@@ -21,7 +24,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Literal, Optional
+from operator import index
+from typing import Literal, Optional, Sequence
 
 from .blowup import Interval, LimitMapBundle
 from .plmap import PLMap, compose, eval_pl, pl_from_points
@@ -66,11 +70,11 @@ class BlockProgram:
             raise ValueError(f"unknown tail mode {self.tail_mode!r}")
         if self.tail_mode == "repeat" and self.tail_map is None:
             raise ValueError("repeat tail needs a map")
-        if not self.stages:
-            raise ValueError("a program needs at least one stage")
         object.__setattr__(
             self, "_schedule", tuple(m for s in self.stages for m in s.maps)
         )
+        if not self._schedule:
+            raise ValueError("a program needs at least one map in its stages")
         if self.bundle is not None and not self.frontier:
             object.__setattr__(
                 self, "frontier", tuple(self.bundle.frontier_intervals())
@@ -97,34 +101,13 @@ class BlockProgram:
 # family one: the non-uniform example
 
 
-@dataclass(frozen=True)
-class LemmaParams:
-    """Parameters of the stacked-interval family.
-
-    ``a`` gives the left endpoint of K_n; it must start at 1/3 and decrease
-    strictly toward 0.  ``repeats`` gives the number of phi_n copies in the
-    n-th block.
-    """
-
-    a: Callable[[int], Fraction] = lambda n: Fraction(1, n + 2)
-    repeats: Callable[[int], int] = lambda k: k
-
-    def a_n(self, n: int) -> Fraction:
-        v = Fraction(self.a(n))
-        if n == 1 and v != Fraction(1, 3):
-            raise ValueError("a_1 must equal 1/3")
-        if not (0 < v < Fraction(1, 2)):
-            raise ValueError(f"a_{n} = {v} outside (0, 1/2)")
-        if n > 1 and v >= Fraction(self.a(n - 1)):
-            raise ValueError("a_n must decrease strictly")
-        return v
-
-    def K(self, n: int) -> Interval:
-        an = self.a_n(n)
-        return (an, 1 - an)
+def lemma_K(n: int) -> Interval:
+    """K_n = [a_n, 1 - a_n] with a_n = 1/(n+2): a_1 = 1/3, decreasing to 0."""
+    a_n = Fraction(1, n + 2)
+    return (a_n, 1 - a_n)
 
 
-def lemma_phi(n: int, params: LemmaParams = LemmaParams()) -> PLMap:
+def lemma_phi(n: int) -> PLMap:
     """Three-lap horseshoe map on K_n, identity outside.
 
     For n = 1 the inner fold points are 4/9 and 5/9; the last linear piece is
@@ -134,11 +117,11 @@ def lemma_phi(n: int, params: LemmaParams = LemmaParams()) -> PLMap:
     """
     if n <= 0:
         raise ValueError("stage must be >= 1")
-    a_n, b_n = params.K(n)
+    a_n, b_n = lemma_K(n)
     if n == 1:
         lo, hi = Fraction(4, 9), Fraction(5, 9)
     else:
-        lo, hi = params.K(n - 1)
+        lo, hi = lemma_K(n - 1)
     return pl_from_points(
         [
             (Fraction(0), Fraction(0)),
@@ -151,12 +134,12 @@ def lemma_phi(n: int, params: LemmaParams = LemmaParams()) -> PLMap:
     )
 
 
-def lemma_psi(n: int, params: LemmaParams = LemmaParams()) -> PLMap:
+def lemma_psi(n: int) -> PLMap:
     """Collapse of K_n to 1/2, identity outside K_{n+1}."""
     if n <= 0:
         raise ValueError("stage must be >= 1")
-    a_n, b_n = params.K(n)
-    a_next, b_next = params.K(n + 1)
+    a_n, b_n = lemma_K(n)
+    a_next, b_next = lemma_K(n + 1)
     half = Fraction(1, 2)
     return pl_from_points(
         [
@@ -170,21 +153,29 @@ def lemma_psi(n: int, params: LemmaParams = LemmaParams()) -> PLMap:
     )
 
 
-def lemma_nds(params: LemmaParams = LemmaParams(), num_stages: int = 5) -> BlockProgram:
-    """Blocks B_k = (phi_k repeated, then psi_k), k = 1..num_stages."""
+def lemma_nds(num_stages: int = 5, repeats: Optional[Sequence[int]] = None) -> BlockProgram:
+    """Blocks B_k = (phi_k repeated, then psi_k), k = 1..num_stages.
+
+    Block k repeats phi_k ``repeats[k-1]`` times, or k times when
+    ``repeats`` is None.  Every count is checked before any map is built.
+    """
     if num_stages < 1:
         raise ValueError("need at least one stage")
+    if repeats is None:
+        repeats = range(1, num_stages + 1)
+    if len(repeats) < num_stages:
+        raise ValueError(f"{len(repeats)} repeats for {num_stages} stages")
+    reps = [index(r) for r in repeats[:num_stages]]
+    if min(reps) < 1:
+        raise ValueError("repeat count must be positive")
     stages = []
-    for k in range(1, num_stages + 1):
-        phi, psi = lemma_phi(k, params), lemma_psi(k, params)
-        reps = params.repeats(k)
-        if reps < 1:
-            raise ValueError("repeat count must be positive")
+    for k, r in enumerate(reps, start=1):
+        phi, psi = lemma_phi(k), lemma_psi(k)
         stages.append(
             Stage(
                 label=f"B{k}",
-                maps=tuple([phi] * reps + [psi]),
-                meta={"k": k, "repeats": reps, "K": params.K(k)},
+                maps=tuple([phi] * r + [psi]),
+                meta={"k": k, "repeats": r, "K": lemma_K(k)},
             )
         )
     return BlockProgram(
@@ -228,33 +219,22 @@ def default_stages() -> tuple[StageSpec, ...]:
 
 @dataclass(frozen=True)
 class StageParams:
-    """Stage blocks plus the nested stack widths inside each blown interval.
-
-    ``stack_rel(n)`` is |K^n| / |G|; the default 1 - 2^(-n-1) increases to 1,
-    keeps every stack strictly inside its interval, and makes the level-1
-    stack longer than a third of the interval.
-    """
+    """The stage blocks, with cylinder block lengths increasing strictly."""
 
     stages: tuple[StageSpec, ...] = field(default_factory=default_stages)
-    stack_rel: Callable[[int], Fraction] = lambda n: 1 - Fraction(1, 2 ** (n + 1))
 
     def __post_init__(self) -> None:
         ks = [s.k for s in self.stages]
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("cylinder block lengths must increase strictly")
-        if not Fraction(self.stack_rel(1)) > Fraction(1, 3):
-            raise ValueError("level-1 stack must exceed a third of its interval")
-
-    def rel(self, n: int) -> Fraction:
-        v = Fraction(self.stack_rel(n))
-        if not (0 < v < 1):
-            raise ValueError(f"stack fraction at level {n} outside (0,1)")
-        return v
 
 
-def build_k_interval(
-    bundle: LimitMapBundle, params: StageParams, n: int, j: int
-) -> Interval:
+def stack_rel(n: int) -> Fraction:
+    """|K^n| / |G| = 1 - 2^(-n-1): increasing to 1, and above 1/3 from n = 1."""
+    return 1 - Fraction(1, 2 ** (n + 1))
+
+
+def build_k_interval(bundle: LimitMapBundle, n: int, j: int) -> Interval:
     """K^n_j: the centred level-n stack interval inside the j-th orbit image.
 
     The limit map is linear and increasing on every blown interval, so the
@@ -269,7 +249,7 @@ def build_k_interval(
     if code.depth > bundle.atlas.depth:
         raise ValueError(f"orbit index {j} needs depth {code.depth} > atlas depth")
     l, r = bundle.atlas.interval_of(code)
-    rel = params.rel(n)  # level 0 is legal here: it serves as the fold divider
+    rel = stack_rel(n)  # level 0 is legal here: it serves as the fold divider
     mid = (l + r) / 2
     half = rel * (r - l) / 2
     return (mid - half, mid + half)
@@ -363,9 +343,9 @@ def build_phi_stage(
         raise ValueError("fold level must be >= 1")
     spec = params.stages[i - 1]
     p = spec.p
-    kl, kr = build_k_interval(bundle, params, n, p)
-    il, ir = build_k_interval(bundle, params, n - 1, p)
-    nl, nr = build_k_interval(bundle, params, n, p + 1)
+    kl, kr = build_k_interval(bundle, n, p)
+    il, ir = build_k_interval(bundle, n - 1, p)
+    nl, nr = build_k_interval(bundle, n, p + 1)
     f = bundle.f
     assert eval_pl(f, kl) == nl and eval_pl(f, kr) == nr
     i, j = bisect_left(f.xs, kl), bisect_right(f.xs, kr)
@@ -387,8 +367,8 @@ def build_psi_stage(
         raise ValueError("collapse level must be >= 1")
     spec = params.stages[i - 1]
     p = spec.p
-    kl, kr = build_k_interval(bundle, params, n, p)
-    ol, orr = build_k_interval(bundle, params, n + 1, p)
+    kl, kr = build_k_interval(bundle, n, p)
+    ol, orr = build_k_interval(bundle, n + 1, p)
     g_next = bundle.atlas.interval_at_index(p + 1)
     centre = (g_next[0] + g_next[1]) / 2
     f = bundle.f

@@ -23,9 +23,6 @@ class Trajectory:
     values: tuple[Fraction, ...]      # values[t] for t = 0..T
     flags: tuple[bool, ...]           # exactness taint, monotone in t
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     @property
     def tainted(self) -> bool:
         return self.flags[-1]

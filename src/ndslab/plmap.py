@@ -17,8 +17,6 @@ from heapq import merge
 from itertools import groupby
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 ZERO_F = Fraction(0)
 ONE_F = Fraction(1)
 
@@ -52,9 +50,6 @@ class PLMap:
             raise ValueError("breakpoints must increase strictly")
         if any(y.numerator < 0 or y.numerator > y.denominator for y in self.ys):
             raise ValueError("values must lie in [0,1]")
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return eval_pl(self, x)
 
     @cached_property
     def float_xs(self) -> array:

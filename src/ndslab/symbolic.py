@@ -100,13 +100,6 @@ class Code:
     def __str__(self) -> str:
         return f"{self.block}|{self.tail}"
 
-    @staticmethod
-    def parse(text: str) -> "Code":
-        block, _, tail = text.partition("|")
-        if tail not in ("0", "1"):
-            raise ValueError(f"malformed code string {text!r}")
-        return canonicalize(block, int(tail))
-
 
 ZERO = Code("", 0)   # the all-zero sequence
 ONE = Code("", 1)    # the all-one sequence

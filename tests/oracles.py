@@ -212,7 +212,7 @@ def limit_images(bundle) -> dict:
     """code -> the interval the limit map carries G(code) onto."""
     atlas = bundle.atlas
     return {
-        c: bundle.frontier_image if c in bundle.frontier_codes else atlas.interval_of(alpha(c))
+        c: bundle.frontier_image if c == bundle.frontier_code else atlas.interval_of(alpha(c))
         for c in atlas.codes
     }
 

@@ -21,7 +21,6 @@ from ndslab.analysis import (
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import (
     BlockProgram,
-    LemmaParams,
     Stage,
     StageParams,
     build_main_nds,
@@ -163,7 +162,7 @@ class TestLyClassify:
         # the tail window [T/2, T] must start after the last flattening map
         # has acted a few times (ramp points take two or three tail steps),
         # otherwise pre-collapse distances masquerade as limsup witnesses
-        prog = lemma_nds(LemmaParams(), 5)
+        prog = lemma_nds(5)
         T = 2 * prog.stage_length + 10
         xs = [Fraction(j, 2 ** 10) for j in range(0, 2 ** 10 + 1, 8)]
         partners = [Fraction(1, 2), Fraction(1, 3), Fraction(17, 64), Fraction(9, 10)]
@@ -185,12 +184,12 @@ class TestEventualConstancy:
         assert eventual_constancy(ident_prog, Fraction(2, 7), 5) == (0, Fraction(2, 7))
 
     def test_lemma_half_fixed(self):
-        prog = lemma_nds(LemmaParams(), 3)
+        prog = lemma_nds(3)
         t0, v = eventual_constancy(prog, Fraction(1, 2), 8)
         assert (t0, v) == (0, Fraction(1, 2))
 
     def test_lemma_stack_point_settles_after_first_block(self):
-        prog = lemma_nds(LemmaParams(), 3)
+        prog = lemma_nds(3)
         res = eventual_constancy(prog, Fraction(2, 5), 8)
         assert res is not None
         t0, v = res

@@ -87,7 +87,7 @@ class TestLimitMap:
     def test_interval_action(self, bundle8):
         atlas = bundle8.atlas
         for c, iv in zip(atlas.codes, atlas.intervals):
-            if c in bundle8.frontier_codes:
+            if c == bundle8.frontier_code:
                 continue
             assert interval_image(bundle8.f, *iv) == atlas.interval_of(alpha(c))
 
@@ -96,8 +96,11 @@ class TestLimitMap:
         assert interval_image(bundle8.f, *g1) == bundle8.atlas.interval_of(ZERO)
 
     def test_frontier_is_single_all_ones_block(self, bundle8):
-        (c,) = bundle8.frontier_codes
-        assert c == canonicalize("1" * 8, 0)
+        assert bundle8.frontier_code == canonicalize("1" * 8, 0)
+        assert bundle8.frontier_intervals() == [
+            bundle8.atlas.interval_of(bundle8.frontier_code),
+            bundle8.frontier_image,
+        ]
         lo, hi = bundle8.frontier_image
         gap_lo = bundle8.atlas.intervals[0][1]
         gap_hi = bundle8.atlas.intervals[1][0]

@@ -300,6 +300,10 @@ BAD_INPUTS = {
         '{"num_stages": 5, "repeats": [1, 2]}',
         ["build-nds", "--family", "lemma", "--config"],
     ),
+    "repeats-not-integers": (
+        '{"num_stages": 2, "repeats": [1, 2.5]}',
+        ["build-nds", "--family", "lemma", "--config"],
+    ),
     "malformed-program-json": (
         '{"stages": [',
         ["trajectory", "--x", "1/3", "--steps", "3", "--program"],
@@ -307,6 +311,8 @@ BAD_INPUTS = {
     "negative-map-index": (_program_json([-1]), TRAJECTORY_ARGV),
     "negative-tail-map-index": (_program_json([0], -1, "repeat"), TRAJECTORY_ARGV),
     "unknown-tail-mode": (_program_json([0], None, "foo"), TRAJECTORY_ARGV),
+    "program-without-maps-trajectory": (_program_json([]), TRAJECTORY_ARGV),
+    "program-without-maps-dump-map": (_program_json([]), ["dump-map", "--program"]),
     "ly-scan-without-two-intervals": (
         None,
         ["ly-scan", "--depth", "4", "--max-code-depth", "-1"],

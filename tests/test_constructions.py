@@ -9,7 +9,6 @@ from oracles import cylinder_codes
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import (
     BlockProgram,
-    LemmaParams,
     Stage,
     StageParams,
     StageSpec,
@@ -21,9 +20,11 @@ from ndslab.constructions import (
     build_phi_stage,
     build_psi_stage,
     _collar_width,
+    lemma_K,
     lemma_nds,
     lemma_phi,
     lemma_psi,
+    stack_rel,
     times_R,
     times_S,
 )
@@ -66,18 +67,16 @@ class TestLemmaMaps:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_phi_three_laps_onto_stack(self, n):
-        params = LemmaParams()
-        phi = lemma_phi(n, params)
-        a, b = params.K(n)
+        phi = lemma_phi(n)
+        a, b = lemma_K(n)
         assert lap_count(phi) == 3
         assert interval_image(phi, a, b) == (a, b)
         assert is_surjective(phi)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_psi_values(self, n):
-        params = LemmaParams()
-        psi = lemma_psi(n, params)
-        a_n, b_n = params.K(n)
+        psi = lemma_psi(n)
+        a_n, b_n = lemma_K(n)
         assert eval_pl(psi, Fraction(1, 2)) == Fraction(1, 2)
         assert eval_pl(psi, a_n) == Fraction(1, 2)
         assert eval_pl(psi, Fraction(0)) == 0
@@ -89,10 +88,13 @@ class TestLemmaMaps:
         with pytest.raises(ValueError):
             lemma_psi(-1)
 
-    def test_a_sequence_validation(self):
-        bad = LemmaParams(a=lambda n: Fraction(1, 2))
-        with pytest.raises(ValueError):
-            bad.K(1)
+    def test_stacks_start_at_a_third_and_grow(self):
+        # a_1 = 1/3 and a_n decreases strictly inside (0, 1/2)
+        stacks = [lemma_K(n) for n in range(1, 50)]
+        assert stacks[0] == (Fraction(1, 3), Fraction(2, 3))
+        lefts = [a for a, _ in stacks]
+        assert all(0 < later < earlier < Fraction(1, 2) for earlier, later in zip(lefts, lefts[1:]))
+        assert all(a + b == 1 for a, b in stacks)
 
 
 class TestLemmaProgram:
@@ -105,19 +107,35 @@ class TestLemmaProgram:
         total = prog.stage_length
         assert prog.map_at(total + 10) == lemma_psi(3)
 
+    def test_repeats_give_the_block_lengths(self):
+        prog = lemma_nds(num_stages=2, repeats=[3, 1, 7])
+        assert [len(s.maps) for s in prog.stages] == [4, 2]
+        assert [s.meta["repeats"] for s in prog.stages] == [3, 1]
+
+    @pytest.mark.parametrize(
+        "num_stages, repeats",
+        [(0, None), (4, [1, 2, 3]), (3, [1, 2, 0])],
+        ids=["no-stages", "repeats-shorter-than-stages", "zero-count-in-last-block"],
+    )
+    def test_rejects_bad_counts_before_building(self, monkeypatch, num_stages, repeats):
+        def fail(n):
+            raise AssertionError("a map was built before the counts were checked")
+
+        monkeypatch.setattr("ndslab.constructions.lemma_phi", fail)
+        with pytest.raises(ValueError):
+            lemma_nds(num_stages, repeats)
+
     def test_block_composition_collapses(self):
-        params = LemmaParams()
         for k in (1, 2, 3):
-            block = compose_chain([lemma_phi(k, params)] * k + [lemma_psi(k, params)])
-            psi = lemma_psi(k, params)
+            block = compose_chain([lemma_phi(k)] * k + [lemma_psi(k)])
+            psi = lemma_psi(k)
             for i in range(0, 513, 3):
                 x = Fraction(i, 512)
                 assert eval_pl(block, x) == eval_pl(psi, x)
 
     def test_composed_with_phi_iterates_equals_psi(self):
         # the flattening map absorbs any number of preceding horseshoe steps
-        params = LemmaParams()
-        phi, psi = lemma_phi(2, params), lemma_psi(2, params)
+        phi, psi = lemma_phi(2), lemma_psi(2)
         comp = compose(psi, compose(phi, phi))
         for i in range(0, 513, 7):
             x = Fraction(i, 512)
@@ -224,37 +242,37 @@ class TestEtaStage:
 
 
 class TestKIntervals:
-    def test_nested_and_longer_than_a_third(self, bundle, params):
+    def test_nested_and_longer_than_a_third(self, bundle):
         g0 = bundle.atlas.interval_of(ZERO)
-        k1 = build_k_interval(bundle, params, 1, 0)
-        k2 = build_k_interval(bundle, params, 2, 0)
+        k1 = build_k_interval(bundle, 1, 0)
+        k2 = build_k_interval(bundle, 2, 0)
         assert g0[0] < k1[0] < k2[0] or (k1[0] > k2[0])  # ordering below
         assert k1[1] - k1[0] > (g0[1] - g0[0]) / 3
         assert k2[0] < k1[0] and k1[1] < k2[1]  # K^1 inside K^2
         assert g0[0] < k2[0] and k2[1] < g0[1]
 
-    def test_travels_linearly(self, bundle, params):
-        k0 = build_k_interval(bundle, params, 1, 0)
+    def test_travels_linearly(self, bundle):
+        k0 = build_k_interval(bundle, 1, 0)
         img = interval_image(bundle.f, *k0)
-        assert img == build_k_interval(bundle, params, 1, 1)
+        assert img == build_k_interval(bundle, 1, 1)
 
-    def test_horizon_guard(self, bundle, params):
+    def test_horizon_guard(self, bundle):
         with pytest.raises(ValueError):
-            build_k_interval(bundle, params, 1, bundle.exact_horizon + 1)
+            build_k_interval(bundle, 1, bundle.exact_horizon + 1)
 
 
 class TestStageMaps:
     def test_phi_three_laps_onto_next(self, bundle, params):
         phi = build_phi_stage(bundle, params, 1, 1)
         p = params.stages[0].p
-        K = build_k_interval(bundle, params, 1, p)
-        K_next = build_k_interval(bundle, params, 1, p + 1)
+        K = build_k_interval(bundle, 1, p)
+        K_next = build_k_interval(bundle, 1, p + 1)
         assert interval_image(phi, *K) == K_next
 
     def test_phi_equals_limit_outside(self, bundle, params):
         phi = build_phi_stage(bundle, params, 1, 1)
         p = params.stages[0].p
-        K = build_k_interval(bundle, params, 1, p)
+        K = build_k_interval(bundle, 1, p)
         for x in (Fraction(0), K[0], K[1], Fraction(1), Fraction(1, 7)):
             assert eval_pl(phi, x) == eval_pl(bundle.f, x)
 
@@ -265,7 +283,7 @@ class TestStageMaps:
     def test_psi_constant_on_stack(self, bundle, params):
         psi = build_psi_stage(bundle, params, 1, 1)
         p = params.stages[0].p
-        K = build_k_interval(bundle, params, 1, p)
+        K = build_k_interval(bundle, 1, p)
         g_next = bundle.atlas.interval_at_index(p + 1)
         centre = (g_next[0] + g_next[1]) / 2
         for t in range(5):
@@ -275,14 +293,14 @@ class TestStageMaps:
     def test_psi_equals_limit_outside_wider_stack(self, bundle, params):
         psi = build_psi_stage(bundle, params, 1, 1)
         p = params.stages[0].p
-        outer = build_k_interval(bundle, params, 2, p)
+        outer = build_k_interval(bundle, 2, p)
         for x in (Fraction(0), outer[0], outer[1], Fraction(1)):
             assert eval_pl(psi, x) == eval_pl(bundle.f, x)
 
     def test_psi_splice_lands_in_image_interval(self, bundle, params):
         psi = build_psi_stage(bundle, params, 1, 1)
         p = params.stages[0].p
-        outer = build_k_interval(bundle, params, 2, p)
+        outer = build_k_interval(bundle, 2, p)
         g_next = bundle.atlas.interval_at_index(p + 1)
         for x in outer:
             assert g_next[0] <= eval_pl(psi, x) <= g_next[1]
@@ -302,7 +320,7 @@ class TestPrograms:
         # within one period the stack interval advances one step per time
         prog = build_g1inf(bundle, params, 2, 2)
         spec = params.stages[1]
-        K = build_k_interval(bundle, params, 2, spec.p)
+        K = build_k_interval(bundle, 2, spec.p)
         eta = build_eta_stage(bundle, spec.block)
         cur_prog, cur_eta = K, K
         for m in range(1, 2 ** spec.k):
@@ -334,8 +352,13 @@ class TestPrograms:
     def test_stage_validation(self):
         with pytest.raises(ValueError):
             StageParams(stages=(StageSpec(Block("11"), 3), StageSpec(Block("1"), 5)))
-        with pytest.raises(ValueError):
-            StageParams(stack_rel=lambda n: Fraction(1, 4))
+
+    def test_stack_widths(self):
+        # strictly inside each blown interval, increasing to 1, and the
+        # level-1 stack longer than a third of its interval
+        rels = [stack_rel(n) for n in range(0, 40)]
+        assert rels[1] > Fraction(1, 3)
+        assert all(0 < a < b < 1 for a, b in zip(rels, rels[1:]))
 
 
 class TestMiddleCylinders:
@@ -413,7 +436,7 @@ class TestFoldStructure:
         # onto the visit point: the predecessor's stack, one fold per 2*2^k
         prog = build_g1inf(bundle, params, 1, 1)
         spec = params.stages[0]
-        pred = build_k_interval(bundle, params, 1, spec.p - 2 ** spec.k)
+        pred = build_k_interval(bundle, 1, spec.p - 2 ** spec.k)
         # the predecessor returns to itself after 2 * 2^k steps and is folded
         # again by the step right after that
         for m in (1, 2, 4, 5, 8):
@@ -424,7 +447,7 @@ class TestFoldStructure:
     def test_visit_point_stack_rides_unfolded_one_period(self, bundle, params):
         prog = build_g1inf(bundle, params, 1, 1)
         spec = params.stages[0]
-        K = build_k_interval(bundle, params, 1, spec.p)
+        K = build_k_interval(bundle, 1, spec.p)
         comp = compose_chain([prog.map_at(t) for t in range(1, 2 ** spec.k + 1)])
         assert interval_image(comp, *K) == K
         assert self._laps_within(comp, *K) == 1

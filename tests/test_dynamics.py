@@ -7,7 +7,6 @@ import pytest
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import (
     BlockProgram,
-    LemmaParams,
     Stage,
     StageParams,
     build_main_nds,
@@ -22,7 +21,7 @@ from ndslab.symbolic import ZERO, all_codes, canonicalize
 
 @pytest.fixture(scope="module")
 def lemma_prog():
-    return lemma_nds(LemmaParams(), 3)
+    return lemma_nds(3)
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +102,7 @@ class TestTrajectory:
 
     def test_frontier_taints(self, main_prog):
         bundle = main_prog.bundle
-        (frontier_code,) = bundle.frontier_codes
-        l, r = bundle.atlas.interval_of(frontier_code)
+        l, r = bundle.atlas.interval_of(bundle.frontier_code)
         traj = trajectory(main_prog, (l + r) / 2, 3)
         assert not traj.flags[0] and traj.flags[1] and traj.tainted
 

@@ -1,9 +1,12 @@
-"""Golden digests of the limit map and of every distinct main-program stage map.
+"""Golden digests of the limit map, every distinct main-program stage map and
+the lemma family's maps.
 
 Each digest is the SHA-256 of ``json.dumps(m.to_json_dict(), sort_keys=True)``
 at depths 6 and 9 under the default atlas and stage parameters.  They were
 recorded from the all-``Fraction`` map construction, so a faster kernel that
-changes a single breakpoint or value of any of these maps fails here.
+changes a single breakpoint or value of any of these maps fails here.  The
+lemma digests were recorded while K_n and the repeat counts were still
+callable parameters, so they pin the fixed formulas to those old defaults.
 """
 
 import hashlib
@@ -13,7 +16,13 @@ import pytest
 
 from ndslab.acceptance import DEFAULT_BASE, DEFAULT_RHO
 from ndslab.blowup import build_atlas, build_limit_map
-from ndslab.constructions import StageParams, build_main_nds
+from ndslab.constructions import (
+    StageParams,
+    build_main_nds,
+    lemma_nds,
+    lemma_phi,
+    lemma_psi,
+)
 
 GOLDEN = {
     6: {
@@ -55,8 +64,39 @@ GOLDEN = {
 }
 
 
+# lemma_phi(k) and lemma_psi(k) for k = 1..6
+LEMMA_PHI = (
+    "c223cbb654af7dff354190756a238d10d295c6b06573c37afb26766a800079bf",
+    "6fcafa7981bd1a8ce6c2346995bfa59015e0133b3e4e0645e19c59f7c909be11",
+    "5e99adb6d79d5783bc1f4ceea9288088a62b2ad75bce1079d9bb127df882af9f",
+    "6ec2a45f615361a8213c73675cc77d9b6d02f27bd9c919a90187ea6e89a92b6a",
+    "c72863b7ff1f7e16cc8210acff2d456a0b95baf30e8b9b83b9624ce23eee6a20",
+    "b5c35b2565b6bfe4ea2a6ac0f62388642d47921cdae21ad9cf909dac02f20805",
+)
+LEMMA_PSI = (
+    "902083210bcdb68333d43a0a96bc1ee05de326cbc0c7bb57740786ed69b389bd",
+    "059353eb23fcd34cdd240a5b1116095a58979f22203271a37862bd9c7be6fe81",
+    "865a831739b2e39d1fc62ba7da4b164b1adb072e88da2ba144c846d0510a3daf",
+    "77819f85b88114e5c04003ffd8a3c77afbe8c3ef7fb2a322aa29aa83802fc88a",
+    "85e4708db9deda790e0837e6e1ad3711f3ec99c7f5ae345a99adca37b99d9269",
+    "9bb334e4ba6f3269ed1f6929d4a5f5231bdfcc7d6299ece9e1325bbe9fde4d90",
+)
+# each stage of lemma_nds(4, [2, 1, 3, 2]): the digest of its map list in
+# time order, so the repeat counts are pinned along with the maps
+LEMMA_PROGRAM = {
+    "B1": "c23f3efc4edc18deada27fb230dd09254aa9e98c6db7c294bda0a8f04650c5c6",
+    "B2": "64a769b54803fe1783cd3f9f3819e1ad5d6490cf1e817886ffce81d29db467f8",
+    "B3": "b8364886f2362fbe78fcd8c5a9b8bb094bdbd78a8fc44b8c26753920f8236205",
+    "B4": "82bcd3b98e531d33ccbe8c37c2bc9dcba2119b6c7f8957ec6f186af3028ba3db",
+}
+
+
+def _sha(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def _digest(m) -> str:
-    return hashlib.sha256(json.dumps(m.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    return _sha(m.to_json_dict())
 
 
 @pytest.mark.parametrize("depth", sorted(GOLDEN))
@@ -68,3 +108,15 @@ def test_limit_and_stage_maps_match_golden_digests(depth):
         # (elem, eta, psi): the fold step, the plain step and the collapse
         got[stage.label] = tuple(_digest(m) for m in stage.meta["distinct_maps"])
     assert got == GOLDEN[depth]
+
+
+def test_lemma_maps_match_golden_digests():
+    assert tuple(_digest(lemma_phi(k)) for k in range(1, 7)) == LEMMA_PHI
+    assert tuple(_digest(lemma_psi(k)) for k in range(1, 7)) == LEMMA_PSI
+
+
+def test_lemma_program_matches_golden_digests():
+    program = lemma_nds(num_stages=4, repeats=[2, 1, 3, 2])
+    got = {s.label: _sha([m.to_json_dict() for m in s.maps]) for s in program.stages}
+    assert got == LEMMA_PROGRAM
+    assert _digest(program.tail_map) == LEMMA_PSI[3]
