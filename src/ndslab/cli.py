@@ -10,6 +10,7 @@ estimates.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -85,33 +86,70 @@ def _bundle_from_options(depth: int, rho: str, base: int):
     return build_limit_map(atlas)
 
 
+# the keys a --config file may hold, per family, and per entry of "stages"
+CONFIG_KEYS = {
+    "lemma": {"num_stages", "repeats"},
+    "main": {"stages"},
+    "tent": set(),
+    "identity": set(),
+}
+STAGE_KEYS = {"block", "a"}
+
+
+def _count(v, what: str) -> int:
+    """A JSON integer; floats, strings and booleans (``index(True)`` is 1) raise."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, not {v!r}")
+
+
+def _typed(v, kind: type, what: str):
+    """v itself if it has the JSON type kind (dict, list or str)."""
+    if not isinstance(v, kind):
+        raise TypeError(f"{what} must be a {kind.__name__}, not {v!r}")
+    return v
+
+
+def _check_keys(d, allowed: set, what: str) -> None:
+    unknown = set(_typed(d, dict, what)) - allowed
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} in {what}; accepted: {sorted(allowed)}")
+
+
 def _configure(family: str, config_path: str | None, depth: int, rho: str, base: int):
     """Parse the options once into (program, bundle, stage params).
 
     The bundle and the stage params are None outside the main family.  The
-    configuration file is checked before the atlas is built, and every error
-    in it becomes a UsageError (exit code 2).
+    configuration file is checked against its family's keys before any map
+    is built, and every error in it becomes a UsageError (exit code 2).
     """
-    if family == "tent":
-        return acceptance.autonomous_program(tent_map()), None, None
-    if family == "identity":
-        return acceptance.autonomous_program(identity_map()), None, None
     cfg = {}
     if config_path is not None:
         try:
             cfg = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise click.UsageError(f"cannot read config {config_path}: {e}")
-        if not isinstance(cfg, dict):
-            raise click.UsageError(f"config {config_path} is not a JSON object")
     try:
+        _check_keys(cfg, CONFIG_KEYS[family], f"the {family} family's config")
+        if family == "tent":
+            return acceptance.autonomous_program(tent_map()), None, None
+        if family == "identity":
+            return acceptance.autonomous_program(identity_map()), None, None
         if family == "lemma":
-            return lemma_nds(int(cfg.get("num_stages", 5)), cfg.get("repeats")), None, None
+            repeats = cfg.get("repeats")
+            if repeats is not None:
+                repeats = [_count(r, "repeats") for r in _typed(repeats, list, "repeats")]
+            return lemma_nds(_count(cfg.get("num_stages", 5), "num_stages"), repeats), None, None
         params = StageParams()
         if "stages" in cfg:
-            params = StageParams(stages=tuple(
-                StageSpec(Block(s["block"]), int(s["a"])) for s in cfg["stages"]
-            ))
+            specs = []
+            for s in _typed(cfg["stages"], list, "stages"):
+                _check_keys(s, STAGE_KEYS, "a stage")
+                specs.append(StageSpec(Block(_typed(s["block"], str, "block")), _count(s["a"], "a")))
+            params = StageParams(stages=tuple(specs))
         bundle = _bundle_from_options(depth, rho, base)
         return build_main_nds(bundle, params), bundle, params
     except (KeyError, TypeError, ValueError) as e:

@@ -1,15 +1,17 @@
 """Exact continuous piecewise-linear self-maps of [0,1].
 
 Breakpoints and values are rationals; evaluation, composition and the sup
-metric are all computed without floating point.  Long products of maps are
-intentionally not composed symbolically (the breakpoint count multiplies);
-orbits should be iterated pointwise via the dynamics module instead.
+metric are all computed exactly.  A float copy of the breakpoints only
+locates a value among them, and integer comparisons settle it.  Long
+products of maps are intentionally not composed symbolically (the
+breakpoint count multiplies); orbits should be iterated pointwise via the
+dynamics module instead.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -156,27 +158,45 @@ def eval_pl(f: PLMap, x: Fraction) -> Fraction:
     return Fraction(p * sdw + rise * run * e, q * sdw)
 
 
+def _bisect_right(f: PLMap, n: int, d: int) -> int:
+    """``bisect_right(f.xs, Fraction(n, d))`` for 0 <= n/d <= 1 and d > 0.
+
+    Located on ``float_xs`` like :func:`eval_pl`: ``float`` rounds
+    monotonically, so the float index is never left of the exact one, and
+    integer comparisons walk it back.
+    """
+    xs = f.xs
+    i = bisect_right(f.float_xs, n / d)
+    while xs[i - 1].numerator * d > n * xs[i - 1].denominator:
+        i -= 1
+    return i
+
+
 def compose(f: PLMap, g: PLMap) -> PLMap:
     """The composition f after g, computed exactly.
 
     Breakpoints are g's own plus the preimages under g of f's breakpoints,
     emitted piece by piece in x-order, so they need no sort; the result is
     canonical, and a preimage of f's breakpoint k takes the value f.ys[k].
+    Each breakpoint of g is located in f once, as the slice [l, r) of f's
+    breakpoints equal to its value, and serves both pieces it ends.
     """
     fx, fy = f.xs, f.ys
     pts: list[tuple[Fraction, Fraction]] = []
-    for (x0, x1, y0, y1) in zip(g.xs, g.xs[1:], g.ys, g.ys[1:]):
-        pts.append((x0, eval_pl(f, y0)))
-        if y0 == y1:
-            continue
-        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-        # every breakpoint of f strictly inside the value range pulls back,
-        # in x-order, so in reverse on a falling piece
-        inner = range(bisect_right(fx, lo), bisect_left(fx, hi))
-        if y0 > y1:
-            inner = inner[::-1]
-        pts.extend((x0 + (fx[k] - y0) * (x1 - x0) / (y1 - y0), fy[k]) for k in inner)
-    pts.append((g.xs[-1], eval_pl(f, g.ys[-1])))
+    x0 = y0 = l0 = r0 = None
+    for x1, y1 in zip(g.xs, g.ys):
+        n, d = y1.numerator, y1.denominator
+        r1 = _bisect_right(f, n, d)
+        b = fx[r1 - 1]
+        l1 = r1 - 1 if b.numerator == n and b.denominator == d else r1
+        # every breakpoint of f strictly inside the piece's value range pulls
+        # back, in x-order, so in reverse on a falling piece
+        if x0 is not None and (r0 < l1 or r1 < l0):
+            inner = range(r0, l1) if r0 < l1 else reversed(range(r1, l0))
+            run = (x1 - x0) / (y1 - y0)
+            pts.extend((x0 + (fx[k] - y0) * run, fy[k]) for k in inner)
+        pts.append((x1, eval_pl(f, y1)))
+        x0, y0, l0, r0 = x1, y1, l1, r1
     return _canonical_map(pts)
 
 
@@ -224,11 +244,10 @@ def interval_image(f: PLMap, lo: Fraction, hi: Fraction) -> tuple[Fraction, Frac
     lo, hi = _as_frac(lo), _as_frac(hi)
     if lo > hi:
         raise ValueError("empty interval")
+    # the extremes are among f(lo), f(hi) and f's values at breakpoints in (lo, hi]
     vals = [eval_pl(f, lo), eval_pl(f, hi)]
-    i = bisect_right(f.xs, lo)
-    while i < len(f.xs) and f.xs[i] < hi:
-        vals.append(f.ys[i])
-        i += 1
+    vals += f.ys[_bisect_right(f, lo.numerator, lo.denominator)
+                 : _bisect_right(f, hi.numerator, hi.denominator)]
     return min(vals), max(vals)
 
 

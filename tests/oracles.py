@@ -22,7 +22,9 @@ The map-construction kernels of ``plmap`` are kept in their all-``Fraction``
 form too: ``canonical_points`` sorts, merges and tests collinearity on
 ``Fraction`` differences, ``plmap_check`` is ``PLMap``'s validation with
 ``Fraction`` comparisons, ``compose`` collects its cuts in a set and sorts
-them, and ``sup_distance`` evaluates over the sorted union of breakpoints.
+them, ``sup_distance`` evaluates over the sorted union of breakpoints, and
+``interval_image`` bisects the ``Fraction`` breakpoints and walks them with
+``Fraction`` comparisons.
 
 ``ly_classify`` is kept as the version that computed both trajectories on
 every call and took the tail minimum and maximum of ``Fraction`` distances;
@@ -115,6 +117,18 @@ def compose(f, g) -> list[tuple[Fraction, Fraction]]:
 def sup_distance(f, g) -> Fraction:
     xs = sorted(set(f.xs) | set(g.xs))
     return max(abs(eval_pl(f, x) - eval_pl(g, x)) for x in xs)
+
+
+def interval_image(f, lo, hi) -> tuple[Fraction, Fraction]:
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError("empty interval")
+    vals = [eval_pl(f, lo), eval_pl(f, hi)]
+    i = bisect_right(f.xs, lo)
+    while i < len(f.xs) and f.xs[i] < hi:
+        vals.append(f.ys[i])
+        i += 1
+    return min(vals), max(vals)
 
 
 def min_gap(ta, tb) -> Fraction:

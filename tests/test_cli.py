@@ -282,6 +282,32 @@ def _program_json(maps, tail_map=None, tail_mode="cycle"):
 
 
 TRAJECTORY_ARGV = ["trajectory", "--x", "1/3", "--steps", "3", "--program"]
+LEMMA_CONFIG_ARGV = ["build-nds", "--family", "lemma", "--config"]
+MAIN_CONFIG_ARGV = ["build-nds", "--family", "main", "--depth", "5", "--config"]
+
+# --config files that each family's key check refuses before any map is built
+BAD_CONFIGS = {
+    "config-num-stages-float": ('{"num_stages": 2.7}', LEMMA_CONFIG_ARGV),
+    "config-num-stages-bool": ('{"num_stages": true}', LEMMA_CONFIG_ARGV),
+    "config-num-stages-string": ('{"num_stages": "3"}', LEMMA_CONFIG_ARGV),
+    "config-misspelt-lemma-keys": ('{"num_stage": 3, "repeat": [9, 9, 9]}', LEMMA_CONFIG_ARGV),
+    "config-lemma-with-stages": ('{"num_stages": 2, "stages": []}', LEMMA_CONFIG_ARGV),
+    "config-repeats-bool": ('{"num_stages": 2, "repeats": [1, true]}', LEMMA_CONFIG_ARGV),
+    "config-repeats-not-a-list": ('{"num_stages": 2, "repeats": {"1": 1}}', LEMMA_CONFIG_ARGV),
+    "config-not-an-object": ("[1, 2]", LEMMA_CONFIG_ARGV),
+    "config-stage-a-float-and-bool": (
+        '{"stages": [{"block": "1", "a": 3.9}, {"block": "11", "a": true}]}',
+        MAIN_CONFIG_ARGV,
+    ),
+    "config-stage-a-bool": ('{"stages": [{"block": "1", "a": true}]}', MAIN_CONFIG_ARGV),
+    "config-stage-unknown-key": ('{"stages": [{"block": "1", "a": 3, "k": 1}]}', MAIN_CONFIG_ARGV),
+    "config-stage-block-not-a-string": ('{"stages": [{"block": ["1"], "a": 3}]}', MAIN_CONFIG_ARGV),
+    "config-main-with-num-stages": ('{"num_stages": 2}', MAIN_CONFIG_ARGV),
+    "config-tent-with-stages": (
+        '{"stages": []}',
+        ["entropy", "--family", "tent", "--times", "1..3", "--config"],
+    ),
+}
 
 BAD_INPUTS = {
     "block-not-binary": (
@@ -344,11 +370,11 @@ BAD_INPUTS = {
     "depth-too-small-for-stages": (None, ["build-nds", "--family", "main", "--depth", "3"]),
     "verify-lemma-lm-max-k-zero": (None, ["verify-lemma-lm", "--max-k", "0"]),
     "verify-lemma-lm-max-k-negative": (None, ["verify-lemma-lm", "--max-k", "-1"]),
+    **BAD_CONFIGS,
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_configuration_errors_exit_2(runner, tmp_path, case):
+def _invoke_case(runner, tmp_path, case):
     text, argv = BAD_INPUTS[case]
     if text is not None:
         path = tmp_path / "input.json"
@@ -357,6 +383,21 @@ def test_configuration_errors_exit_2(runner, tmp_path, case):
     # only commands that write a file take -o; an unknown option would exit 2 too
     if any("-o" in p.opts for p in main.commands[argv[0]].params):
         argv = argv + ["-o", str(tmp_path / "out")]
-    res = runner.invoke(main, argv)
+    return runner.invoke(main, argv)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_configuration_errors_exit_2(runner, tmp_path, case):
+    res = _invoke_case(runner, tmp_path, case)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2_before_building(runner, tmp_path, monkeypatch, case):
+    for name in ("lemma_nds", "build_atlas", "build_main_nds"):
+        monkeypatch.setattr(cli, name, _refuse)
+    monkeypatch.setattr(acceptance, "autonomous_program", _refuse)
+    res = _invoke_case(runner, tmp_path, case)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)

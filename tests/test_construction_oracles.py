@@ -2,13 +2,15 @@
 
 ``pl_from_points`` tests collinearity by integer cross-multiplication,
 ``PLMap`` validates by comparing numerators and denominators, ``compose``
-emits its cuts in x-order from bisect slices, and ``sup_distance`` merges
-two sorted breakpoint tuples.  Each is compared here with the all-``Fraction``
-version in ``oracles`` on inputs that a friendly strategy misses:
-coordinates 2^-70 apart, ~200-bit denominators, exactly collinear triples
-and triples 2^-70 off, duplicate points that agree or conflict, constant
-and falling pieces, value ranges ending exactly on a breakpoint, and values
-2^-70 outside [0,1].
+emits its cuts in x-order from one float-located search per breakpoint of
+the inner map, ``interval_image`` slices the values between two such
+searches, and ``sup_distance`` merges two sorted breakpoint tuples.  Each is
+compared here with the all-``Fraction`` version in ``oracles`` on inputs
+that a friendly strategy misses: coordinates 2^-70 apart, ~200-bit
+denominators, exactly collinear triples and triples 2^-70 off, duplicate
+points that agree or conflict, constant and falling pieces, value ranges
+ending exactly on a breakpoint or 2^-70 from one, and values 2^-70 outside
+[0,1].
 """
 
 from fractions import Fraction
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 
 import oracles
 from ndslab import plmap
-from ndslab.plmap import PLMap, compose, pl_from_points, sup_distance, tent_map
+from ndslab.plmap import PLMap, compose, interval_image, pl_from_points, sup_distance, tent_map
+from test_float_filters import crowded_plmaps
 
 TINY = Fraction(1, 2 ** 70)
 
@@ -84,6 +87,36 @@ def map_pairs(draw):
     f = draw(hard_plmaps())
     g = draw(hard_plmaps(st.one_of(coords, st.sampled_from(f.xs))))
     return f, g
+
+
+def on_or_beside(xs):
+    """One of the points xs, or one 2^-70 either side of it, kept in [0,1]."""
+    return st.builds(
+        lambda b, k: min(max(b + k * TINY, Fraction(0)), Fraction(1)),
+        st.sampled_from(xs),
+        st.integers(min_value=-1, max_value=1),
+    )
+
+
+@st.composite
+def crowded_pairs(draw):
+    """(f, g): f has breakpoints 2^-70 apart; g's values sit on or 2^-70 from them."""
+    f = draw(crowded_plmaps())
+    return f, draw(hard_plmaps(st.one_of(on_or_beside(f.xs), small)))
+
+
+@st.composite
+def flat_and_falling_pairs(draw):
+    """(f, g): g's values are all on or 2^-70 from f's breakpoints, repeated
+    so that flat pieces lie on a breakpoint, and often sorted so that every
+    other piece falls."""
+    f = draw(st.one_of(crowded_plmaps(), hard_plmaps()))
+    values = draw(st.lists(on_or_beside(f.xs), min_size=1, max_size=5))
+    xs = sorted({Fraction(0), Fraction(1)} | set(draw(st.lists(coords, max_size=5))))
+    ys = [draw(st.sampled_from(values)) for _ in xs]
+    if draw(st.booleans()):
+        ys.sort(reverse=True)
+    return f, pl_from_points(zip(xs, ys))
 
 
 def _outcome(fn, *args):
@@ -151,16 +184,36 @@ class TestPLMapChecks:
 
 
 class TestCompose:
-    @given(map_pairs())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_reference(self, fg):
-        f, g = fg
+    @staticmethod
+    def _check(f, g):
         with mock.patch.object(plmap, "_canonical_map", wraps=plmap._canonical_map) as spy:
             got = compose(f, g)
         assert _exact(got) == _exact(oracles.compose(f, g))
         # the cuts reach the canonical pass sorted, without repeats
         cuts = [x for x, _ in spy.call_args.args[0]]
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
+
+    @given(map_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, fg):
+        self._check(*fg)
+
+    @given(crowded_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_values_on_crowded_breakpoints(self, fg):
+        self._check(*fg)
+
+    @given(flat_and_falling_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_flat_and_falling_pieces_on_breakpoints(self, fg):
+        self._check(*fg)
+
+    def test_value_sharing_a_numerator_with_a_breakpoint(self):
+        # g falls from 1/4 to 0 across f's breakpoint 1/5, which must be cut
+        f = pl_from_points([(0, 0), (Fraction(1, 5), 1), (1, 0)])
+        g = pl_from_points([(0, Fraction(1, 4)), (1, 0)])
+        self._check(f, g)
+        assert Fraction(1, 5) in compose(f, g).xs
 
     def test_range_ending_on_a_breakpoint_is_not_cut(self):
         # g's first piece rises onto 1/2, the tent's peak; its second falls from it
@@ -177,6 +230,31 @@ class TestCompose:
             got = compose(f, g)
         assert [x for x, _ in spy.call_args.args[0]] == [Fraction(i, 4) for i in range(5)]
         assert _exact(got) == _exact(oracles.compose(f, g))
+
+
+@st.composite
+def image_cases(draw):
+    """(f, lo, hi) with lo == hi or either end on or 2^-70 from a breakpoint."""
+    f = draw(st.one_of(crowded_plmaps(), hard_plmaps()))
+    ends = st.one_of(on_or_beside(f.xs), small)
+    lo = draw(ends)
+    hi = lo if draw(st.integers(min_value=0, max_value=4)) == 0 else draw(ends)
+    return f, min(lo, hi), max(lo, hi)
+
+
+class TestIntervalImage:
+    @given(image_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, case):
+        got = interval_image(*case)
+        assert _exact(got) == _exact(oracles.interval_image(*case))
+
+    def test_ends_2_to_the_minus_70_inside_a_crowd(self):
+        third = Fraction(1, 3)
+        f = pl_from_points([(0, 0), (third, Fraction(1, 2)), (third + 2 * TINY, 1), (1, 0)])
+        for lo, hi in [(third + TINY, third + TINY), (third + TINY, third + 2 * TINY),
+                       (third - TINY, third + TINY), (third, third + TINY)]:
+            assert interval_image(f, lo, hi) == oracles.interval_image(f, lo, hi)
 
 
 class TestSupDistance:

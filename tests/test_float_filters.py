@@ -1,8 +1,10 @@
 """Differential tests: the float-located exact kernels against their oracles.
 
-``eval_pl``, the distality minimum and the frontier taint of ``trajectory``
-use floats only to locate an answer and decide it exactly.  Each is
-compared here with the all-``Fraction`` version in ``oracles`` on the cases
+``eval_pl``, the breakpoint search ``plmap._bisect_right`` (and the
+``bisect_left`` that ``compose`` derives from it), the distality minimum and
+the frontier taint of ``trajectory`` use floats only to locate an answer and
+decide it exactly.  Each is compared here with the all-``Fraction`` version
+in ``oracles``, or with ``bisect`` on the ``Fraction`` breakpoints, on the cases
 where a float filter could go wrong: points on or 2^-70 from a breakpoint,
 breakpoints closer than float resolution, minima reached at many steps or
 within 2^-70 of each other, and frontier endpoints.  The step memo that
@@ -12,6 +14,7 @@ counted.
 """
 
 from array import array
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,7 +28,7 @@ from ndslab.analysis import _min_gap, distality_report
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import BlockProgram, Stage, StageParams, build_main_nds
 from ndslab.dynamics import trajectory
-from ndslab.plmap import constant_map, eval_pl, pl_from_points
+from ndslab.plmap import _bisect_right, constant_map, eval_pl, pl_from_points
 from ndslab.symbolic import all_codes
 
 TINY = Fraction(1, 2 ** 70)
@@ -90,6 +93,31 @@ class TestEvalPl:
         for f in {id(m): m for s in prog.stages for m in s.maps}.values():
             for p in _near(f.xs[:: max(1, len(f.xs) // 40)]):
                 assert _same(eval_pl(f, p), oracles.eval_pl(f, p))
+
+
+class TestBisect:
+    @staticmethod
+    def _check(f, p):
+        n, d = p.numerator, p.denominator
+        r = _bisect_right(f, n, d)
+        assert r == bisect_right(f.xs, p)
+        # compose's bisect_left: one step back when xs[r-1] is p itself
+        b = f.xs[r - 1]
+        assert (r - 1 if (b.numerator, b.denominator) == (n, d) else r) == bisect_left(f.xs, p)
+
+    @given(crowded_plmaps(), rationals01)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bisect_on_fractions(self, f, x):
+        for p in _near(list(f.xs) + [x]):
+            self._check(f, p)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_breakpoints_closer_than_float_resolution(self, k):
+        third = Fraction(1, 3)
+        f = pl_from_points([(0, 0), (third - k * TINY, 1), (third, 0), (third + k * TINY, 1), (1, 0)])
+        assert f.float_xs[1] == f.float_xs[2] == f.float_xs[3]
+        for p in _near(f.xs):
+            self._check(f, p)
 
 
 def _orbit(lefts, rights):
