@@ -4,9 +4,11 @@ Each criterion function returns a :class:`CriterionResult`; ``run_all``
 executes the battery in order and prints one PASS/FAIL line per criterion.
 The parameters frozen here (depths, grids, tolerances, candidate recipes,
 random seeds) are the published contract of the package.  The scans behind
-criteria 1, 7c and 7d are parametrised helpers whose defaults are those
-frozen values; the tests, the CLI ``verify-all`` command and the CLI scan
-commands all call into this module, so there is exactly one source of truth.
+criteria 1, 7c, 7d and 7e are parametrised helpers whose defaults are those
+frozen values, and ``entropy_inputs`` holds the candidates and scales of
+criteria 7b and 8.  The tests, the CLI ``verify-all`` command, the CLI scan
+commands and the defaults of ``ndslab entropy`` all call into this module, so
+there is exactly one source of truth.
 
 Criterion 7c is expected to fail and is reported honestly: an exactly
 constant trajectory tail would require a common fixed point of all later
@@ -28,6 +30,7 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from .analysis import (
+    DistalityRow,
     distality_report,
     entropy_estimate,
     eventual_constancy,
@@ -74,6 +77,7 @@ from .symbolic import (
     eta_orbit,
 )
 
+DEFAULT_DEPTH = 12
 DEFAULT_RHO = Fraction(1, 2)
 DEFAULT_BASE = 4
 
@@ -126,7 +130,7 @@ def grid_in(l: Fraction, r: Fraction, m: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# shared fixtures (built lazily and cached by run_all / tests)
+# shared inputs of the criteria, the tests and the CLI
 
 
 def autonomous_program(f, bundle=None) -> BlockProgram:
@@ -158,6 +162,17 @@ def main_candidates(bundle) -> list[Fraction]:
 def epsilon_zero(bundle) -> Fraction:
     l, r = bundle.atlas.intervals[0]
     return (r - l) / 3
+
+
+def entropy_inputs(bundle=None) -> tuple[list[Fraction], Fraction]:
+    """(candidates, epsilon) of the battery's entropy counts.
+
+    Given the main family's bundle: criterion 7b's ``main_candidates`` at
+    eps0/2.  Without one: criterion 8's grid of step 2^-12 at scale 1/6.
+    """
+    if bundle is not None:
+        return main_candidates(bundle), epsilon_zero(bundle) / 2
+    return [Fraction(j, 2 ** 12) for j in range(2 ** 12 + 1)], Fraction(1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +315,9 @@ def criterion_6():
 
 
 def _main_fixture():
-    atlas = build_atlas(12, DEFAULT_RHO, DEFAULT_BASE)
-    bundle = build_limit_map(atlas)
+    bundle = build_limit_map(build_atlas(DEFAULT_DEPTH, DEFAULT_RHO, DEFAULT_BASE))
     params = StageParams()
-    program = build_main_nds(bundle, params)
-    return bundle, params, program
+    return bundle, params, build_main_nds(bundle, params)
 
 
 @_criterion("7a", "uniform convergence envelopes")
@@ -326,8 +339,7 @@ def criterion_7b(fixture=None):
     """Separated-set counts along the stitched sampling times."""
     bundle, params, program = fixture or _main_fixture()
     S = times_S(params, 8)
-    eps = epsilon_zero(bundle) / 2
-    cands = main_candidates(bundle)
+    cands, eps = entropy_inputs(bundle)
     rep3 = greedy_separated(program, cands, S, 3, eps)
     rep8 = greedy_separated(program, cands, S, 8, eps)
     if rep3.cardinality < 9:
@@ -430,16 +442,31 @@ def criterion_7d(fixture=None):
     return bad == 0, f"{bad}/1000 LY-candidates at delta=eps0/4"
 
 
+def distality_scan(
+    bundle, program, max_code_depth: int = 4, steps: Optional[int] = None
+) -> tuple[int, list[DistalityRow]]:
+    """(steps, rows) of ``distality_report`` over all pairs of distinct codes
+    of depth <= max_code_depth; steps default to 2^(D-2) at atlas depth D.
+
+    A max_code_depth outside 0..D-1 raises ValueError before any code is listed.
+    """
+    D = bundle.atlas.depth
+    if not 0 <= max_code_depth < D:
+        raise ValueError(f"max code depth {max_code_depth} outside 0..{D - 1}")
+    if steps is None:
+        steps = 2 ** (D - 2)
+    pairs = list(combinations(all_codes(max_code_depth), 2))
+    return steps, distality_report(bundle, program, pairs, steps)
+
+
 @_criterion("7e", "distality of interval pairs")
 def criterion_7e(fixture=None):
     """Distality floor for interval pairs of depth <= 4 over 2^(D-2) steps."""
     bundle, params, program = fixture or _main_fixture()
-    pairs = list(combinations(all_codes(4), 2))
-    rows = distality_report(bundle, program, pairs, 2 ** 10)
+    _, rows = distality_scan(bundle, program)
     bad = [r for r in rows if not r.ok]
     if bad:
-        r = bad[0]
-        return False, f"{len(bad)} pairs below bound, first {r.pair}"
+        return False, f"{len(bad)} pairs below bound, first {bad[0].pair}"
     return True, f"all {len(rows)} pairs keep their split-depth gap bound"
 
 
@@ -447,8 +474,8 @@ def criterion_7e(fixture=None):
 def criterion_8():
     """Estimator oracle: tent map near log 2, identity exactly zero."""
     tent = autonomous_program(tent_map())
-    grid = [Fraction(j, 2 ** 12) for j in range(2 ** 12 + 1)]
-    table = entropy_estimate(tent, list(range(1, 11)), [Fraction(1, 6)], [10], grid)
+    grid, eps = entropy_inputs()
+    table = entropy_estimate(tent, list(range(1, 11)), [eps], [10], grid)
     if not (0.6 <= table.headline <= 0.75):
         return False, f"tent headline {table.headline:.4f} outside [0.6, 0.75]"
     ident = autonomous_program(identity_map())

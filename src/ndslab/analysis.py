@@ -31,17 +31,6 @@ class SeparationReport:
     witnesses: tuple[Fraction, ...]
     flagged: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "epsilon": str(self.epsilon),
-            "n": self.n,
-            "cardinality": self.cardinality,
-            "entropy_estimate": self.entropy_estimate,
-            "flagged": self.flagged,
-            "witnesses": [str(w) for w in self.witnesses],
-        }
-
 
 @dataclass(frozen=True)
 class PairVerdict:

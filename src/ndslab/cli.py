@@ -10,16 +10,14 @@ estimates.
 from __future__ import annotations
 
 import json
-import operator
 import sys
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 import click
 
 from . import acceptance
-from .analysis import convergence_report, distality_report, entropy_estimate
+from .analysis import convergence_report, entropy_estimate
 from .blowup import build_atlas, build_limit_map
 from .constructions import (
     BlockProgram,
@@ -32,7 +30,7 @@ from .constructions import (
     times_S,
 )
 from .dynamics import trajectory
-from .symbolic import Block, all_codes
+from .symbolic import Block
 from .plmap import PLMap, tent_map, identity_map
 
 EXIT_CHECK_FAILED = 1
@@ -59,9 +57,9 @@ def _dump_json(path: str, payload) -> None:
 def _atlas_options(with_config: bool = True):
     """The --depth/--rho/--base options, plus --config unless with_config is False."""
     options = [
-        click.option("--depth", type=int, default=12, show_default=True),
-        click.option("--rho", default="1/2", show_default=True),
-        click.option("--base", type=int, default=4, show_default=True),
+        click.option("--depth", type=int, default=acceptance.DEFAULT_DEPTH, show_default=True),
+        click.option("--rho", default=str(acceptance.DEFAULT_RHO), show_default=True),
+        click.option("--base", type=int, default=acceptance.DEFAULT_BASE, show_default=True),
     ]
     if with_config:
         options.append(
@@ -96,25 +94,10 @@ CONFIG_KEYS = {
 STAGE_KEYS = {"block", "a"}
 
 
-def _count(v, what: str) -> int:
-    """A JSON integer; floats, strings and booleans (``index(True)`` is 1) raise."""
-    if not isinstance(v, bool):
-        try:
-            return operator.index(v)
-        except TypeError:
-            pass
-    raise TypeError(f"{what} must be an integer, not {v!r}")
-
-
-def _typed(v, kind: type, what: str):
-    """v itself if it has the JSON type kind (dict, list or str)."""
-    if not isinstance(v, kind):
-        raise TypeError(f"{what} must be a {kind.__name__}, not {v!r}")
-    return v
-
-
 def _check_keys(d, allowed: set, what: str) -> None:
-    unknown = set(_typed(d, dict, what)) - allowed
+    if not isinstance(d, dict):
+        raise TypeError(f"{what} must be an object, not {d!r}")
+    unknown = set(d) - allowed
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)} in {what}; accepted: {sorted(allowed)}")
 
@@ -123,8 +106,9 @@ def _configure(family: str, config_path: str | None, depth: int, rho: str, base:
     """Parse the options once into (program, bundle, stage params).
 
     The bundle and the stage params are None outside the main family.  The
-    configuration file is checked against its family's keys before any map
-    is built, and every error in it becomes a UsageError (exit code 2).
+    configuration file is checked against its family's keys here, and its
+    values by the constructors, before any map is built; every error in it
+    becomes a UsageError (exit code 2).
     """
     cfg = {}
     if config_path is not None:
@@ -139,16 +123,13 @@ def _configure(family: str, config_path: str | None, depth: int, rho: str, base:
         if family == "identity":
             return acceptance.autonomous_program(identity_map()), None, None
         if family == "lemma":
-            repeats = cfg.get("repeats")
-            if repeats is not None:
-                repeats = [_count(r, "repeats") for r in _typed(repeats, list, "repeats")]
-            return lemma_nds(_count(cfg.get("num_stages", 5), "num_stages"), repeats), None, None
+            return lemma_nds(cfg.get("num_stages", 5), cfg.get("repeats")), None, None
         params = StageParams()
         if "stages" in cfg:
             specs = []
-            for s in _typed(cfg["stages"], list, "stages"):
+            for s in cfg["stages"]:
                 _check_keys(s, STAGE_KEYS, "a stage")
-                specs.append(StageSpec(Block(_typed(s["block"], str, "block")), _count(s["a"], "a")))
+                specs.append(StageSpec(Block(s["block"]), s["a"]))
             params = StageParams(stages=tuple(specs))
         bundle = _bundle_from_options(depth, rho, base)
         return build_main_nds(bundle, params), bundle, params
@@ -319,13 +300,8 @@ def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, coun
     """Greedy separated-set entropy table for a program."""
     program, bundle, params = _configure(family, config_path, depth, rho, base)
     A = _resolve_times(times_spec, params, count, family)
-    if family == "main":
-        cands = acceptance.main_candidates(bundle)
-        eps_default = [acceptance.epsilon_zero(bundle) / 2]
-    else:
-        cands = [Fraction(j, 2 ** 12) for j in range(2 ** 12 + 1)]
-        eps_default = [Fraction(1, 6)]
-    epsilons = [_frac(e) for e in epsilon] or eps_default
+    cands, eps_default = acceptance.entropy_inputs(bundle)
+    epsilons = [_frac(e) for e in epsilon] or [eps_default]
     n_list = sorted({1, max(1, len(A) // 2), len(A)})
     try:
         table = entropy_estimate(program, A, epsilons, n_list, cands)
@@ -386,15 +362,12 @@ def settle_scan_cmd(depth, rho, base, config_path, out):
 @click.option("-o", "out", default="distality.json", show_default=True)
 def distality_cmd(depth, rho, base, config_path, max_code_depth, steps, out):
     """Verify split-depth gap bounds for interval pairs."""
-    # codes of depth <= m split as deep as m + 1, so m must stay below the
-    # atlas depth; checked before the 2^(m+1) codes are paired up
+    # distality_scan checks m too, but only once the atlas is built
     if not 0 <= max_code_depth < depth:
         raise click.UsageError(f"max code depth {max_code_depth} outside 0..{depth - 1}")
     program, bundle, _ = _configure("main", config_path, depth, rho, base)
-    T = steps if steps is not None else 2 ** (depth - 2)
-    pairs = list(combinations(all_codes(max_code_depth), 2))
     try:
-        rows = distality_report(bundle, program, pairs, T)
+        T, rows = acceptance.distality_scan(bundle, program, max_code_depth, steps)
     except ValueError as e:
         raise click.UsageError(str(e))
     bad = [r for r in rows if not r.ok]

@@ -35,6 +35,13 @@ from .symbolic import Block, code_at_index, evaluate_e, tau
 # programs
 
 
+def _count(v, what: str) -> int:
+    """v as an int; floats, strings and booleans (``index(True)`` is 1) raise TypeError."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise TypeError(f"{what} must be an integer, not {v!r}")
+    return index(v)
+
+
 @dataclass(frozen=True)
 class Stage:
     """A block of maps plus bookkeeping used by the analysis reports."""
@@ -159,13 +166,13 @@ def lemma_nds(num_stages: int = 5, repeats: Optional[Sequence[int]] = None) -> B
     Block k repeats phi_k ``repeats[k-1]`` times, or k times when
     ``repeats`` is None.  Every count is checked before any map is built.
     """
-    if num_stages < 1:
+    if _count(num_stages, "num_stages") < 1:
         raise ValueError("need at least one stage")
     if repeats is None:
         repeats = range(1, num_stages + 1)
     if len(repeats) < num_stages:
         raise ValueError(f"{len(repeats)} repeats for {num_stages} stages")
-    reps = [index(r) for r in repeats[:num_stages]]
+    reps = [_count(r, "repeats") for r in repeats[:num_stages]]
     if min(reps) < 1:
         raise ValueError("repeat count must be positive")
     stages = []
@@ -193,7 +200,7 @@ class StageSpec:
     a: int
 
     def __post_init__(self) -> None:
-        if self.a < 1:
+        if _count(self.a, "a") < 1:
             raise ValueError("repeat count a must be >= 1")
 
     @property
@@ -224,6 +231,8 @@ class StageParams:
     stages: tuple[StageSpec, ...] = field(default_factory=default_stages)
 
     def __post_init__(self) -> None:
+        if not self.stages:
+            raise ValueError("need at least one stage")
         ks = [s.k for s in self.stages]
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("cylinder block lengths must increase strictly")

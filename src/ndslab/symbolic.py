@@ -30,7 +30,8 @@ def _check_bit(b: int) -> int:
 
 
 def _check_word(word: str) -> str:
-    if any(ch not in "01" for ch in word):
+    # a list of letters would pass the letter test and then break str methods
+    if not isinstance(word, str) or any(ch not in "01" for ch in word):
         raise ValueError(f"binary word expected, got {word!r}")
     return word
 

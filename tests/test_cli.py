@@ -1,5 +1,6 @@
 """Command-line surface: artefact formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from ndslab import acceptance, cli
+from ndslab import acceptance, cli, constructions
 from ndslab.cli import load_program, main
 
 
@@ -186,6 +187,46 @@ def test_distality_command_small(runner, tmp_path):
     assert all(r["ok"] for r in data["rows"])
 
 
+# SHA-256 of the artefact each command writes, recorded before the CLI handed
+# its candidate grids, scales and distality pairs to ``acceptance``; a command
+# that gathers different inputs or writes them differently fails here
+GOLDEN_ARTEFACTS = {
+    "entropy-main": (
+        ["entropy", "--family", "main", "--depth", "6", "--times", "S", "--count", "6"],
+        "fef0216cc43f315e75b9986ac5e3bc90fc23bbb47e8bced54f34dcc49cc43b75",
+    ),
+    "entropy-tent": (
+        ["entropy", "--family", "tent", "--times", "1..4"],
+        "c7375d8b0db76723bd072c3066c4921ebf2b074103fe274ed02f193757288b51",
+    ),
+    "entropy-lemma": (
+        ["entropy", "--family", "lemma", "--times", "1..3"],
+        "a0e376ec50155b6b85bce39d3a90191bd4e564de62d95c0cb2e38a70a15f4ee9",
+    ),
+    "distality-default-steps": (
+        ["distality", "--depth", "6", "--max-code-depth", "3"],
+        "114af020e5f83096550a49c6a0add7a05cdf89c71ec2e86969a22d722a8194f0",
+    ),
+    "distality-given-steps": (
+        ["distality", "--depth", "7", "--max-code-depth", "2", "--steps", "20"],
+        "3760ebdb80fe4a32123e614dfcda21d089fcbc2f3b50d0d641d33d1b68dd6146",
+    ),
+    "convergence": (
+        ["convergence", "--depth", "6"],
+        "c6c845a98d8ce0a82c3e2e9a73d90862cdab0a51be8f224883db8fd68d9510b2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ARTEFACTS))
+def test_artefact_matches_golden_digest(runner, tmp_path, case):
+    argv, digest = GOLDEN_ARTEFACTS[case]
+    out = tmp_path / "out.json"
+    res = runner.invoke(main, argv + ["-o", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_distality_horizon_validation(runner, tmp_path):
     res = runner.invoke(
         main,
@@ -227,7 +268,7 @@ def test_depth_cap_admits_the_cap(runner, tmp_path, monkeypatch):
 def test_distality_max_code_depth_exits_2_before_enumerating(
     runner, tmp_path, monkeypatch, max_code_depth
 ):
-    monkeypatch.setattr(cli, "all_codes", _refuse)
+    monkeypatch.setattr(acceptance, "all_codes", _refuse)
     argv = ["distality", "--depth", "6", "--max-code-depth", max_code_depth]
     res = runner.invoke(main, argv + ["-o", str(tmp_path / "out")])
     assert res.exit_code == 2, res.output
@@ -300,6 +341,8 @@ BAD_CONFIGS = {
         MAIN_CONFIG_ARGV,
     ),
     "config-stage-a-bool": ('{"stages": [{"block": "1", "a": true}]}', MAIN_CONFIG_ARGV),
+    "config-stages-empty": ('{"stages": []}', MAIN_CONFIG_ARGV),
+    "config-stages-not-a-list": ('{"stages": {"block": "1", "a": 3}}', MAIN_CONFIG_ARGV),
     "config-stage-unknown-key": ('{"stages": [{"block": "1", "a": 3, "k": 1}]}', MAIN_CONFIG_ARGV),
     "config-stage-block-not-a-string": ('{"stages": [{"block": ["1"], "a": 3}]}', MAIN_CONFIG_ARGV),
     "config-main-with-num-stages": ('{"num_stages": 2}', MAIN_CONFIG_ARGV),
@@ -395,7 +438,10 @@ def test_configuration_errors_exit_2(runner, tmp_path, case):
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_bad_config_exits_2_before_building(runner, tmp_path, monkeypatch, case):
-    for name in ("lemma_nds", "build_atlas", "build_main_nds"):
+    # lemma_nds checks its counts itself, then builds with these two
+    for name in ("lemma_phi", "lemma_psi"):
+        monkeypatch.setattr(constructions, name, _refuse)
+    for name in ("build_atlas", "build_main_nds"):
         monkeypatch.setattr(cli, name, _refuse)
     monkeypatch.setattr(acceptance, "autonomous_program", _refuse)
     res = _invoke_case(runner, tmp_path, case)

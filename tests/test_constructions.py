@@ -114,15 +114,22 @@ class TestLemmaProgram:
 
     @pytest.mark.parametrize(
         "num_stages, repeats",
-        [(0, None), (4, [1, 2, 3]), (3, [1, 2, 0])],
-        ids=["no-stages", "repeats-shorter-than-stages", "zero-count-in-last-block"],
+        [(0, None), (4, [1, 2, 3]), (3, [1, 2, 0]), (True, None), (2, [1, True]), (2.0, None)],
+        ids=[
+            "no-stages",
+            "repeats-shorter-than-stages",
+            "zero-count-in-last-block",
+            "bool-stage-count",
+            "bool-repeat",
+            "float-stage-count",
+        ],
     )
     def test_rejects_bad_counts_before_building(self, monkeypatch, num_stages, repeats):
         def fail(n):
             raise AssertionError("a map was built before the counts were checked")
 
         monkeypatch.setattr("ndslab.constructions.lemma_phi", fail)
-        with pytest.raises(ValueError):
+        with pytest.raises((ValueError, TypeError)):
             lemma_nds(num_stages, repeats)
 
     def test_block_composition_collapses(self):
@@ -352,6 +359,14 @@ class TestPrograms:
     def test_stage_validation(self):
         with pytest.raises(ValueError):
             StageParams(stages=(StageSpec(Block("11"), 3), StageSpec(Block("1"), 5)))
+        with pytest.raises(ValueError):
+            StageParams(stages=())
+
+    @pytest.mark.parametrize("a", [3.9, True, "3", None])
+    def test_stage_count_must_be_an_integer(self, a):
+        # ``True`` would pass as 1, and 3.9 would pass the ``>= 1`` test
+        with pytest.raises(TypeError):
+            StageSpec(Block("1"), a)
 
     def test_stack_widths(self):
         # strictly inside each blown interval, increasing to 1, and the

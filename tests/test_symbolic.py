@@ -54,6 +54,16 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             Code("10", 0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Block(["1"]), lambda: Code(["1", "0"], 1), lambda: canonicalize(("1",), 0)],
+        ids=["block", "code", "canonicalize"],
+    )
+    def test_rejects_words_that_are_not_strings(self, build):
+        # a list of binary letters passes the letter test, so the type is checked
+        with pytest.raises(ValueError):
+            build()
+
     @given(st.text(alphabet="01", max_size=12), st.integers(0, 1))
     def test_same_expansion(self, block, tail):
         c = canonicalize(block, tail)
