@@ -39,14 +39,6 @@ class PairVerdict:
     horizon: int
     classification: str  # "LY-candidate" | "asymptotic-candidate" | "distal-candidate"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tail_min": str(self.tail_min),
-            "tail_max": str(self.tail_max),
-            "horizon": self.horizon,
-            "classification": self.classification,
-        }
-
 
 def _check_cells(A: Sequence[int], n_list: Sequence[int], epsilons: Sequence) -> None:
     if any(eps <= 0 for eps in epsilons):

@@ -54,12 +54,29 @@ def _dump_json(path: str, payload) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _rho(ctx, param, text: str) -> Fraction:
+    rho = _frac(text)
+    if not 0 < rho < 1:
+        raise click.BadParameter(f"{text} does not lie strictly between 0 and 1")
+    return rho
+
+
+def _out_path(ctx, param, path: str) -> str:
+    """-o is checked while parsing, so a bad path fails before any work."""
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise click.BadParameter(f"{path} is a directory, or its directory does not exist")
+    return path
+
+
 def _atlas_options(with_config: bool = True):
-    """The --depth/--rho/--base options, plus --config unless with_config is False."""
+    """--depth/--rho/--base, checked while parsing, plus --config unless with_config is False."""
+    depths, bases = click.IntRange(1, MAX_DEPTH), click.IntRange(min=2)
     options = [
-        click.option("--depth", type=int, default=acceptance.DEFAULT_DEPTH, show_default=True),
-        click.option("--rho", default=str(acceptance.DEFAULT_RHO), show_default=True),
-        click.option("--base", type=int, default=acceptance.DEFAULT_BASE, show_default=True),
+        click.option("--depth", type=depths, default=acceptance.DEFAULT_DEPTH, show_default=True),
+        click.option(
+            "--rho", default=str(acceptance.DEFAULT_RHO), show_default=True, callback=_rho
+        ),
+        click.option("--base", type=bases, default=acceptance.DEFAULT_BASE, show_default=True),
     ]
     if with_config:
         options.append(
@@ -72,16 +89,6 @@ def _atlas_options(with_config: bool = True):
         return fn
 
     return decorate
-
-
-def _bundle_from_options(depth: int, rho: str, base: int):
-    if depth > MAX_DEPTH:
-        raise click.UsageError(f"depth {depth} exceeds the cap of {MAX_DEPTH}")
-    try:
-        atlas = build_atlas(depth, _frac(rho), base)
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    return build_limit_map(atlas)
 
 
 # the keys a --config file may hold, per family, and per entry of "stages"
@@ -102,7 +109,7 @@ def _check_keys(d, allowed: set, what: str) -> None:
         raise ValueError(f"unknown keys {sorted(unknown)} in {what}; accepted: {sorted(allowed)}")
 
 
-def _configure(family: str, config_path: str | None, depth: int, rho: str, base: int):
+def _configure(family: str, config_path: str | None, depth: int, rho: Fraction, base: int):
     """Parse the options once into (program, bundle, stage params).
 
     The bundle and the stage params are None outside the main family.  The
@@ -131,7 +138,7 @@ def _configure(family: str, config_path: str | None, depth: int, rho: str, base:
                 _check_keys(s, STAGE_KEYS, "a stage")
                 specs.append(StageSpec(Block(s["block"]), s["a"]))
             params = StageParams(stages=tuple(specs))
-        bundle = _bundle_from_options(depth, rho, base)
+        bundle = build_limit_map(build_atlas(depth, rho, base))
         return build_main_nds(bundle, params), bundle, params
     except (KeyError, TypeError, ValueError) as e:
         raise click.UsageError(f"bad configuration: {e!r}")
@@ -176,8 +183,8 @@ def load_program(path: str) -> BlockProgram:
         maps = [PLMap.from_json_dict(m) for m in d["map_table"]]
 
         def pick(i: int) -> PLMap:
-            if not 0 <= i < len(maps):
-                raise IndexError(f"map index {i} outside the map table")
+            if type(i) is not int or not 0 <= i < len(maps):
+                raise IndexError(f"map index {i!r} is not an index of the map table")
             return maps[i]
 
         stages = tuple(
@@ -224,10 +231,10 @@ def main():
 
 @main.command("build-atlas")
 @_atlas_options(with_config=False)
-@click.option("-o", "out", default="atlas.json", show_default=True)
+@click.option("-o", "out", default="atlas.json", show_default=True, callback=_out_path)
 def build_atlas_cmd(depth, rho, base, out):
     """Write the blown-interval layout as JSON."""
-    bundle = _bundle_from_options(depth, rho, base)
+    bundle = build_limit_map(build_atlas(depth, rho, base))
     payload = bundle.atlas.to_json_dict()
     payload["exact_horizon"] = bundle.exact_horizon
     payload["frontier_codes"] = [str(bundle.frontier_code)]
@@ -238,7 +245,7 @@ def build_atlas_cmd(depth, rho, base, out):
 @main.command("build-nds")
 @click.option("--family", type=click.Choice(["lemma", "main", "tent", "identity"]), required=True)
 @_atlas_options()
-@click.option("-o", "out", default="program.json", show_default=True)
+@click.option("-o", "out", default="program.json", show_default=True, callback=_out_path)
 def build_nds_cmd(family, depth, rho, base, config_path, out):
     """Build a block program and write it (maps included) as JSON."""
     program, _, _ = _configure(family, config_path, depth, rho, base)
@@ -252,7 +259,7 @@ def build_nds_cmd(family, depth, rho, base, config_path, out):
 @click.option("--program", "program_path", required=True)
 @click.option("--x", "x_text", required=True, help="start point p/q")
 @click.option("--steps", type=int, required=True)
-@click.option("-o", "out", default="trajectory.csv", show_default=True)
+@click.option("-o", "out", default="trajectory.csv", show_default=True, callback=_out_path)
 def trajectory_cmd(program_path, x_text, steps, out):
     """Iterate a point and write t,value_num,value_den,flag rows."""
     program = load_program(program_path)
@@ -272,7 +279,7 @@ def trajectory_cmd(program_path, x_text, steps, out):
 @click.option("--program", "program_path", required=True)
 @click.option("--t", "time_index", type=int, default=1, show_default=True)
 @click.option("--grid", type=int, default=256, show_default=True)
-@click.option("-o", "out", default="map.csv", show_default=True)
+@click.option("-o", "out", default="map.csv", show_default=True, callback=_out_path)
 def dump_map_cmd(program_path, time_index, grid, out):
     """Sample the map applied at time t on a uniform grid, as x,y CSV."""
     from .plmap import graph_samples
@@ -295,7 +302,7 @@ def dump_map_cmd(program_path, time_index, grid, out):
 @click.option("--epsilon", multiple=True, help="scales; default family-specific")
 @click.option("--count", type=int, default=8, show_default=True, help="times to take")
 @click.option("--min-headline", type=float, default=None, help="fail below this")
-@click.option("-o", "out", default="entropy.json", show_default=True)
+@click.option("-o", "out", default="entropy.json", show_default=True, callback=_out_path)
 def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, count, min_headline, out):
     """Greedy separated-set entropy table for a program."""
     program, bundle, params = _configure(family, config_path, depth, rho, base)
@@ -319,7 +326,7 @@ def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, coun
 @click.option("--max-code-depth", type=int, default=2, show_default=True)
 @click.option("--delta", default=None, help="closeness scale; default eps0/4")
 @click.option("--seed", type=int, default=11, show_default=True)
-@click.option("-o", "out", default="ly_scan.json", show_default=True)
+@click.option("-o", "out", default="ly_scan.json", show_default=True, callback=_out_path)
 def ly_scan_cmd(depth, rho, base, config_path, pairs, max_code_depth, delta, seed, out):
     """Classify sampled pairs from distinct blown intervals; fail on LY."""
     program, bundle, _ = _configure("main", config_path, depth, rho, base)
@@ -343,7 +350,7 @@ def ly_scan_cmd(depth, rho, base, config_path, pairs, max_code_depth, delta, see
 
 @main.command("settle-scan")
 @_atlas_options()
-@click.option("-o", "out", default="settle_scan.json", show_default=True)
+@click.option("-o", "out", default="settle_scan.json", show_default=True, callback=_out_path)
 def settle_scan_cmd(depth, rho, base, config_path, out):
     """Check sampled points for exactly constant trajectory tails."""
     program, bundle, _ = _configure("main", config_path, depth, rho, base)
@@ -359,7 +366,7 @@ def settle_scan_cmd(depth, rho, base, config_path, out):
 @_atlas_options()
 @click.option("--max-code-depth", type=int, default=4, show_default=True)
 @click.option("--steps", type=int, default=None, help="default 2^(depth-2)")
-@click.option("-o", "out", default="distality.json", show_default=True)
+@click.option("-o", "out", default="distality.json", show_default=True, callback=_out_path)
 def distality_cmd(depth, rho, base, config_path, max_code_depth, steps, out):
     """Verify split-depth gap bounds for interval pairs."""
     # distality_scan checks m too, but only once the atlas is built
@@ -379,7 +386,7 @@ def distality_cmd(depth, rho, base, config_path, max_code_depth, steps, out):
 
 @main.command("convergence")
 @_atlas_options()
-@click.option("-o", "out", default="convergence.json", show_default=True)
+@click.option("-o", "out", default="convergence.json", show_default=True, callback=_out_path)
 def convergence_cmd(depth, rho, base, config_path, out):
     """Per-stage uniform-distance envelopes against the limit map."""
     program, bundle, _ = _configure("main", config_path, depth, rho, base)

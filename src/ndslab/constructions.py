@@ -1,19 +1,22 @@
 """The two block-built map sequences and their auxiliary maps.
 
-Family one ("lemma" family): surjective maps phi_n / psi_n supported on a
-growing stack of intervals K_n = [a_n, 1-a_n] with a_n = 1/(n+2) (lemma_K);
-blocks of repeated phi_n followed by one psi_n collapse K_n to the common
-fixed point 1/2 while the phi's create a 3-horseshoe inside K_n.  Only the
-number of blocks and their repeat counts are configurable.
+Both families splice the same two moves into a base map: a three-lap fold of
+a stack onto its image under the base, then a collapse of the stack onto the
+centre of that image.
 
-Family two ("main" family): perturbations of the blow-up limit map f_D.
-Each stage picks a cylinder block n_i; lambda_i permutes the blown intervals
-of that cylinder the way the symbol-reversing involution permutes codes,
-eta_i = f_D after lambda_i, phi_{i,n} folds the orbit interval K^n at the
-cylinder's visit point three-fold, and psi_{i,n} collapses it to the centre
-of the next blown interval.  The stacks K^n have the fixed relative length
-1 - 2^(-n-1) of their blown interval (stack_rel); only the stage blocks and
-their repeat counts are configurable.
+Family one ("lemma" family): over the identity, on the stacks K_n =
+[a_n, 1-a_n] with a_n = 1/(n+2) (lemma_K); blocks of repeated folds phi_n
+then one collapse psi_n send K_n to the fixed point 1/2 while the phi's
+create a 3-horseshoe inside K_n.  Only the number of blocks and their repeat
+counts are configurable.
+
+Family two ("main" family): over the blow-up limit map f_D.  Each stage picks
+a cylinder block n_i; lambda_i, the identity spliced with the blown intervals
+of that cylinder permuted as the symbol-reversing involution permutes codes,
+gives eta_i = f_D after lambda_i; phi_{i,n} folds the stack K^n at the
+cylinder's visit point and psi_{i,n} collapses it to the centre of the next
+blown interval.  K^n has the fixed relative length 1 - 2^(-n-1) of its blown
+interval (stack_rel); only the stage blocks and repeat counts are configurable.
 
 All maps are exact PLMaps; programs are finite stage lists plus an explicit
 tail policy so that the map at any time t >= 1 is well defined.
@@ -28,7 +31,7 @@ from operator import index
 from typing import Literal, Optional, Sequence
 
 from .blowup import Interval, LimitMapBundle
-from .plmap import PLMap, compose, eval_pl, pl_from_points
+from .plmap import PLMap, compose, eval_pl, identity_map, pl_from_points
 from .symbolic import Block, code_at_index, evaluate_e, tau
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,10 @@ class BlockProgram:
                 self, "frontier", tuple(self.bundle.frontier_intervals())
             )
             object.__setattr__(self, "exact_horizon", self.bundle.exact_horizon)
+        if self.exact_horizon is not None and _count(self.exact_horizon, "exact_horizon") < 0:
+            raise ValueError("exact_horizon must be >= 0")
+        if not all(0 <= l <= r <= 1 for l, r in self.frontier):
+            raise ValueError(f"frontier intervals need 0 <= l <= r <= 1: {self.frontier}")
 
     @property
     def stage_length(self) -> int:
@@ -102,6 +109,43 @@ class BlockProgram:
                 return self.tail_map
             idx %= len(self._schedule)
         return self._schedule[idx]
+
+
+# ---------------------------------------------------------------------------
+# the splice and the two moves both families are built from
+
+
+def _splice(base: PLMap, points: list[tuple[Fraction, Fraction]]) -> PLMap:
+    """The map through ``points`` on their span, and ``base`` outside it."""
+    points = sorted(points)
+    i, j = bisect_left(base.xs, points[0][0]), bisect_right(base.xs, points[-1][0])
+    return pl_from_points(
+        list(zip(base.xs[:i], base.ys[:i])) + points + list(zip(base.xs[j:], base.ys[j:]))
+    )
+
+
+def _fold(base: PLMap, stack: Interval, divider: Interval) -> PLMap:
+    """``base`` with a three-lap fold of the stack onto its image under ``base``.
+
+    The three parts of the stack cut by the divider rise, fall and rise onto
+    the image, so the stack covers it three times.
+    """
+    (kl, kr), (il, ir) = stack, divider
+    nl, nr = eval_pl(base, kl), eval_pl(base, kr)
+    return _splice(base, [(kl, nl), (il, nr), (ir, nl), (kr, nr)])
+
+
+def _collapse(base: PLMap, stack: Interval, outer: Interval) -> PLMap:
+    """``base`` with the stack sent to the centre of its image under ``base``.
+
+    Constant on the stack, equal to ``base`` outside ``outer`` and linear on
+    the two joining pieces.
+    """
+    (kl, kr), (ol, orr) = stack, outer
+    centre = (eval_pl(base, kl) + eval_pl(base, kr)) / 2
+    return _splice(
+        base, [(ol, eval_pl(base, ol)), (kl, centre), (kr, centre), (orr, eval_pl(base, orr))]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -124,40 +168,15 @@ def lemma_phi(n: int) -> PLMap:
     """
     if n <= 0:
         raise ValueError("stage must be >= 1")
-    a_n, b_n = lemma_K(n)
-    if n == 1:
-        lo, hi = Fraction(4, 9), Fraction(5, 9)
-    else:
-        lo, hi = lemma_K(n - 1)
-    return pl_from_points(
-        [
-            (Fraction(0), Fraction(0)),
-            (a_n, a_n),
-            (lo, b_n),
-            (hi, a_n),
-            (b_n, b_n),
-            (Fraction(1), Fraction(1)),
-        ]
-    )
+    divider = (Fraction(4, 9), Fraction(5, 9)) if n == 1 else lemma_K(n - 1)
+    return _fold(identity_map(), lemma_K(n), divider)
 
 
 def lemma_psi(n: int) -> PLMap:
     """Collapse of K_n to 1/2, identity outside K_{n+1}."""
     if n <= 0:
         raise ValueError("stage must be >= 1")
-    a_n, b_n = lemma_K(n)
-    a_next, b_next = lemma_K(n + 1)
-    half = Fraction(1, 2)
-    return pl_from_points(
-        [
-            (Fraction(0), Fraction(0)),
-            (a_next, a_next),
-            (a_n, half),
-            (b_n, half),
-            (b_next, b_next),
-            (Fraction(1), Fraction(1)),
-        ]
-    )
+    return _collapse(identity_map(), lemma_K(n), lemma_K(n + 1))
 
 
 def lemma_nds(num_stages: int = 5, repeats: Optional[Sequence[int]] = None) -> BlockProgram:
@@ -182,7 +201,7 @@ def lemma_nds(num_stages: int = 5, repeats: Optional[Sequence[int]] = None) -> B
             Stage(
                 label=f"B{k}",
                 maps=tuple([phi] * r + [psi]),
-                meta={"k": k, "repeats": r, "K": lemma_K(k)},
+                meta={"k": k, "repeats": r},
             )
         )
     return BlockProgram(
@@ -307,10 +326,6 @@ def build_lambda(bundle: LimitMapBundle, n_block: Block) -> PLMap:
     image_hull = atlas.hull(k, (e + 1) % 2 ** k)
 
     points: list[tuple[Fraction, Fraction]] = []
-    if jl > 0:
-        points.append((Fraction(0), Fraction(0)))
-    if jr < 1:
-        points.append((Fraction(1), Fraction(1)))
     for i in run:
         l, r = atlas.intervals[i]
         l2, r2 = atlas.interval_of(tau(n_block, atlas.codes[i]))
@@ -330,7 +345,7 @@ def build_lambda(bundle: LimitMapBundle, n_block: Block) -> PLMap:
             (jr, w), image_hull, f_at_inner=eval_pl(f, jr), f_at_outer=eval_pl(f, w)
         )
         points.append((jr + delta, jr + delta))
-    return pl_from_points(points)
+    return _splice(identity_map(), points)
 
 
 def build_eta_stage(bundle: LimitMapBundle, n_block: Block) -> PLMap:
@@ -350,17 +365,11 @@ def build_phi_stage(
     """
     if n < 1:
         raise ValueError("fold level must be >= 1")
-    spec = params.stages[i - 1]
-    p = spec.p
-    kl, kr = build_k_interval(bundle, n, p)
-    il, ir = build_k_interval(bundle, n - 1, p)
-    nl, nr = build_k_interval(bundle, n, p + 1)
-    f = bundle.f
-    assert eval_pl(f, kl) == nl and eval_pl(f, kr) == nr
-    i, j = bisect_left(f.xs, kl), bisect_right(f.xs, kr)
-    points = list(zip(f.xs[:i], f.ys[:i])) + list(zip(f.xs[j:], f.ys[j:]))
-    points += [(kl, nl), (il, nr), (ir, nl), (kr, nr)]
-    return pl_from_points(points)
+    p = params.stages[i - 1].p
+    stack, divider = build_k_interval(bundle, n, p), build_k_interval(bundle, n - 1, p)
+    if p + 1 > bundle.exact_horizon:  # the fold targets K^n_(p+1), the stack's image
+        raise ValueError(f"orbit index {p + 1} beyond exact horizon")
+    return _fold(bundle.f, stack, divider)
 
 
 def build_psi_stage(
@@ -374,17 +383,8 @@ def build_psi_stage(
     """
     if n < 1:
         raise ValueError("collapse level must be >= 1")
-    spec = params.stages[i - 1]
-    p = spec.p
-    kl, kr = build_k_interval(bundle, n, p)
-    ol, orr = build_k_interval(bundle, n + 1, p)
-    g_next = bundle.atlas.interval_at_index(p + 1)
-    centre = (g_next[0] + g_next[1]) / 2
-    f = bundle.f
-    i, j = bisect_left(f.xs, ol), bisect_right(f.xs, orr)
-    points = list(zip(f.xs[:i], f.ys[:i])) + list(zip(f.xs[j:], f.ys[j:]))
-    points += [(ol, eval_pl(f, ol)), (kl, centre), (kr, centre), (orr, eval_pl(f, orr))]
-    return pl_from_points(points)
+    p = params.stages[i - 1].p
+    return _collapse(bundle.f, build_k_interval(bundle, n, p), build_k_interval(bundle, n + 1, p))
 
 
 def _fold_unit(
@@ -426,7 +426,6 @@ def build_main_nds(bundle: LimitMapBundle, params: StageParams) -> BlockProgram:
         elem, eta, unit = _fold_unit(bundle, params, i, i)
         psi = build_psi_stage(bundle, params, i, i)
         maps = tuple(unit * spec.a + [psi])
-        hull = bundle.atlas.hull(spec.k, spec.p)
         image_hull = bundle.atlas.hull(spec.k, (spec.p + 1) % 2 ** spec.k)
         stages.append(
             Stage(
@@ -438,7 +437,6 @@ def build_main_nds(bundle: LimitMapBundle, params: StageParams) -> BlockProgram:
                     "a": spec.a,
                     "p": spec.p,
                     "block": spec.block.word,
-                    "hull": hull,
                     "image_hull": image_hull,
                     "distinct_maps": (elem, eta, psi),
                 },

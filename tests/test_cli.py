@@ -309,7 +309,7 @@ def test_settle_scan_reports_no_settled_points(runner, tmp_path):
     assert json.loads(out.read_text()) == {"horizon": 85, "sampled": 812, "settled": 0}
 
 
-def _program_json(maps, tail_map=None, tail_mode="cycle"):
+def _program_json(maps, tail_map=None, tail_mode="cycle", **fields):
     return json.dumps(
         {
             "map_table": [{"x": ["0", "1"], "y": ["0", "1"]}],
@@ -318,6 +318,7 @@ def _program_json(maps, tail_map=None, tail_mode="cycle"):
             "tail_map": tail_map,
             "frontier": [],
             "exact_horizon": None,
+            **fields,
         }
     )
 
@@ -352,7 +353,35 @@ BAD_CONFIGS = {
     ),
 }
 
+# atlas options that every family checks while parsing
+BAD_ATLAS_OPTIONS = {
+    "lemma-depth-negative": (None, ["build-nds", "--family", "lemma", "--depth", "-4"]),
+    "lemma-rho-not-rational": (None, ["build-nds", "--family", "lemma", "--rho", "abc"]),
+    "tent-depth-above-cap": (
+        None,
+        ["entropy", "--family", "tent", "--times", "1..2", "--depth", "99"],
+    ),
+    "tent-rho-above-one": (
+        None,
+        ["entropy", "--family", "tent", "--times", "1..2", "--rho", "7/2"],
+    ),
+    "identity-depth-zero": (None, ["build-nds", "--family", "identity", "--depth", "0"]),
+    "identity-rho-zero": (None, ["build-nds", "--family", "identity", "--rho", "0"]),
+    "identity-base-one": (None, ["build-nds", "--family", "identity", "--base", "1"]),
+}
+
 BAD_INPUTS = {
+    "program-horizon-not-an-integer": (_program_json([0], exact_horizon="abc"), TRAJECTORY_ARGV),
+    "program-horizon-negative": (_program_json([0], exact_horizon=-3), TRAJECTORY_ARGV),
+    "program-frontier-reversed": (_program_json([0], frontier=[["1/2", "1/4"]]), TRAJECTORY_ARGV),
+    "program-frontier-beyond-one": (
+        _program_json([0], frontier=[["1/4", "3/2"]]),
+        TRAJECTORY_ARGV,
+    ),
+    "program-map-index-bool": (
+        _program_json([True], map_table=[{"x": ["0", "1"], "y": ["0", "1"]}] * 2),
+        TRAJECTORY_ARGV,
+    ),
     "block-not-binary": (
         '{"stages": [{"block": "12", "a": 3}]}',
         ["build-nds", "--family", "main", "--depth", "5", "--config"],
@@ -414,6 +443,7 @@ BAD_INPUTS = {
     "verify-lemma-lm-max-k-zero": (None, ["verify-lemma-lm", "--max-k", "0"]),
     "verify-lemma-lm-max-k-negative": (None, ["verify-lemma-lm", "--max-k", "-1"]),
     **BAD_CONFIGS,
+    **BAD_ATLAS_OPTIONS,
 }
 
 
@@ -436,7 +466,7 @@ def test_configuration_errors_exit_2(runner, tmp_path, case):
     assert isinstance(res.exception, SystemExit)
 
 
-@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS) + sorted(BAD_ATLAS_OPTIONS))
 def test_bad_config_exits_2_before_building(runner, tmp_path, monkeypatch, case):
     # lemma_nds checks its counts itself, then builds with these two
     for name in ("lemma_phi", "lemma_psi"):
@@ -447,3 +477,29 @@ def test_bad_config_exits_2_before_building(runner, tmp_path, monkeypatch, case)
     res = _invoke_case(runner, tmp_path, case)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
+
+
+# each command that writes a file, with its required options
+OUT_ARGV = {
+    "build-atlas": ["build-atlas", "--depth", "3"],
+    "build-nds": ["build-nds", "--family", "lemma"],
+    "trajectory": ["trajectory", "--x", "1/3", "--steps", "3", "--program", "p.json"],
+    "dump-map": ["dump-map", "--program", "p.json"],
+    "entropy": ["entropy", "--family", "identity", "--times", "1..3"],
+    "ly-scan": ["ly-scan", "--depth", "4"],
+    "settle-scan": ["settle-scan", "--depth", "4"],
+    "distality": ["distality", "--depth", "6"],
+    "convergence": ["convergence", "--depth", "4"],
+}
+
+
+@pytest.mark.parametrize("out", ["a-directory", "missing/out"])
+@pytest.mark.parametrize("command", sorted(OUT_ARGV))
+def test_bad_output_path_exits_2_before_any_work(runner, tmp_path, monkeypatch, command, out):
+    for name in ("build_atlas", "load_program", "_configure"):
+        monkeypatch.setattr(cli, name, _refuse)
+    (tmp_path / "a-directory").mkdir()
+    res = runner.invoke(main, OUT_ARGV[command] + ["-o", str(tmp_path / out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Invalid value for '-o'" in res.output

@@ -5,6 +5,9 @@ Each digest is the SHA-256 of ``json.dumps(m.to_json_dict(), sort_keys=True)``
 at depths 6 and 9 under the default atlas and stage parameters.  They were
 recorded from the all-``Fraction`` map construction, so a faster kernel that
 changes a single breakpoint or value of any of these maps fails here.  The
+lambda digests (depth 8) and the stage maps of blocks 0, 01 and 101 were
+recorded while each map still listed its own points, before the stage maps
+and lambda were spliced through one shared helper.  The
 lemma digests were recorded while K_n and the repeat counts were still
 callable parameters, so they pin the fixed formulas to those old defaults.
 """
@@ -18,11 +21,14 @@ from ndslab.acceptance import DEFAULT_BASE, DEFAULT_RHO
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import (
     StageParams,
+    StageSpec,
+    build_lambda,
     build_main_nds,
     lemma_nds,
     lemma_phi,
     lemma_psi,
 )
+from ndslab.symbolic import Block
 
 GOLDEN = {
     6: {
@@ -64,6 +70,60 @@ GOLDEN = {
 }
 
 
+# lambda at depth 8 for hulls that start at 0 (blocks 0, 00), end at 1 (blocks
+# 1, 11111111) or carry a collar on both sides (blocks 01, 10, 0110)
+LAMBDA = {
+    "0": "2050b1289f8d999789de8b1c65375563de18a6cf65ed90fba68fc05fbc1cb8d5",
+    "1": "58d2b3f2a439b75863a271c6aa19e3620a4ba59249308520eca5f674db451c9c",
+    "00": "30614f9e622828994ebb69c7d4c4faee43650a05ad9c5072671e872efd5023b2",
+    "01": "751863c410d87bfe49d35b2b37b2f85b686ce6a1d569ecacb8870771645360c6",
+    "10": "36394b21f9e57d9d047e164ff685d8668e923e47d5c097770d48b624929a09b2",
+    "0110": "3bd69d7b955289e272cf1883f0d437833e28c3862d4797d0628dd53d0551ac9d",
+    "11111111": "dab3b3957b560d25fd99dad960118422a511d9bce9f277ecad3aae3c68019713",
+}
+# (elem, eta, psi) of each stage of OTHER_STAGES, whose lambdas include hulls
+# that start at 0 or carry two collars
+OTHER_STAGES = StageParams(
+    (StageSpec(Block("0"), 2), StageSpec(Block("01"), 2), StageSpec(Block("101"), 2))
+)
+GOLDEN_OTHER_STAGES = {
+    6: {
+        "B1": (
+            "97a7c704b78b56f3dcbfce668ee329b49da5fb5a1707ee182407e61268dbaf1c",
+            "f056307cf3470b6797c0bda66a275a1ea2972526d5c2507d1cda625e9f0c9231",
+            "915999cd513a9d5ff5427e947c8e70b262eb9f4594c663738b85168c4fbc0b5c",
+        ),
+        "B2": (
+            "d5d0377594cf4627d39ba5f38a5abbb0b5d1fbf929d7d72286648f52651c063f",
+            "3f6e808388f7b9ed95d3f40d9be98065fc181ea73c1b6ab46b5b631cad5a28e7",
+            "f6c69c926cac147a3a22a55f48f5bd365006b776969cb5155bd29d7a9eb493fa",
+        ),
+        "B3": (
+            "e5fbed9b8f150276084c82c878d66a83877ed00c22a49f84c14e9e6ec88c8fd7",
+            "1e46d8068496ec24eab50bee3e366f345b51bd614ee439e6276623dedcbfe1ae",
+            "61db50c306614f4fe417cad2fc31435079c3c058bd17322a94d5f331cb621a12",
+        ),
+    },
+    9: {
+        "B1": (
+            "5579c09d3729d1b8f2502ca2a5feeafb7074082fbfd326667921919a6e4289cb",
+            "536e6667b890580ba8473e78042828459628ea4b80279aaacaed7ff75bdf0a0d",
+            "06c1e78c420615dc6509ae0698b1235b5b71438c5744643732ab1293b6c6812c",
+        ),
+        "B2": (
+            "3876e84a2888bb0f6ab3765c2dc6a27abe784d505f13a61ea747d3b5eaa4ff5b",
+            "be891b7f8f7f816f570ddd746c38159e33430188a17399bbd5797d8f2f68cdb4",
+            "42b788f0630f1e492e1e88b694378fa56cc4fde9d4f85a348a5734f768671ec9",
+        ),
+        "B3": (
+            "b34e6c994d2b88d96d4a6d90140a4f1809fdce62eed7cfb9ef48b82c1cbc771c",
+            "24605fd97c8e66c352df112e713bd1cc2f7f635dd384688d3adb97e06c08c29d",
+            "4cf07656d0c9682f9bf3422192ad336ac64070e38407cf5a08ed7cdb8efcd734",
+        ),
+    },
+}
+
+
 # lemma_phi(k) and lemma_psi(k) for k = 1..6
 LEMMA_PHI = (
     "c223cbb654af7dff354190756a238d10d295c6b06573c37afb26766a800079bf",
@@ -99,15 +159,30 @@ def _digest(m) -> str:
     return _sha(m.to_json_dict())
 
 
+def _stage_digests(bundle, params) -> dict:
+    # (elem, eta, psi): the fold step, the plain step and the collapse
+    return {
+        stage.label: tuple(_digest(m) for m in stage.meta["distinct_maps"])
+        for stage in build_main_nds(bundle, params).stages
+    }
+
+
 @pytest.mark.parametrize("depth", sorted(GOLDEN))
 def test_limit_and_stage_maps_match_golden_digests(depth):
     bundle = build_limit_map(build_atlas(depth, DEFAULT_RHO, DEFAULT_BASE))
-    program = build_main_nds(bundle, StageParams())
-    got = {"limit": _digest(bundle.f)}
-    for stage in program.stages:
-        # (elem, eta, psi): the fold step, the plain step and the collapse
-        got[stage.label] = tuple(_digest(m) for m in stage.meta["distinct_maps"])
+    got = {"limit": _digest(bundle.f), **_stage_digests(bundle, StageParams())}
     assert got == GOLDEN[depth]
+
+
+@pytest.mark.parametrize("depth", sorted(GOLDEN_OTHER_STAGES))
+def test_other_stage_maps_match_golden_digests(depth):
+    bundle = build_limit_map(build_atlas(depth, DEFAULT_RHO, DEFAULT_BASE))
+    assert _stage_digests(bundle, OTHER_STAGES) == GOLDEN_OTHER_STAGES[depth]
+
+
+def test_lambda_maps_match_golden_digests():
+    bundle = build_limit_map(build_atlas(8, DEFAULT_RHO, DEFAULT_BASE))
+    assert {w: _digest(build_lambda(bundle, Block(w))) for w in LAMBDA} == LAMBDA
 
 
 def test_lemma_maps_match_golden_digests():
