@@ -68,7 +68,7 @@ from .constructions import (
     times_R,
     times_S,
 )
-from .dynamics import Trajectory, iterate_from, trajectory
+from .dynamics import Trajectory, trajectory
 from .analysis import (
     EntropyTable,
     PairVerdict,

@@ -16,16 +16,19 @@ The layout formulas:
 * G(all-zeros) starts at 0 and G(all-ones) ends at 1, so the pieces tile
   [0,1] exactly and f_D is surjective.
 
-Codes are laid out in the order of their expansions, so for a word w of
-length n <= D the level-n cylinder of w is the contiguous run of intervals
-from G(w0-bar) to G(w1-bar), both of which are represented; the hull
-J(n, e(w)) is the span of that run.
+Codes are laid out in the order of their expansions.  Codes of depth <= D
+differ within their first D+1 letters, so a code's position is its
+(D+1)-prefix read as a binary numeral, first letter most significant; its
+orbit index (``symbolic.orbit_index``) is the other numbering, the one
+``alpha`` shifts by 1.  For a word w of length n <= D the level-n cylinder
+of w is the contiguous run of intervals from G(w0-bar) to G(w1-bar), both
+of which are represented; the hull J(n, e(w)) is the span of that run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
@@ -55,15 +58,18 @@ class Atlas:
     codes: tuple[Code, ...]                      # theta-sorted
     intervals: tuple[Interval, ...]              # G(c), same order
     total_weight: Fraction                       # W
-    index: dict[Code, int] = field(repr=False, compare=False)  # code -> position
 
     @property
     def size(self) -> int:
         return len(self.codes)
 
+    def position(self, c: Code) -> Optional[int]:
+        """Index of G(c) in theta-order, the (depth+1)-prefix of c in binary; None if deeper."""
+        return int(c.prefix(self.depth + 1), 2) if c.depth <= self.depth else None
+
     def locate_code(self, c: Code) -> Optional[Interval]:
         """G(c) if the code is represented, else None."""
-        i = self.index.get(c)
+        i = self.position(c)
         return None if i is None else self.intervals[i]
 
     def interval_of(self, c: Code) -> Interval:
@@ -92,7 +98,7 @@ class Atlas:
         """
         if len(word) > self.depth:
             raise ValueError(f"word {word!r} is longer than atlas depth {self.depth}")
-        return range(self.index[canonicalize(word, 0)], self.index[canonicalize(word, 1)] + 1)
+        return range(self.position(canonicalize(word, 0)), self.position(canonicalize(word, 1)) + 1)
 
     def hull(self, n: int, k: int) -> Interval:
         """J(n, k): the span of the level-n cylinder of the word of value k."""
@@ -152,7 +158,6 @@ def build_atlas(depth: int, rho: Fraction, weight_base: int) -> Atlas:
         codes=tuple(codes),
         intervals=tuple(intervals),
         total_weight=w,
-        index={c: i for i, c in enumerate(codes)},
     )
 
 

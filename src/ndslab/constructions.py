@@ -353,6 +353,14 @@ def build_eta_stage(bundle: LimitMapBundle, n_block: Block) -> PLMap:
     return compose(bundle.f, build_lambda(bundle, n_block))
 
 
+def _visit(bundle: LimitMapBundle, params: StageParams, i: int) -> int:
+    """Stage i's visit index p; refused at the frontier code, which f_D sends into a gap."""
+    p = params.stages[i - 1].p
+    if code_at_index(p) == bundle.frontier_code:
+        raise ValueError(f"orbit index {p} is the frontier code {bundle.frontier_code}")
+    return p
+
+
 def build_phi_stage(
     bundle: LimitMapBundle, params: StageParams, i: int, n: int
 ) -> PLMap:
@@ -365,10 +373,8 @@ def build_phi_stage(
     """
     if n < 1:
         raise ValueError("fold level must be >= 1")
-    p = params.stages[i - 1].p
+    p = _visit(bundle, params, i)
     stack, divider = build_k_interval(bundle, n, p), build_k_interval(bundle, n - 1, p)
-    if p + 1 > bundle.exact_horizon:  # the fold targets K^n_(p+1), the stack's image
-        raise ValueError(f"orbit index {p + 1} beyond exact horizon")
     return _fold(bundle.f, stack, divider)
 
 
@@ -383,7 +389,7 @@ def build_psi_stage(
     """
     if n < 1:
         raise ValueError("collapse level must be >= 1")
-    p = params.stages[i - 1].p
+    p = _visit(bundle, params, i)
     return _collapse(bundle.f, build_k_interval(bundle, n, p), build_k_interval(bundle, n + 1, p))
 
 

@@ -35,18 +35,6 @@ class Trajectory:
         ]
 
 
-def iterate_from(program: BlockProgram, i: int, x: Fraction, n: int) -> Fraction:
-    """Apply maps i, i+1, ..., i+n-1 in order."""
-    if i < 1:
-        raise ValueError("start index must be >= 1")
-    if n < 0:
-        raise ValueError("step count must be >= 0")
-    v = Fraction(x)
-    for t in range(i, i + n):
-        v = eval_pl(program.map_at(t), v)
-    return v
-
-
 def trajectory(
     program: BlockProgram, x: Fraction, T: int, steps: Optional[dict] = None
 ) -> Trajectory:

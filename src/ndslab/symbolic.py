@@ -8,10 +8,14 @@ this countable set, so every operation here is exact and terminating.
 Conventions used throughout:
 
 * sequences are one-sided, indexed from position 1;
-* the adding machine ``alpha`` adds 1 at position 1 with carry propagating
-  to the right (into the tail when necessary);
+* a code is a 2-adic integer, position i weighing 2^(i-1): tail 0 gives
+  its orbit index j = e(block) >= 0, tail 1 gives j = e(block) - 2^depth < 0,
+  and the adding machine ``alpha`` (binary +1, carry running to the right)
+  is j -> j + 1;
 * ``theta`` embeds codes into the Cantor middle-third set, order-isomorphic
-  with the lexicographic order on expansions.
+  with the lexicographic order on expansions; codes of depth <= D differ
+  within D+1 letters, so their order is that of their (D+1)-prefixes read
+  as binary numerals, first letter most significant.
 """
 
 from __future__ import annotations
@@ -125,50 +129,22 @@ class Block:
 
 
 def canonicalize(block: str, tail: int) -> Code:
-    """Return the canonical Code for ``block + tail^inf``.
-
-    Trailing letters of the block equal to the tail bit are absorbed into
-    the tail.
-    """
+    """The canonical Code for ``block + tail^inf``: trailing tail letters join the tail."""
     _check_word(block)
     _check_bit(tail)
-    cut = len(block)
-    while cut > 0 and int(block[cut - 1]) == tail:
-        cut -= 1
-    return Code(block[:cut], tail)
+    return Code(block.rstrip("01"[tail]), tail)
 
 
 def alpha(c: Code, direction: Literal[1, -1] = 1) -> Code:
-    """The adding machine (binary +1 with carry), or its inverse.
-
-    Adding: the first 0 in the expansion flips to 1 and everything before it
-    flips to 0; on the all-one sequence the carry runs forever and yields the
-    all-zero sequence.  Subtracting is the mirror image.
-    """
+    """The adding machine (binary +1 with carry) or its inverse: orbit index + direction."""
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    # Adding looks for the first 0, subtracting for the first 1; positions
-    # before the pivot all flip to the carry digit.
-    pivot = "0" if direction == 1 else "1"
-    fill = "0" if direction == 1 else "1"
-    for i, ch in enumerate(c.block):
-        if ch == pivot:
-            new_block = fill * i + ("1" if direction == 1 else "0") + c.block[i + 1 :]
-            return canonicalize(new_block, c.tail)
-    if str(c.tail) == pivot:
-        # carry stops at the first tail position
-        new_block = fill * c.depth + ("1" if direction == 1 else "0")
-        return canonicalize(new_block, c.tail)
-    # No pivot anywhere: the constant sequence rolls over to the other one.
-    return Code("", 1 - c.tail)
+    return code_at_index(orbit_index(c) + direction)
 
 
 def alpha_iter(c: Code, steps: int) -> Code:
     """alpha applied ``steps`` times (negative steps use the inverse)."""
-    d = 1 if steps >= 0 else -1
-    for _ in range(abs(steps)):
-        c = alpha(c, d)
-    return c
+    return code_at_index(orbit_index(c) + steps)
 
 
 _FLIP = str.maketrans("01", "10")
@@ -227,11 +203,9 @@ def orbit_index(c: Code) -> int:
 
 def code_at_index(j: int) -> Code:
     """Inverse of :func:`orbit_index`."""
-    if j >= 0:
-        return canonicalize(int_to_word(j, j.bit_length()), 0)
-    # smallest depth d >= 1 with 2^d >= -j; the block encodes 2^d + j
-    d = max(1, (-j - 1).bit_length())
-    return canonicalize(int_to_word(2 ** d + j, d), 1)
+    tail = int(j < 0)
+    d = (~j if tail else j).bit_length()  # least d with -2^d <= j < 2^d
+    return Code(int_to_word(j % 2 ** d, d), tail)
 
 
 def compare(a: Code, b: Code) -> int:
@@ -245,19 +219,16 @@ def compare(a: Code, b: Code) -> int:
 
 
 def all_codes(max_depth: int) -> list[Code]:
-    """All canonical codes of depth <= max_depth, sorted by theta.
+    """All 2^(max_depth+1) canonical codes of depth <= max_depth, sorted by theta.
 
-    There are exactly 2^(max_depth+1) of them.
+    The code at position i has the (max_depth+1)-letter binary numeral of i
+    as its prefix, and that prefix's last letter as its tail.
     """
-    codes: list[Code] = [ZERO, ONE]
-    for d in range(1, max_depth + 1):
-        for head in range(2 ** (d - 1)):
-            bits = int_to_word(head, d - 1)
-            for tail in (0, 1):
-                codes.append(Code(bits + str(1 - tail), tail))
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     width = max_depth + 1
-    codes.sort(key=lambda c: c.prefix(width))
-    return codes
+    words = (format(i, f"0{width}b") for i in range(2 ** width))
+    return [Code(w.rstrip(w[-1]), int(w[-1])) for w in words]
 
 
 def all_blocks(k: int) -> Iterator[Block]:

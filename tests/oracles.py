@@ -6,8 +6,9 @@ minimum of ``analysis.distality_report`` and the frontier taint of
 where ``dynamics.trajectory`` may look a step up in a memo shared over
 orbits (``distality_report`` shares one over its endpoint orbits).  Then
 come the per-symbol versions of the symbolic layer: ``theta`` as a sum of
-``Fraction``s, ``code_at_index`` as a bit loop,
-``tau`` and ``compare`` symbol by symbol, and ``Atlas.locate_code`` as a
+``Fraction``s, ``code_at_index`` as a bit loop, ``alpha`` as the carry
+loop over the block, ``all_codes`` as a level-by-level listing sorted by
+prefix, ``tau`` and ``compare`` symbol by symbol, and ``Atlas.locate_code`` as a
 bisection over the thetas of the atlas codes.  ``Atlas.cylinder`` and
 ``Atlas.hull`` are kept as a scan of every code for its prefix and as a
 table of hulls grouped by prefix at every level, and the limit map's values
@@ -40,7 +41,7 @@ from fractions import Fraction
 from ndslab import dynamics
 from ndslab.analysis import PairVerdict
 from ndslab.dynamics import Trajectory
-from ndslab.symbolic import alpha, canonicalize, word_to_int
+from ndslab.symbolic import ONE, ZERO, Code, canonicalize, int_to_word, word_to_int
 
 
 def eval_pl(f, x) -> Fraction:
@@ -175,6 +176,37 @@ def code_at_index(j: int):
     e = 2 ** d - m
     bits = "".join(str((e >> i) & 1) for i in range(d))
     return canonicalize(bits, 1)
+
+
+def alpha(c, direction: int = 1):
+    if direction not in (1, -1):
+        raise ValueError("direction must be +1 or -1")
+    # Adding looks for the first 0, subtracting for the first 1; positions
+    # before the pivot all flip to the carry digit.
+    pivot = "0" if direction == 1 else "1"
+    fill = "0" if direction == 1 else "1"
+    for i, ch in enumerate(c.block):
+        if ch == pivot:
+            new_block = fill * i + ("1" if direction == 1 else "0") + c.block[i + 1 :]
+            return canonicalize(new_block, c.tail)
+    if str(c.tail) == pivot:
+        # carry stops at the first tail position
+        new_block = fill * c.depth + ("1" if direction == 1 else "0")
+        return canonicalize(new_block, c.tail)
+    # No pivot anywhere: the constant sequence rolls over to the other one.
+    return Code("", 1 - c.tail)
+
+
+def all_codes(max_depth: int) -> list:
+    codes = [ZERO, ONE]
+    for d in range(1, max_depth + 1):
+        for head in range(2 ** (d - 1)):
+            bits = int_to_word(head, d - 1)
+            for tail in (0, 1):
+                codes.append(Code(bits + str(1 - tail), tail))
+    width = max_depth + 1
+    codes.sort(key=lambda c: c.prefix(width))
+    return codes
 
 
 def tau(n, c):

@@ -215,6 +215,19 @@ GOLDEN_ARTEFACTS = {
         ["convergence", "--depth", "6"],
         "c6c845a98d8ce0a82c3e2e9a73d90862cdab0a51be8f224883db8fd68d9510b2",
     ),
+    # the atlas holds the code labels and their order, which no map digest pins
+    "atlas-depth-1": (
+        ["build-atlas", "--depth", "1"],
+        "24e440f334316b96e18b2e4fc42e9d171c5faffd20292a5e4cf1adc584f3aa8d",
+    ),
+    "atlas-depth-6": (
+        ["build-atlas", "--depth", "6"],
+        "98af5f11cb03b741047ae45f4ff61b7c96004be6e0fe0729bf9764ef50aacfeb",
+    ),
+    "atlas-depth-12": (
+        ["build-atlas", "--depth", "12"],
+        "7726be86734d987c7c0e72f06f16bebdc153ac1f2491d0e713e171ea3563adc8",
+    ),
 }
 
 
@@ -440,8 +453,13 @@ BAD_INPUTS = {
         ["entropy", "--family", "main", "--depth", "5", "--times", "S", "--count", "20"],
     ),
     "depth-too-small-for-stages": (None, ["build-nds", "--family", "main", "--depth", "3"]),
+    "stage-visits-the-frontier": (
+        '{"stages": [{"block": "1", "a": 1}]}',
+        ["build-nds", "--family", "main", "--depth", "1", "--config"],
+    ),
     "verify-lemma-lm-max-k-zero": (None, ["verify-lemma-lm", "--max-k", "0"]),
     "verify-lemma-lm-max-k-negative": (None, ["verify-lemma-lm", "--max-k", "-1"]),
+    "verify-lemma-lm-max-k-above-cap": (None, ["verify-lemma-lm", "--max-k", "11"]),
     **BAD_CONFIGS,
     **BAD_ATLAS_OPTIONS,
 }
@@ -474,6 +492,14 @@ def test_bad_config_exits_2_before_building(runner, tmp_path, monkeypatch, case)
     for name in ("build_atlas", "build_main_nds"):
         monkeypatch.setattr(cli, name, _refuse)
     monkeypatch.setattr(acceptance, "autonomous_program", _refuse)
+    res = _invoke_case(runner, tmp_path, case)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in BAD_INPUTS if c.startswith("verify-lemma-lm")))
+def test_bad_max_k_exits_2_before_scanning(runner, tmp_path, monkeypatch, case):
+    monkeypatch.setattr(acceptance, "reversing_orbit_scan", _refuse)
     res = _invoke_case(runner, tmp_path, case)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)

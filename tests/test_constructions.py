@@ -313,6 +313,33 @@ class TestStageMaps:
             assert g_next[0] <= eval_pl(psi, x) <= g_next[1]
 
 
+class TestVisitLimits:
+    """A stage may visit the exact horizon 2^(D-1) but not the frontier code."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fold_at_the_horizon_is_exact(self, n):
+        bundle = build_limit_map(build_atlas(5, Fraction(1, 2), 4))
+        params = StageParams((StageSpec(Block("00001"), 1),))
+        p = params.stages[0].p
+        assert p == bundle.exact_horizon
+        phi = build_phi_stage(bundle, params, 1, n)
+        (kl, kr), (dl, dr) = build_k_interval(bundle, n, p), build_k_interval(bundle, n - 1, p)
+        # the centred stack in G_(p+1), which lies past the horizon
+        l, r = bundle.atlas.interval_at_index(p + 1)
+        mid, half = (l + r) / 2, stack_rel(n) * (r - l) / 2
+        ends = [eval_pl(phi, x) for x in (kl, dl, dr, kr)]
+        assert ends == [mid - half, mid + half, mid - half, mid + half]
+        build_main_nds(bundle, params)
+
+    def test_frontier_visit_is_refused(self):
+        bundle = build_limit_map(build_atlas(1, Fraction(1, 2), 4))
+        params = StageParams((StageSpec(Block("1"), 1),))
+        assert params.stages[0].p == 2 ** bundle.atlas.depth - 1
+        for build in (build_phi_stage, build_psi_stage):
+            with pytest.raises(ValueError, match="frontier"):
+                build(bundle, params, 1, 1)
+
+
 class TestPrograms:
     def test_g1inf_shape(self, bundle, params):
         prog = build_g1inf(bundle, params, 1, 1)
@@ -388,7 +415,7 @@ class TestMiddleCylinders:
         k = len(word)
         image_hull = oracles.hull_table(atlas)[(k, (evaluate_e(Block(word)) + 1) % 2 ** k)]
         lam = build_lambda(bundle, Block(word))
-        i0, i1 = atlas.index[codes[0]], atlas.index[codes[-1]]
+        i0, i1 = atlas.position(codes[0]), atlas.position(codes[-1])
         jl, jr = atlas.intervals[i0][0], atlas.intervals[i1][1]
         collars = []
         if jl > 0:

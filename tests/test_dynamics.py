@@ -1,4 +1,4 @@
-"""Program evaluation: map lookup, iteration identities, trajectories."""
+"""Program evaluation: map lookup and trajectories."""
 
 from fractions import Fraction
 
@@ -14,8 +14,7 @@ from ndslab.constructions import (
     lemma_phi,
     lemma_psi,
 )
-from ndslab.dynamics import code_rel_trajectory, iterate_from, trajectory
-from ndslab.plmap import eval_pl
+from ndslab.dynamics import code_rel_trajectory, trajectory
 from ndslab.symbolic import ZERO, all_codes, canonicalize
 
 
@@ -60,22 +59,6 @@ class TestMapAt:
     def test_rejects_unknown_tail_mode(self, lemma_prog):
         with pytest.raises(ValueError, match="tail mode"):
             BlockProgram(stages=lemma_prog.stages, tail_mode="foo")
-
-
-class TestIterate:
-    def test_zero_steps(self, lemma_prog):
-        assert iterate_from(lemma_prog, 1, Fraction(2, 7), 0) == Fraction(2, 7)
-
-    def test_one_step(self, lemma_prog):
-        x = Fraction(3, 8)
-        assert iterate_from(lemma_prog, 1, x, 1) == eval_pl(lemma_prog.map_at(1), x)
-
-    @pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (4, 5)])
-    def test_composition_identity(self, lemma_prog, m, n):
-        x = Fraction(5, 11)
-        whole = iterate_from(lemma_prog, 1, x, m + n)
-        staged = iterate_from(lemma_prog, 1 + m, iterate_from(lemma_prog, 1, x, m), n)
-        assert whole == staged
 
 
 class TestTrajectory:

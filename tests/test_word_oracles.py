@@ -2,9 +2,12 @@
 
 Binary words and their values have one home in ``symbolic`` (``Code.prefix``,
 ``word_to_int``, ``int_to_word``), and code positions one home in
-``Atlas.index``.  Each rewritten function is compared here with the
+``Atlas.position``.  Each rewritten function is compared here with the
 per-symbol version in ``oracles`` on the constant codes, codes of depth
 0-14, orbit indices around powers of two, and codes deeper than the atlas.
+``alpha``, ``alpha_iter`` and ``all_codes`` read a code as a number (its
+orbit index, or its atlas position) and are compared with the carry loop
+and the sorted level-by-level listing they replaced.
 """
 
 from fractions import Fraction
@@ -19,6 +22,8 @@ from ndslab.symbolic import (
     ONE,
     ZERO,
     Block,
+    alpha,
+    alpha_iter,
     all_blocks,
     all_codes,
     block_successor,
@@ -43,6 +48,11 @@ near_powers = st.builds(
     st.sampled_from([-1, 0, 1]),
 )
 indices = st.one_of(st.integers(-(2 ** 16), 2 ** 16), near_powers)
+# depth 0-40 words with constant runs, so the carry crosses long blocks and
+# reaches the tail
+runs = st.builds(str.__mul__, st.sampled_from("01"), st.integers(1, 40))
+carry_words = st.lists(runs, max_size=6).map(lambda parts: "".join(parts)[:40])
+carry_codes = st.builds(canonicalize, carry_words, st.integers(0, 1))
 
 
 def _bits(m: int, k: int) -> str:
@@ -114,17 +124,44 @@ def test_compare_matches_expansions(a, b):
 
 
 @given(codes)
+@example(canonicalize("0000001", 0))
 def test_locate_code_matches_theta_bisect(atlas6, c):
     got = atlas6.locate_code(c)
     assert got == oracles.locate_code(atlas6, c)
     if c.depth > atlas6.depth:
-        assert got is None
+        assert got is None and atlas6.position(c) is None
 
 
 def test_locate_code_every_atlas_code(atlas6):
-    assert atlas6.index == {c: i for i, c in enumerate(atlas6.codes)}
+    assert [atlas6.position(c) for c in atlas6.codes] == list(range(atlas6.size))
     for c, iv in zip(atlas6.codes, atlas6.intervals):
         assert atlas6.locate_code(c) == iv == oracles.locate_code(atlas6, c)
+
+
+@given(carry_codes)
+@example(ZERO)
+@example(ONE)
+def test_alpha_matches_carry_loop(c):
+    for direction in (1, -1):
+        assert alpha(c, direction) == oracles.alpha(c, direction)
+
+
+@given(codes, st.integers(-40, 40))
+def test_alpha_iter_matches_repeated_carry_loop(c, steps):
+    ref = c
+    for _ in range(abs(steps)):
+        ref = oracles.alpha(ref, 1 if steps >= 0 else -1)
+    assert alpha_iter(c, steps) == ref
+
+
+@pytest.mark.parametrize("depth", range(0, 14))
+def test_all_codes_matches_sorted_listing(depth):
+    assert all_codes(depth) == oracles.all_codes(depth)
+
+
+def test_all_codes_rejects_negative_depth():
+    with pytest.raises(ValueError):
+        all_codes(-1)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
