@@ -149,10 +149,11 @@ def main_candidates(bundle) -> list[Fraction]:
     atlas = bundle.atlas
     cands: list[Fraction] = []
     density = {0: 400, 1: 240, 2: 120, 3: 50, 4: 16}
-    for c, iv in zip(atlas.codes, atlas.intervals):
+    codes = atlas.codes
+    for c, iv in zip(codes, atlas.intervals):
         if c.depth <= 4:
             cands += grid_in(*iv, density[c.depth])
-    pairs = zip(zip(atlas.codes, atlas.intervals), zip(atlas.codes[1:], atlas.intervals[1:]))
+    pairs = zip(zip(codes, atlas.intervals), zip(codes[1:], atlas.intervals[1:]))
     for (c1, iv1), (c2, iv2) in pairs:
         if min(c1.depth, c2.depth) <= 4 and iv2[0] > iv1[1]:
             cands += grid_in(iv1[1], iv2[0], 60)

@@ -20,9 +20,10 @@ Codes are laid out in the order of their expansions.  Codes of depth <= D
 differ within their first D+1 letters, so a code's position is its
 (D+1)-prefix read as a binary numeral, first letter most significant; its
 orbit index (``symbolic.orbit_index``) is the other numbering, the one
-``alpha`` shifts by 1.  For a word w of length n <= D the level-n cylinder
-of w is the contiguous run of intervals from G(w0-bar) to G(w1-bar), both
-of which are represented; the hull J(n, e(w)) is the span of that run.
+``alpha`` shifts by 1, and mod 2^(D+1) it is the position read backwards.
+For a word w of length n <= D the level-n cylinder of w is the contiguous
+run of intervals from G(w0-bar) to G(w1-bar), both of which are
+represented; the hull J(n, e(w)) is the span of that run.
 """
 
 from __future__ import annotations
@@ -33,19 +34,18 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
-from .plmap import PLMap, interval_image, is_surjective, pl_from_points
-from .symbolic import (
-    ZERO,
-    Code,
-    alpha,
-    all_codes,
-    canonicalize,
-    code_at_index,
-    int_to_word,
-    theta,
-)
+from .plmap import PLMap, _canonical_map, interval_image, is_surjective
+from .symbolic import Code, all_codes, code_at_index, int_to_word, theta
 
 Interval = tuple[Fraction, Fraction]
+
+
+def _reverse(i: int, width: int) -> int:
+    """The width-letter binary numeral of i read backwards.
+
+    It takes an atlas position to its code's orbit index mod 2^width, and back.
+    """
+    return int(format(i, f"0{width}b")[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,22 @@ class Atlas:
     depth: int
     rho: Fraction
     weight_base: int
-    codes: tuple[Code, ...]                      # theta-sorted
-    intervals: tuple[Interval, ...]              # G(c), same order
+    intervals: tuple[Interval, ...]              # G(c) in position (theta) order
     total_weight: Fraction                       # W
 
     @property
     def size(self) -> int:
-        return len(self.codes)
+        return len(self.intervals)
+
+    @property
+    def codes(self) -> tuple[Code, ...]:
+        """The codes in position order, built anew on each access (the atlas keeps none)."""
+        return tuple(all_codes(self.depth))
+
+    def code_at(self, i: int) -> Code:
+        """The code at position i: its orbit index is i read backwards, less 2^(D+1) at tail 1."""
+        width = self.depth + 1
+        return code_at_index(_reverse(i, width) - ((i & 1) << width))
 
     def position(self, c: Code) -> Optional[int]:
         """Index of G(c) in theta-order, the (depth+1)-prefix of c in binary; None if deeper."""
@@ -79,8 +88,15 @@ class Atlas:
         return iv
 
     def interval_at_index(self, j: int) -> Interval:
-        """G at orbit index j (j-th forward/backward image of the base code)."""
-        return self.interval_of(code_at_index(j))
+        """G at orbit index j (j-th forward/backward image of the base code).
+
+        The codes of depth <= D have the orbit indices -2^D <= j < 2^D, and
+        the position of index j is j mod 2^(D+1) read backwards.
+        """
+        width = self.depth + 1
+        if not -(1 << self.depth) <= j < 1 << self.depth:
+            raise KeyError(f"orbit index {j} exceeds atlas depth {self.depth}")
+        return self.intervals[_reverse(j % (1 << width), width)]
 
     def find_g(self, x: Fraction) -> Optional[int]:
         """Index in theta-order of the G containing x, or None (gap point)."""
@@ -98,7 +114,10 @@ class Atlas:
         """
         if len(word) > self.depth:
             raise ValueError(f"word {word!r} is longer than atlas depth {self.depth}")
-        return range(self.position(canonicalize(word, 0)), self.position(canonicalize(word, 1)) + 1)
+        if word.strip("01"):
+            raise ValueError(f"binary word expected, got {word!r}")
+        v, m = int(word or "0", 2), self.depth + 1 - len(word)
+        return range(v << m, (v + 1) << m)
 
     def hull(self, n: int, k: int) -> Interval:
         """J(n, k): the span of the level-n cylinder of the word of value k."""
@@ -136,18 +155,23 @@ def build_atlas(depth: int, rho: Fraction, weight_base: int) -> Atlas:
     if weight_base < 2:
         raise ValueError("weight_base must be >= 2")
 
+    # Over the common denominator q = b * s * 3^D, with rho = a/b and
+    # W = s / base^D, G(c) has length a * 3^D * base^(D - depth(c)); the gap
+    # after c is (b - a) * s times 3^D (theta(c') - theta(c)), which is
+    # 3^(D - depth(c)) for a tail-1 code and 1 for a tail-0 code.
     codes = all_codes(depth)
-    w = sum(Fraction(1, weight_base ** c.depth) for c in codes)
-    lengths = [rho * Fraction(1, weight_base ** c.depth) / w for c in codes]
-    thetas = [theta(c) for c in codes]
+    a, b = rho.numerator, rho.denominator
+    weights = [weight_base ** (depth - c.depth) for c in codes]
+    s = sum(weights)
+    unit_len, unit_gap = a * 3 ** depth, (b - a) * s
+    q = b * s * 3 ** depth
 
     intervals: list[Interval] = []
-    pos = Fraction(0)
-    for i, ln in enumerate(lengths):
-        intervals.append((pos, pos + ln))
-        pos += ln
-        if i + 1 < len(codes):
-            pos += (1 - rho) * (thetas[i + 1] - thetas[i])
+    pos = 0
+    for c, wt in zip(codes, weights):
+        end = pos + unit_len * wt
+        intervals.append((Fraction(pos, q), Fraction(end, q)))
+        pos = end + unit_gap * (3 ** (depth - c.depth) if c.tail else 1)
     if intervals[-1][1] != 1:
         raise AssertionError("layout does not tile [0,1] exactly")
 
@@ -155,9 +179,8 @@ def build_atlas(depth: int, rho: Fraction, weight_base: int) -> Atlas:
         depth=depth,
         rho=rho,
         weight_base=weight_base,
-        codes=tuple(codes),
         intervals=tuple(intervals),
-        total_weight=w,
+        total_weight=Fraction(s, weight_base ** depth),
     )
 
 
@@ -170,6 +193,7 @@ class LimitMapBundle:
     exact_horizon: int
     frontier_code: Code
     frontier_image: Interval
+    images: tuple[Interval, ...]                 # f_D(G) at each position
 
     def frontier_intervals(self) -> list[Interval]:
         return [self.atlas.interval_of(self.frontier_code), self.frontier_image]
@@ -185,7 +209,7 @@ class LimitMapBundle:
         if i is None:
             return None
         l, r = self.atlas.intervals[i]
-        return self.atlas.codes[i], (x - l) / (r - l)
+        return self.atlas.code_at(i), (x - l) / (r - l)
 
 
 def _frontier_code(depth: int) -> Code:
@@ -205,22 +229,25 @@ def build_limit_map(atlas: Atlas) -> LimitMapBundle:
 
     # Gap that will receive the frontier image: between G(all-zeros) and its
     # theta-successor.  The true image code is 0^d 1 0-bar at theta 2/3^(d+1).
-    succ = atlas.codes[1]
     gap_lo = atlas.intervals[0][1]
     gap_hi = atlas.intervals[1][0]
-    th_lo, th_hi = theta(atlas.codes[0]), theta(succ)
+    th_lo, th_hi = theta(atlas.code_at(0)), theta(atlas.code_at(1))
     th_true = Fraction(2, 3 ** (d + 1))
     center = gap_lo + (th_true - th_lo) / (th_hi - th_lo) * (gap_hi - gap_lo)
     true_len = atlas.rho * Fraction(1, atlas.weight_base ** (d + 1)) / atlas.total_weight
     half = min(true_len / 2, (center - gap_lo) / 2, (gap_hi - center) / 2)
     frontier_image: Interval = (center - half, center + half)
 
-    points: list[tuple[Fraction, Fraction]] = []
-    for c, (l, r) in zip(atlas.codes, atlas.intervals):
-        img = frontier_image if c == frontier else atlas.interval_of(alpha(c))
-        points.append((l, img[0]))
-        points.append((r, img[1]))
-    f = pl_from_points(points)
+    # alpha adds 1 to the orbit index, which is the position read backwards;
+    # the intervals are in x-order, so the points need no sort
+    n, fpos = atlas.size, atlas.position(frontier)
+    rev = [_reverse(i, d + 1) for i in range(n)]
+    images = tuple(
+        frontier_image if i == fpos else atlas.intervals[rev[(rev[i] + 1) % n]] for i in range(n)
+    )
+    f = _canonical_map(
+        [pt for (l, r), (il, ir) in zip(atlas.intervals, images) for pt in ((l, il), (r, ir))]
+    )
     if not is_surjective(f):
         raise AssertionError("limit map must be surjective")
 
@@ -230,6 +257,7 @@ def build_limit_map(atlas: Atlas) -> LimitMapBundle:
         exact_horizon=2 ** (d - 1),
         frontier_code=frontier,
         frontier_image=frontier_image,
+        images=images,
     )
 
 
@@ -243,12 +271,10 @@ def verify_orbit_action(bundle: LimitMapBundle, steps: int) -> dict:
         raise ValueError(
             f"steps {steps} beyond exact horizon {bundle.exact_horizon}"
         )
-    cur = bundle.atlas.interval_of(ZERO)
-    code = ZERO
+    cur = bundle.atlas.interval_at_index(0)
     for m in range(1, steps + 1):
         cur = interval_image(bundle.f, *cur)
-        code = alpha(code)
-        if cur != bundle.atlas.interval_of(code):
+        if cur != bundle.atlas.interval_at_index(m):
             return {"ok": False, "steps": steps, "first_failure": m}
     return {"ok": True, "steps": steps, "first_failure": None}
 
@@ -304,5 +330,6 @@ def one_code_per_deep_cylinder(atlas: Atlas) -> bool:
     The represented codes biject with the words of length depth+1: the
     expansion prefix of that length determines the code and vice versa.
     """
-    prefixes = {c.prefix(atlas.depth + 1) for c in atlas.codes}
-    return len(prefixes) == len(atlas.codes) == 2 ** (atlas.depth + 1)
+    codes = atlas.codes
+    prefixes = {c.prefix(atlas.depth + 1) for c in codes}
+    return len(prefixes) == len(codes) == 2 ** (atlas.depth + 1)

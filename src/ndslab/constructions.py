@@ -30,9 +30,9 @@ from fractions import Fraction
 from operator import index
 from typing import Literal, Optional, Sequence
 
-from .blowup import Interval, LimitMapBundle
+from .blowup import Atlas, Interval, LimitMapBundle
 from .plmap import PLMap, compose, eval_pl, identity_map, pl_from_points
-from .symbolic import Block, code_at_index, evaluate_e, tau
+from .symbolic import Block, evaluate_e, orbit_index
 
 # ---------------------------------------------------------------------------
 # programs
@@ -273,10 +273,7 @@ def build_k_interval(bundle: LimitMapBundle, n: int, j: int) -> Interval:
         raise ValueError("stack level must be >= 0")
     if abs(j) > bundle.exact_horizon:
         raise ValueError(f"orbit index {j} beyond exact horizon")
-    code = code_at_index(j)
-    if code.depth > bundle.atlas.depth:
-        raise ValueError(f"orbit index {j} needs depth {code.depth} > atlas depth")
-    l, r = bundle.atlas.interval_of(code)
+    l, r = bundle.atlas.interval_at_index(j)
     rel = stack_rel(n)  # level 0 is legal here: it serves as the fold divider
     mid = (l + r) / 2
     half = rel * (r - l) / 2
@@ -310,6 +307,11 @@ def _collar_width(
     return min(width_cap, margin / (2 * abs(slope)))
 
 
+def _tau_flip(atlas: Atlas, k: int) -> int:
+    """The position bits tau flips: it keeps a code's first k letters, so the low D+1-k."""
+    return (1 << (atlas.depth + 1 - k)) - 1
+
+
 def build_lambda(bundle: LimitMapBundle, n_block: Block) -> PLMap:
     """Interval lift of the symbol-reversing involution for one cylinder.
 
@@ -325,10 +327,11 @@ def build_lambda(bundle: LimitMapBundle, n_block: Block) -> PLMap:
     jl, jr = atlas.hull(k, e)
     image_hull = atlas.hull(k, (e + 1) % 2 ** k)
 
+    flip = _tau_flip(atlas, k)
     points: list[tuple[Fraction, Fraction]] = []
     for i in run:
         l, r = atlas.intervals[i]
-        l2, r2 = atlas.interval_of(tau(n_block, atlas.codes[i]))
+        l2, r2 = atlas.intervals[i ^ flip]
         points.append((l, l2))
         points.append((r, r2))
 
@@ -356,7 +359,7 @@ def build_eta_stage(bundle: LimitMapBundle, n_block: Block) -> PLMap:
 def _visit(bundle: LimitMapBundle, params: StageParams, i: int) -> int:
     """Stage i's visit index p; refused at the frontier code, which f_D sends into a gap."""
     p = params.stages[i - 1].p
-    if code_at_index(p) == bundle.frontier_code:
+    if p == orbit_index(bundle.frontier_code):
         raise ValueError(f"orbit index {p} is the frontier code {bundle.frontier_code}")
     return p
 
@@ -402,9 +405,42 @@ def _fold_unit(
     """
     spec = params.stages[i - 1]
     lam = build_lambda(bundle, spec.block)
-    eta = compose(bundle.f, lam)
-    elem = compose(build_phi_stage(bundle, params, i, n), lam)
+    ends = _hull_end_values(bundle, spec.block)
+    eta = _holding(compose(bundle.f, lam), ends)
+    elem = _holding(compose(build_phi_stage(bundle, params, i, n), lam), ends)
     return elem, eta, [elem] + [eta] * (2 ** spec.k - 1)
+
+
+def _hull_end_values(bundle: LimitMapBundle, n_block: Block) -> dict[int, Fraction]:
+    """id of each hull interval end -> its value under f_D after lambda.
+
+    lambda carries G_i onto its tau partner and f_D carries that onto the
+    partner's image, so every value is an end the bundle already holds.  The
+    fold step agrees with the plain step there: its stack lies inside one
+    interval and leaves the ends alone.
+    """
+    atlas = bundle.atlas
+    flip = _tau_flip(atlas, len(n_block))
+    out: dict[int, Fraction] = {}
+    for i in atlas.cylinder(n_block.word):
+        (l, r), (il, ir) = atlas.intervals[i], bundle.images[i ^ flip]
+        out[id(l)], out[id(r)] = il, ir
+    return out
+
+
+def _holding(m: PLMap, values: dict[int, Fraction]) -> PLMap:
+    """``m`` with each value listed for its breakpoint (by id) taken as that object.
+
+    ``compose`` computes every value afresh: at depth 12 the fold and plain
+    steps would hold ~28k copies of interval ends (3.4 MB) without this.
+    """
+    ys = []
+    for x, y in zip(m.xs, m.ys):
+        v = values.get(id(x), y)
+        if v is not y and v != y:
+            raise AssertionError(f"value {y} at {x} differs from the interval end {v}")
+        ys.append(v)
+    return PLMap(m.xs, tuple(ys))
 
 
 def build_g1inf(

@@ -10,9 +10,14 @@ come the per-symbol versions of the symbolic layer: ``theta`` as a sum of
 loop over the block, ``all_codes`` as a level-by-level listing sorted by
 prefix, ``tau`` and ``compare`` symbol by symbol, and ``Atlas.locate_code`` as a
 bisection over the thetas of the atlas codes.  ``Atlas.cylinder`` and
-``Atlas.hull`` are kept as a scan of every code for its prefix and as a
-table of hulls grouped by prefix at every level, and the limit map's values
-at interval ends as its table of interval images.  The separated-set greedy
+``Atlas.hull`` are kept as a scan of every code for its prefix, as the run
+from w0-bar to w1-bar and as a table of hulls grouped by prefix at every
+level, and the limit map's values at interval ends as its table of interval
+images.  The set-up that now works on integers and positions is kept in
+its ``Fraction`` and ``Code`` form: ``build_atlas``'s layout as the sum of
+``Fraction`` lengths and gaps, ``build_limit_map``'s points as one
+``alpha`` image per code, then sorted, and ``build_lambda``'s partner of
+G(c) as G(tau(w, c)).  The separated-set greedy
 pass is kept twice: as the count over pre-sampled rows that
 ``analysis.entropy_estimate`` made, and as the loop of
 ``analysis.greedy_separated`` that sampled each candidate and tested it
@@ -41,7 +46,7 @@ from fractions import Fraction
 from ndslab import dynamics
 from ndslab.analysis import PairVerdict
 from ndslab.dynamics import Trajectory
-from ndslab.symbolic import ONE, ZERO, Code, canonicalize, int_to_word, word_to_int
+from ndslab.symbolic import ONE, ZERO, Block, Code, canonicalize, int_to_word, word_to_int
 
 
 def eval_pl(f, x) -> Fraction:
@@ -230,9 +235,10 @@ def compare(a, b) -> int:
 def locate_code(atlas, c):
     if c.depth > atlas.depth:
         return None
-    thetas = [theta(x) for x in atlas.codes]
+    codes = atlas.codes
+    thetas = [theta(x) for x in codes]
     i = bisect_right(thetas, theta(c)) - 1
-    if i >= 0 and atlas.codes[i] == c:
+    if i >= 0 and codes[i] == c:
         return atlas.intervals[i]
     return None
 
@@ -261,6 +267,42 @@ def limit_images(bundle) -> dict:
         c: bundle.frontier_image if c == bundle.frontier_code else atlas.interval_of(alpha(c))
         for c in atlas.codes
     }
+
+
+def layout(depth: int, rho, weight_base: int) -> tuple[list, Fraction]:
+    """(intervals, W) of ``build_atlas``, summing ``Fraction`` lengths and gaps."""
+    rho = Fraction(rho)
+    codes = all_codes(depth)
+    w = sum(Fraction(1, weight_base ** c.depth) for c in codes)
+    lengths = [rho * Fraction(1, weight_base ** c.depth) / w for c in codes]
+    thetas = [theta(c) for c in codes]
+    intervals = []
+    pos = Fraction(0)
+    for i, ln in enumerate(lengths):
+        intervals.append((pos, pos + ln))
+        pos += ln
+        if i + 1 < len(codes):
+            pos += (1 - rho) * (thetas[i + 1] - thetas[i])
+    return intervals, w
+
+
+def limit_points(bundle) -> list[tuple[Fraction, Fraction]]:
+    """The limit map's (x, y) points, one ``alpha`` image per code, then sorted."""
+    images = limit_images(bundle)
+    points = []
+    for c, (l, r) in zip(bundle.atlas.codes, bundle.atlas.intervals):
+        points += [(l, images[c][0]), (r, images[c][1])]
+    return sorted(points)
+
+
+def tau_partner(atlas, word: str, c):
+    """G(tau(w, c)): the interval lambda carries G(c) onto."""
+    return atlas.interval_of(tau(Block(word), c))
+
+
+def cylinder_run(atlas, word: str) -> range:
+    """Positions from G(w0-bar) to G(w1-bar)."""
+    return range(atlas.position(canonicalize(word, 0)), atlas.position(canonicalize(word, 1)) + 1)
 
 
 def separated(row, chosen, epsilon) -> bool:

@@ -1,0 +1,155 @@
+"""Differential tests: the integer atlas set-up against its ``Fraction`` oracles.
+
+``build_atlas`` lays the intervals out over one common denominator,
+``build_limit_map`` finds each image by adding 1 to the position read
+backwards, and ``build_lambda`` finds each partner by flipping the low bits
+of the position.  Each is compared here with the ``Fraction`` and ``Code``
+version in ``oracles`` over rho drawn with small and ~60-bit denominators,
+weight bases 2-9 and depths 1-9; the position identities themselves are
+checked on every code at small depths.  The atlas keeps no codes
+(``Atlas.code_at`` builds one from its position), and the stage maps hold
+the bundle's own interval ends as their values at the hull's ends.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from ndslab.blowup import build_atlas, build_limit_map
+from ndslab.constructions import StageParams, StageSpec, _fold_unit, _holding, build_lambda
+from ndslab.plmap import eval_pl, identity_map
+from ndslab.symbolic import Block, alpha, code_at_index, int_to_word, orbit_index, tau
+
+small_rhos = st.fractions(min_value=0, max_value=1, max_denominator=100).filter(lambda r: 0 < r < 1)
+wide_rhos = st.integers(2 ** 59, 2 ** 61).flatmap(
+    lambda den: st.integers(1, den - 1).map(lambda num: Fraction(num, den))
+)
+rhos = st.one_of(small_rhos, wide_rhos)
+bases = st.integers(2, 9)
+
+
+def _rev(i: int, width: int) -> int:
+    return int(format(i, f"0{width}b")[::-1], 2)
+
+
+def _words(depth: int):
+    return (int_to_word(k, n) for n in range(depth + 1) for k in range(2 ** n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), rhos, bases)
+@example(9, Fraction(2 ** 60 - 1, 2 ** 60 + 3), 9)
+@example(9, Fraction(1, 2), 2)
+def test_layout_matches_fraction_sums(depth, rho, base):
+    atlas = build_atlas(depth, rho, base)
+    intervals, w = oracles.layout(depth, rho, base)
+    assert list(atlas.intervals) == intervals
+    assert atlas.total_weight == w
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), rhos, bases)
+@example(9, Fraction(2 ** 60 - 1, 2 ** 60 + 3), 9)
+def test_limit_map_matches_alpha_images(depth, rho, base):
+    bundle = build_limit_map(build_atlas(depth, rho, base))
+    assert list(zip(bundle.f.xs, bundle.f.ys)) == oracles.pl_points(oracles.limit_points(bundle))
+    images = oracles.limit_images(bundle)
+    assert list(bundle.images) == [images[c] for c in bundle.atlas.codes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), rhos, bases, st.data())
+def test_lambda_matches_tau_partners(depth, rho, base, data):
+    bundle = build_limit_map(build_atlas(depth, rho, base))
+    atlas = bundle.atlas
+    n = data.draw(st.integers(1, depth))
+    word = int_to_word(data.draw(st.integers(0, 2 ** n - 1)), n)
+    lam = build_lambda(bundle, Block(word))
+    for c in oracles.cylinder_codes(atlas, word):
+        (l, r), (l2, r2) = atlas.interval_of(c), oracles.tau_partner(atlas, word, c)
+        assert (eval_pl(lam, l), eval_pl(lam, r)) == (l2, r2)
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_alpha_adds_one_to_the_reversed_position(depth):
+    atlas = build_atlas(depth, Fraction(1, 2), 4)
+    width = depth + 1
+    frontier = code_at_index(2 ** depth - 1)
+    for i, c in enumerate(atlas.codes):
+        assert _rev(i, width) == orbit_index(c) % 2 ** width
+        if c != frontier:
+            assert atlas.position(alpha(c)) == _rev((_rev(i, width) + 1) % 2 ** width, width)
+    assert atlas.position(frontier) == 2 ** width - 2
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_tau_flips_the_low_bits_of_the_position(depth):
+    atlas = build_atlas(depth, Fraction(1, 2), 4)
+    codes = atlas.codes
+    for word in _words(depth):
+        if not word:
+            continue
+        flip = 2 ** (depth + 1 - len(word)) - 1
+        for i in atlas.cylinder(word):
+            assert atlas.position(tau(Block(word), codes[i])) == i ^ flip
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_cylinder_matches_canonical_run(depth):
+    atlas = build_atlas(depth, Fraction(1, 2), 4)
+    for word in _words(depth):
+        assert atlas.cylinder(word) == oracles.cylinder_run(atlas, word)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_interval_at_index_matches_code_lookup(depth):
+    atlas = build_atlas(depth, Fraction(1, 2), 4)
+    half = 2 ** depth
+    for j in range(-half, half):
+        assert atlas.interval_at_index(j) == atlas.interval_of(code_at_index(j))
+    # -2^D is 0^D 1-bar at position 1, 2^D - 1 the frontier code 1^D 0-bar
+    assert atlas.interval_at_index(-half) == atlas.intervals[1]
+    assert atlas.interval_at_index(half - 1) == atlas.intervals[-2]
+    for j in (half, -half - 1):
+        with pytest.raises(KeyError):
+            atlas.interval_at_index(j)
+        with pytest.raises(KeyError):
+            atlas.interval_of(code_at_index(j))
+
+
+def test_cylinder_rejects_non_binary_words():
+    atlas = build_atlas(4, Fraction(1, 2), 4)
+    for word in ("1_0", "12", " 1"):
+        with pytest.raises(ValueError):
+            atlas.cylinder(word)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_code_at_matches_all_codes(depth):
+    atlas = build_atlas(depth, Fraction(1, 2), 4)
+    codes = oracles.all_codes(depth)
+    assert [atlas.code_at(i) for i in range(atlas.size)] == codes == list(atlas.codes)
+
+
+@pytest.mark.parametrize("word", ["0", "1", "011", "111"])
+def test_stage_maps_hold_the_atlas_ends(word):
+    # the fold and plain steps keep the bundle's own objects as their values
+    # at the hull's interval ends, not equal copies
+    bundle = build_limit_map(build_atlas(8, Fraction(1, 2), 4))
+    params = StageParams((StageSpec(Block(word), 1),))
+    elem, eta, _ = _fold_unit(bundle, params, 1, 1)
+    held = {id(v) for iv in bundle.images for v in iv}
+    ends = {id(v) for i in bundle.atlas.cylinder(word) for v in bundle.atlas.intervals[i]}
+    for m in (elem, eta):
+        at_ends = [y for x, y in zip(m.xs, m.ys) if id(x) in ends]
+        assert len(at_ends) > 2 ** (8 - len(word)) and all(id(y) in held for y in at_ends)
+
+
+def test_holding_refuses_a_different_value():
+    m = identity_map()
+    with pytest.raises(AssertionError):
+        _holding(m, {id(m.xs[1]): Fraction(1, 2)})
+    assert _holding(m, {id(m.xs[1]): Fraction(1)}).ys == m.ys

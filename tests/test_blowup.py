@@ -159,11 +159,12 @@ class TestHulls:
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_cylinders_match_prefix_scan(self, depth):
         atlas = build_atlas(depth, Fraction(1, 2), 4)
+        codes = atlas.codes
         for n in range(depth + 1):
             for k in range(2 ** n):
                 word = int_to_word(k, n)
                 run = atlas.cylinder(word)
-                assert [atlas.codes[i] for i in run] == oracles.cylinder_codes(atlas, word)
+                assert [codes[i] for i in run] == oracles.cylinder_codes(atlas, word)
 
     def test_cylinder_rejects_words_beyond_depth(self, atlas8):
         # a depth-9 word's cylinder holds one represented code, but not as a run

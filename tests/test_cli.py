@@ -228,6 +228,19 @@ GOLDEN_ARTEFACTS = {
         ["build-atlas", "--depth", "12"],
         "7726be86734d987c7c0e72f06f16bebdc153ac1f2491d0e713e171ea3563adc8",
     ),
+    "atlas-depth-13": (
+        ["build-atlas", "--depth", "13"],
+        "1a123d7426217a9d092b7fe6d5e52f652cf28b256cd09ab294e2076bc8bf6d35",
+    ),
+    # the layout's common denominator depends on rho and the base as well
+    "atlas-depth-8-rho-2-7-base-3": (
+        ["build-atlas", "--depth", "8", "--rho", "2/7", "--base", "3"],
+        "8f99c0578474bcc01adc1e38a5aea58a4a4c3dada04abf5c10711076b7740996",
+    ),
+    "atlas-depth-5-rho-99-100-base-9": (
+        ["build-atlas", "--depth", "5", "--rho", "99/100", "--base", "9"],
+        "6bf4e100a2b1730d1c52c539d23ada663f02939eb18f0b4ebdf269e58a7eb0a3",
+    ),
 }
 
 

@@ -7,13 +7,16 @@ recorded from the all-``Fraction`` map construction, so a faster kernel that
 changes a single breakpoint or value of any of these maps fails here.  The
 lambda digests (depth 8) and the stage maps of blocks 0, 01 and 101 were
 recorded while each map still listed its own points, before the stage maps
-and lambda were spliced through one shared helper.  The
-lemma digests were recorded while K_n and the repeat counts were still
+and lambda were spliced through one shared helper.  The digests on the
+rho = 2/7, base 3 atlas were recorded while the layout still summed
+``Fraction``s and the limit map and lambda still built one ``Code`` per
+interval.  The lemma digests were recorded while K_n and the repeat counts were still
 callable parameters, so they pin the fixed formulas to those old defaults.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -80,6 +83,13 @@ LAMBDA = {
     "10": "36394b21f9e57d9d047e164ff685d8668e923e47d5c097770d48b624929a09b2",
     "0110": "3bd69d7b955289e272cf1883f0d437833e28c3862d4797d0628dd53d0551ac9d",
     "11111111": "dab3b3957b560d25fd99dad960118422a511d9bce9f277ecad3aae3c68019713",
+}
+# the limit map and lambda for blocks 1 and 011 at depth 8 on an atlas with
+# rho = 2/7 and base 3, whose layout denominator differs from the default's
+OTHER_ATLAS = {
+    "limit": "e40b416a16e2cc2871f85fdfd24f105f2545d60cec2a3a4cf8e3ff944f676eb5",
+    "1": "71a88b48e76e66e00306528ec21cda28bdb20492f9afeb50f949a6793e4775b7",
+    "011": "0102d2b5a63872f4c912c3b1785ab9dd3e5bfe3793c72915c6ba99d59229859c",
 }
 # (elem, eta, psi) of each stage of OTHER_STAGES, whose lambdas include hulls
 # that start at 0 or carry two collars
@@ -183,6 +193,12 @@ def test_other_stage_maps_match_golden_digests(depth):
 def test_lambda_maps_match_golden_digests():
     bundle = build_limit_map(build_atlas(8, DEFAULT_RHO, DEFAULT_BASE))
     assert {w: _digest(build_lambda(bundle, Block(w))) for w in LAMBDA} == LAMBDA
+
+
+def test_other_atlas_maps_match_golden_digests():
+    bundle = build_limit_map(build_atlas(8, Fraction(2, 7), 3))
+    got = {w: _digest(build_lambda(bundle, Block(w))) for w in ("1", "011")}
+    assert {"limit": _digest(bundle.f), **got} == OTHER_ATLAS
 
 
 def test_lemma_maps_match_golden_digests():
