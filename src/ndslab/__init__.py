@@ -12,15 +12,12 @@ from .symbolic import (
     Block,
     Code,
     alpha,
-    alpha_iter,
     all_blocks,
     all_codes,
     canonicalize,
     code_at_index,
-    compare,
     eta,
     eta_orbit,
-    eta_period,
     evaluate_e,
     orbit_index,
     tau,
@@ -30,7 +27,6 @@ from .plmap import (
     PLMap,
     compose,
     compose_chain,
-    constant_map,
     eval_pl,
     identity_map,
     interval_image,
@@ -53,7 +49,6 @@ from .constructions import (
     Stage,
     StageParams,
     StageSpec,
-    build_eta_stage,
     build_g1inf,
     build_k_interval,
     build_lambda,
@@ -79,7 +74,6 @@ from .analysis import (
     eventual_constancy,
     greedy_separated,
     ly_classify,
-    rho_nA,
     verify_separated,
 )
 

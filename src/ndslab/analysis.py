@@ -90,23 +90,6 @@ def _estimate(card: int, a_n: int) -> float:
     return math.log(card) / a_n if card and a_n > 0 else 0.0
 
 
-def rho_nA(
-    program: BlockProgram,
-    x: Fraction,
-    y: Fraction,
-    A: Sequence[int],
-    n: int,
-) -> tuple[Fraction, bool]:
-    """Exact max distance over the first n sampled times; flag = inexact.
-
-    The flag is set when either trajectory touched a frontier interval or
-    the last sampled time exceeds the program's exact horizon.
-    """
-    _check_cells(A, [n], [])
-    (vx, vy), flagged = _sample(program, [x, y], A[:n])
-    return max(abs(a - b) for a, b in zip(vx, vy)), flagged
-
-
 def greedy_separated(
     program: BlockProgram,
     candidates: Sequence[Fraction],

@@ -38,8 +38,8 @@ EXIT_CONFIG_ERROR = 2
 
 # The atlas has 2^(depth+1) intervals and each level about doubles the build:
 # on a 2-core host the main program (atlas, limit map and stage maps, in one
-# process after import) takes 0.08 s at depth 10, 0.15 s at 11, 0.30 s at 12
-# and 0.60 s at 13.  Deeper atlases are refused before anything is built.
+# process after import, median of 5 runs) takes 0.15, 0.30, 0.58 and 1.25 s
+# at depths 10 to 13.  Deeper atlases are refused before anything is built.
 MAX_DEPTH = 13
 
 # verify-lemma-lm follows every block of length j <= max-k over its 2^j-step

@@ -271,9 +271,10 @@ def build_k_interval(bundle: LimitMapBundle, n: int, j: int) -> Interval:
     """
     if n < 0:
         raise ValueError("stack level must be >= 0")
-    if abs(j) > bundle.exact_horizon:
-        raise ValueError(f"orbit index {j} beyond exact horizon")
-    l, r = bundle.atlas.interval_at_index(j)
+    try:
+        l, r = bundle.atlas.interval_at_index(j)
+    except KeyError as e:
+        raise ValueError(f"orbit index {j} is not in the atlas") from e
     rel = stack_rel(n)  # level 0 is legal here: it serves as the fold divider
     mid = (l + r) / 2
     half = rel * (r - l) / 2
@@ -349,11 +350,6 @@ def build_lambda(bundle: LimitMapBundle, n_block: Block) -> PLMap:
         )
         points.append((jr + delta, jr + delta))
     return _splice(identity_map(), points)
-
-
-def build_eta_stage(bundle: LimitMapBundle, n_block: Block) -> PLMap:
-    """One reversing-then-mapping step: the limit map after lambda."""
-    return compose(bundle.f, build_lambda(bundle, n_block))
 
 
 def _visit(bundle: LimitMapBundle, params: StageParams, i: int) -> int:

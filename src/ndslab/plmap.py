@@ -118,11 +118,6 @@ def identity_map() -> PLMap:
     return PLMap((ZERO_F, ONE_F), (ZERO_F, ONE_F))
 
 
-def constant_map(v) -> PLMap:
-    v = _as_frac(v)
-    return PLMap((ZERO_F, ONE_F), (v, v))
-
-
 def tent_map() -> PLMap:
     return pl_from_points([(0, 0), (Fraction(1, 2), 1), (1, 0)])
 

@@ -93,10 +93,6 @@ class Code:
             raise ValueError("prefix length must be >= 0")
         return self.block[:n] + str(self.tail) * (n - len(self.block))
 
-    def expand(self, n: int) -> tuple[Bit, ...]:
-        """First ``n`` letters of the infinite expansion."""
-        return tuple(map(int, self.prefix(n)))
-
     def starts_with(self, word: str) -> bool:
         """Whether the expansion begins with ``word`` (cylinder membership)."""
         _check_word(word)
@@ -140,11 +136,6 @@ def alpha(c: Code, direction: Literal[1, -1] = 1) -> Code:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     return code_at_index(orbit_index(c) + direction)
-
-
-def alpha_iter(c: Code, steps: int) -> Code:
-    """alpha applied ``steps`` times (negative steps use the inverse)."""
-    return code_at_index(orbit_index(c) + steps)
 
 
 _FLIP = str.maketrans("01", "10")
@@ -208,16 +199,6 @@ def code_at_index(j: int) -> Code:
     return Code(int_to_word(j % 2 ** d, d), tail)
 
 
-def compare(a: Code, b: Code) -> int:
-    """Lexicographic comparison of expansions: -1, 0 or +1.
-
-    Distinct canonical codes always differ within max(depth)+1 symbols.
-    """
-    n = max(a.depth, b.depth) + 1
-    pa, pb = a.prefix(n), b.prefix(n)
-    return (pa > pb) - (pa < pb)
-
-
 def all_codes(max_depth: int) -> list[Code]:
     """All 2^(max_depth+1) canonical codes of depth <= max_depth, sorted by theta.
 
@@ -245,13 +226,3 @@ def block_successor(w: Block) -> Block:
     """
     k = len(w)
     return Block(int_to_word((evaluate_e(w) + 1) % 2 ** k, k))
-
-
-def eta_period(n: Block, c: Code, max_steps: int = 1 << 14) -> int:
-    """Least p >= 1 with eta^p(c) == c, searched up to ``max_steps``."""
-    x = c
-    for p in range(1, max_steps + 1):
-        x = eta(n, x)
-        if x == c:
-            return p
-    raise RuntimeError(f"no eta-period of {c} within {max_steps} steps")

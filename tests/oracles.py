@@ -30,7 +30,8 @@ form too: ``canonical_points`` sorts, merges and tests collinearity on
 ``Fraction`` comparisons, ``compose`` collects its cuts in a set and sorts
 them, ``sup_distance`` evaluates over the sorted union of breakpoints, and
 ``interval_image`` bisects the ``Fraction`` breakpoints and walks them with
-``Fraction`` comparisons.
+``Fraction`` comparisons.  ``constant_map`` is a test input only: no code in
+``src/`` builds a constant map.
 
 ``ly_classify`` is kept as the version that computed both trajectories on
 every call and took the tail minimum and maximum of ``Fraction`` distances;
@@ -46,6 +47,7 @@ from fractions import Fraction
 from ndslab import dynamics
 from ndslab.analysis import PairVerdict
 from ndslab.dynamics import Trajectory
+from ndslab.plmap import PLMap
 from ndslab.symbolic import ONE, ZERO, Block, Code, canonicalize, int_to_word, word_to_int
 
 
@@ -135,6 +137,11 @@ def interval_image(f, lo, hi) -> tuple[Fraction, Fraction]:
         vals.append(f.ys[i])
         i += 1
     return min(vals), max(vals)
+
+
+def constant_map(v) -> PLMap:
+    v = Fraction(v)
+    return PLMap((Fraction(0), Fraction(1)), (v, v))
 
 
 def min_gap(ta, tb) -> Fraction:

@@ -15,7 +15,6 @@ from ndslab.analysis import (
     eventual_constancy,
     greedy_separated,
     ly_classify,
-    rho_nA,
     verify_separated,
 )
 from ndslab.blowup import build_atlas, build_limit_map
@@ -28,6 +27,7 @@ from ndslab.constructions import (
     lemma_phi,
     times_S,
 )
+from ndslab.dynamics import trajectory
 from ndslab.plmap import identity_map, tent_map
 from ndslab.symbolic import ZERO, ONE, all_codes
 
@@ -48,24 +48,35 @@ def ident_prog():
 
 
 class TestRho:
+    """rho_{n,A}(x, y), the largest distance over the first n sampled times,
+    decides whether the greedy pass keeps both points of a pair."""
+
     def test_equal_points(self, ident_prog):
-        v, flagged = rho_nA(ident_prog, Fraction(1, 3), Fraction(1, 3), [1, 2, 3], 3)
-        assert v == 0 and not flagged
+        pair = [Fraction(1, 3), Fraction(1, 3)]
+        rep = greedy_separated(ident_prog, pair, [1, 2, 3], 3, Fraction(1, 10 ** 9))
+        assert rep.cardinality == 1 and not rep.flagged
 
     def test_identity_distance(self, ident_prog):
-        v, _ = rho_nA(ident_prog, Fraction(1, 4), Fraction(3, 4), [1, 2], 2)
-        assert v == Fraction(1, 2)
+        # rho = 1/2: the pair is separated below it and not at it
+        pair = [Fraction(1, 4), Fraction(3, 4)]
+        assert greedy_separated(ident_prog, pair, [1, 2], 2, Fraction(49, 100)).cardinality == 2
+        assert greedy_separated(ident_prog, pair, [1, 2], 2, Fraction(1, 2)).cardinality == 1
 
     def test_monotone_in_n(self, main_prog):
+        # with epsilon at each rho_n, the pair is kept whole exactly from the
+        # first n with a larger rho_n on
         x, y = Fraction(1, 5), Fraction(4, 7)
         A = [1, 2, 3, 4, 5, 6]
-        vals = [rho_nA(main_prog, x, y, A, n)[0] for n in range(1, 7)]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
+        tx, ty = trajectory(main_prog, x, 6).values, trajectory(main_prog, y, 6).values
+        rhos = [max(abs(tx[t] - ty[t]) for t in A[:n]) for n in range(1, 7)]
+        for eps in {r for r in rhos if r > 0}:
+            reps = [greedy_separated(main_prog, [x, y], A, n, eps) for n in range(1, 7)]
+            assert [r.cardinality for r in reps] == [2 if r > eps else 1 for r in rhos]
 
     def test_horizon_flag(self, main_prog):
         h = main_prog.exact_horizon
-        _, flagged = rho_nA(main_prog, Fraction(1, 5), Fraction(2, 5), [h + 1], 1)
-        assert flagged
+        pair = [Fraction(1, 5), Fraction(2, 5)]
+        assert greedy_separated(main_prog, pair, [h + 1], 1, Fraction(1, 2)).flagged
 
 
 class TestGreedy:
@@ -96,18 +107,17 @@ class TestGreedy:
         with pytest.raises(ValueError):
             greedy_separated(ident_prog, [Fraction(0)], [1, 2], 0, Fraction(1, 2))
         with pytest.raises(ValueError):
-            rho_nA(ident_prog, Fraction(0), Fraction(1), [1, 2], 3)
+            greedy_separated(ident_prog, [Fraction(0)], [1, 2], 3, Fraction(1, 2))
 
     def test_horizon_flag_matches_rho(self):
-        # greedy reports and rho_nA share one flag rule: sampling beyond the
-        # exact horizon is inexact even when no trajectory is tainted
+        # the flag follows the times that rho_{n,A} samples: a time beyond
+        # the exact horizon is inexact even when no trajectory is tainted
         prog = BlockProgram(
             stages=(Stage("id", (identity_map(),)),), tail_mode="cycle", exact_horizon=2
         )
         cands = [Fraction(0), Fraction(1)]
-        assert greedy_separated(prog, cands, [1, 2, 3], 3, Fraction(1, 2)).flagged
-        assert rho_nA(prog, *cands, [1, 2, 3], 3)[1]
-        assert not greedy_separated(prog, cands, [1, 2, 3], 2, Fraction(1, 2)).flagged
+        reps = [greedy_separated(prog, cands, [1, 2, 3], n, Fraction(1, 2)) for n in (1, 2, 3)]
+        assert [r.flagged for r in reps] == [False, False, True]
 
 
 class TestEntropyTable:

@@ -497,6 +497,16 @@ def test_configuration_errors_exit_2(runner, tmp_path, case):
     assert isinstance(res.exception, SystemExit)
 
 
+def test_stage_past_the_exact_horizon_builds(runner, tmp_path):
+    # block 10001 visits p = 17 > 2^(D-1) = 16 at depth 5
+    config = tmp_path / "config.json"
+    config.write_text('{"stages": [{"block": "10001", "a": 1}]}')
+    argv = ["build-nds", "--family", "main", "--depth", "5", "--config", str(config)]
+    res = runner.invoke(main, argv + ["-o", str(tmp_path / "program.json")])
+    assert res.exit_code == 0, res.output
+    assert "stages [33]" in res.output
+
+
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS) + sorted(BAD_ATLAS_OPTIONS))
 def test_bad_config_exits_2_before_building(runner, tmp_path, monkeypatch, case):
     # lemma_nds checks its counts itself, then builds with these two

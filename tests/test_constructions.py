@@ -12,7 +12,6 @@ from ndslab.constructions import (
     Stage,
     StageParams,
     StageSpec,
-    build_eta_stage,
     build_g1inf,
     build_k_interval,
     build_lambda,
@@ -37,7 +36,16 @@ from ndslab.plmap import (
     lap_count,
     sup_distance,
 )
-from ndslab.symbolic import Block, ZERO, ONE, canonicalize, evaluate_e, tau
+from ndslab.symbolic import (
+    Block,
+    ZERO,
+    ONE,
+    canonicalize,
+    evaluate_e,
+    int_to_word,
+    orbit_index,
+    tau,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +56,11 @@ def bundle():
 @pytest.fixture(scope="module")
 def params():
     return StageParams()
+
+
+def eta_step(bundle, n_block):
+    """The plain stage step: the limit map after lambda."""
+    return compose(bundle.f, build_lambda(bundle, n_block))
 
 
 class TestLemmaMaps:
@@ -184,7 +197,7 @@ class TestLambda:
 class TestEtaStage:
     def test_period_at_interval_level(self, bundle):
         for word in ("1", "11"):
-            eta = build_eta_stage(bundle, Block(word))
+            eta = eta_step(bundle, Block(word))
             k = len(word)
             g = bundle.atlas.interval_of(canonicalize(word, 0))
             cur = g
@@ -197,7 +210,7 @@ class TestEtaStage:
 
     def test_single_cylinder_visit(self, bundle):
         word = "11"
-        eta = build_eta_stage(bundle, Block(word))
+        eta = eta_step(bundle, Block(word))
         hull = bundle.atlas.hull(2, evaluate_e(Block(word)))
         cur = bundle.atlas.interval_of(ZERO)
         visits = 0
@@ -213,7 +226,7 @@ class TestEtaStage:
         # multiple of 2^k elsewhere
         word = "11"
         k = len(word)
-        eta = build_eta_stage(bundle, Block(word))
+        eta = eta_step(bundle, Block(word))
         base_cycle = set()
         cur = bundle.atlas.interval_of(ZERO)
         for _ in range(2 ** k):
@@ -238,7 +251,7 @@ class TestEtaStage:
     def test_sup_distance_bounded_by_hull_image(self, bundle):
         sups = []
         for word in ("1", "11", "111"):
-            eta = build_eta_stage(bundle, Block(word))
+            eta = eta_step(bundle, Block(word))
             k = len(word)
             p = evaluate_e(Block(word))
             image_hull = bundle.atlas.hull(k, (p + 1) % 2 ** k)
@@ -264,8 +277,13 @@ class TestKIntervals:
         assert img == build_k_interval(bundle, 1, 1)
 
     def test_horizon_guard(self, bundle):
-        with pytest.raises(ValueError):
-            build_k_interval(bundle, 1, bundle.exact_horizon + 1)
+        # the atlas holds the orbit indices -2^D <= j < 2^D
+        half = 2 ** bundle.atlas.depth
+        build_k_interval(bundle, 1, half - 1)
+        build_k_interval(bundle, 1, -half)
+        for j in (half, -half - 1):
+            with pytest.raises(ValueError, match="not in the atlas"):
+                build_k_interval(bundle, 1, j)
 
 
 class TestStageMaps:
@@ -313,15 +331,18 @@ class TestStageMaps:
             assert g_next[0] <= eval_pl(psi, x) <= g_next[1]
 
 
-class TestVisitLimits:
-    """A stage may visit the exact horizon 2^(D-1) but not the frontier code."""
+# every visit 2^(D-1) < p <= 2^D - 2 at D = 3..6: the indices past the exact
+# horizon that f_D still carries onto G_(p+1)
+PAST_THE_HORIZON = [(d, p) for d in range(3, 7) for p in range(2 ** (d - 1) + 1, 2 ** d - 1)]
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_fold_at_the_horizon_is_exact(self, n):
-        bundle = build_limit_map(build_atlas(5, Fraction(1, 2), 4))
-        params = StageParams((StageSpec(Block("00001"), 1),))
+
+class TestVisitLimits:
+    """A stage may visit every orbit index the atlas holds but the frontier code."""
+
+    @staticmethod
+    def _check_fold_is_exact(bundle, block, n):
+        params = StageParams((StageSpec(block, 1),))
         p = params.stages[0].p
-        assert p == bundle.exact_horizon
         phi = build_phi_stage(bundle, params, 1, n)
         (kl, kr), (dl, dr) = build_k_interval(bundle, n, p), build_k_interval(bundle, n - 1, p)
         # the centred stack in G_(p+1), which lies past the horizon
@@ -330,6 +351,18 @@ class TestVisitLimits:
         ends = [eval_pl(phi, x) for x in (kl, dl, dr, kr)]
         assert ends == [mid - half, mid + half, mid - half, mid + half]
         build_main_nds(bundle, params)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fold_at_the_horizon_is_exact(self, n):
+        bundle = build_limit_map(build_atlas(5, Fraction(1, 2), 4))
+        assert evaluate_e(Block("00001")) == bundle.exact_horizon
+        self._check_fold_is_exact(bundle, Block("00001"), n)
+
+    @pytest.mark.parametrize("depth, p", PAST_THE_HORIZON)
+    def test_fold_past_the_horizon_is_exact(self, depth, p):
+        bundle = build_limit_map(build_atlas(depth, Fraction(1, 2), 4))
+        assert bundle.exact_horizon < p < orbit_index(bundle.frontier_code)
+        self._check_fold_is_exact(bundle, Block(int_to_word(p, depth)), 1)
 
     def test_frontier_visit_is_refused(self):
         bundle = build_limit_map(build_atlas(1, Fraction(1, 2), 4))
@@ -355,7 +388,7 @@ class TestPrograms:
         prog = build_g1inf(bundle, params, 2, 2)
         spec = params.stages[1]
         K = build_k_interval(bundle, 2, spec.p)
-        eta = build_eta_stage(bundle, spec.block)
+        eta = eta_step(bundle, spec.block)
         cur_prog, cur_eta = K, K
         for m in range(1, 2 ** spec.k):
             cur_prog = interval_image(prog.map_at(m), *cur_prog)
@@ -453,7 +486,7 @@ class TestMiddleCylinders:
         assert all(r.within_bound for r in rows)
 
     def test_eta_cycle_for_carry_free_block(self, bundle):
-        eta = build_eta_stage(bundle, Block("01"))
+        eta = eta_step(bundle, Block("01"))
         g = bundle.atlas.interval_of(canonicalize("01", 0))
         cur = g
         for _ in range(4):

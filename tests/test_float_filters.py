@@ -23,12 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import constant_map
 from ndslab import dynamics
 from ndslab.analysis import _min_gap, distality_report
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import BlockProgram, Stage, StageParams, build_main_nds
 from ndslab.dynamics import trajectory
-from ndslab.plmap import _bisect_right, constant_map, eval_pl, pl_from_points
+from ndslab.plmap import _bisect_right, eval_pl, pl_from_points
 from ndslab.symbolic import all_codes
 
 TINY = Fraction(1, 2 ** 70)

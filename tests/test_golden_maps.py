@@ -133,6 +133,20 @@ GOLDEN_OTHER_STAGES = {
     },
 }
 
+# (elem, eta, psi) of the one stage of block 10001 at depth 5, which visits
+# p = 17, past the exact horizon 2^(D-1) = 16.  The stage builders once
+# refused visits past that horizon; these digests were recorded from that
+# construction with the exact horizon raised to 2^D, so only the refusal
+# changed
+PAST_HORIZON_STAGE = StageParams((StageSpec(Block("10001"), 1),))
+GOLDEN_PAST_HORIZON = {
+    "B1": (
+        "60d3da28b691b02e6a1809e50ad069d21c2a224e88d2c7c3aec5f3fe446a70ff",
+        "d9e66ee50e14fb0d32bf1814cb48ec299bbf02e5439e18f63de553589bcd2a6d",
+        "8d3c73b5cdaf48860e307ca2312fce8538fd8e3797eb6b768e67777eeb1f9d72",
+    ),
+}
+
 
 # lemma_phi(k) and lemma_psi(k) for k = 1..6
 LEMMA_PHI = (
@@ -188,6 +202,11 @@ def test_limit_and_stage_maps_match_golden_digests(depth):
 def test_other_stage_maps_match_golden_digests(depth):
     bundle = build_limit_map(build_atlas(depth, DEFAULT_RHO, DEFAULT_BASE))
     assert _stage_digests(bundle, OTHER_STAGES) == GOLDEN_OTHER_STAGES[depth]
+
+
+def test_stage_past_the_horizon_matches_golden_digests():
+    bundle = build_limit_map(build_atlas(5, DEFAULT_RHO, DEFAULT_BASE))
+    assert _stage_digests(bundle, PAST_HORIZON_STAGE) == GOLDEN_PAST_HORIZON
 
 
 def test_lambda_maps_match_golden_digests():

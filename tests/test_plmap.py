@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import constant_map
 from ndslab.plmap import (
     PLMap,
     compose,
     compose_chain,
-    constant_map,
     eval_pl,
     graph_samples,
     identity_map,
