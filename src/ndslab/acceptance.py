@@ -402,11 +402,15 @@ def ly_scan(
     intervals of depth <= max_code_depth, drawn with ``random.Random(seed)``,
     and is classified over one pass of the program's stages at scale delta
     (default eps0/4).  Returns delta and the count per classification.
-    Raises ValueError before drawing when ``pairs`` < 1, ``delta`` <= 0 or
-    fewer than two intervals qualify.
+    Raises ValueError before drawing when ``pairs`` < 1, ``max_code_depth``
+    is outside 0..D at atlas depth D or ``delta`` <= 0.  Depth 0 alone holds
+    two codes, so at least two intervals always qualify.
     """
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
+    D = bundle.atlas.depth
+    if not 0 <= max_code_depth <= D:
+        raise ValueError(f"max code depth {max_code_depth} outside 0..{D}")
     T = program.stage_length
     if delta is None:
         delta = epsilon_zero(bundle) / 4
@@ -417,10 +421,6 @@ def ly_scan(
         for c in bundle.atlas.codes
         if c.depth <= max_code_depth
     ]
-    if len(groups) < 2:
-        raise ValueError(
-            f"{len(groups)} interval(s) of depth <= {max_code_depth}; pairs need two"
-        )
     rng = random.Random(seed)
     counts = {"LY-candidate": 0, "asymptotic-candidate": 0, "distal-candidate": 0}
     made = 0

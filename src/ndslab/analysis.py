@@ -193,22 +193,21 @@ def ly_classify(
         raise ValueError("horizon must be >= 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    tails = []  # each start's values[T // 2 :] as (num, den), computed once per program
+    rows = []  # each start's values[T // 2 :] as (L, numerators over L)
     for start in (x, y):
-        key = (Fraction(start), T)
-        if key not in program._tails:
-            window = trajectory(program, key[0], T).values[T // 2 :]
-            program._tails[key] = [(v.numerator, v.denominator) for v in window]
-        tails.append(program._tails[key])
-    # |p/q - r/s| = |ps - rq| / (qs); min and max compared by cross-multiplication
-    dists = [(abs(p * s - r * q), q * s) for (p, q), (r, s) in zip(*tails)]
-    lo = hi = dists[0]
-    for d in dists[1:]:
-        if d[0] * lo[1] < lo[0] * d[1]:
-            lo = d
-        elif d[0] * hi[1] > hi[0] * d[1]:
-            hi = d
-    tail_min, tail_max = Fraction(*lo), Fraction(*hi)
+        if not isinstance(start, (int, Fraction)):
+            start = Fraction(start)
+        key = (start.numerator, start.denominator, T)
+        row = program._tails.get(key)
+        if row is None:
+            window = trajectory(program, Fraction(start), T).values[T // 2 :]
+            L = math.lcm(*(v.denominator for v in window))
+            row = program._tails[key] = (L, [v.numerator * (L // v.denominator) for v in window])
+        rows.append(row)
+    # a/p - b/q = (aq - bp) / (pq): every distance over the one denominator pq
+    (p, A), (q, B) = rows
+    dists = [abs(a * q - b * p) for a, b in zip(A, B)]
+    tail_min, tail_max = Fraction(min(dists), p * q), Fraction(max(dists), p * q)
     if tail_min >= delta:
         cls = "distal-candidate"
     elif tail_max > delta:

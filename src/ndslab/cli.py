@@ -334,6 +334,9 @@ def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, coun
 @click.option("-o", "out", default="ly_scan.json", show_default=True, callback=_out_path)
 def ly_scan_cmd(depth, rho, base, config_path, pairs, max_code_depth, delta, seed, out):
     """Classify sampled pairs from distinct blown intervals; fail on LY."""
+    # ly_scan checks m too, but only once the atlas is built
+    if not 0 <= max_code_depth <= depth:
+        raise click.UsageError(f"max code depth {max_code_depth} outside 0..{depth}")
     program, bundle, _ = _configure("main", config_path, depth, rho, base)
     try:
         dl, counts = acceptance.ly_scan(

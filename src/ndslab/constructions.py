@@ -72,7 +72,8 @@ class BlockProgram:
     exact_horizon: Optional[int] = None
     # the stage maps in time order, so map_at is one index
     _schedule: tuple[PLMap, ...] = field(init=False, repr=False, compare=False)
-    # analysis.ly_classify's tail windows, keyed by (start, horizon)
+    # analysis.ly_classify's tail windows as (L, numerators over the common
+    # denominator L), keyed by the start's (numerator, denominator, horizon)
     _tails: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:

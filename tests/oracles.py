@@ -36,7 +36,8 @@ them, ``sup_distance`` evaluates over the sorted union of breakpoints, and
 ``ly_classify`` is kept as the version that computed both trajectories on
 every call and took the tail minimum and maximum of ``Fraction`` distances;
 ``analysis.ly_classify`` now reads each start's tail window from a memo on
-the program and compares distances as integer pairs.
+the program, as integer numerators over one common denominator, and takes
+the minimum and maximum of integer distances over one denominator per pair.
 """
 
 from __future__ import annotations

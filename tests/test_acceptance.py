@@ -83,6 +83,13 @@ def test_criterion_7d_ly_scan(main_fixture):
     assert r.ok, r.details
 
 
+@pytest.mark.parametrize("max_code_depth", [-1, 13])
+def test_ly_scan_codes_beyond_the_atlas_raise(main_fixture, max_code_depth):
+    bundle, _, program = main_fixture
+    with pytest.raises(ValueError, match="outside 0..12"):
+        acceptance.ly_scan(bundle, program, 10, max_code_depth)
+
+
 def test_criterion_7e_distality(main_fixture):
     r = _report(acceptance.criterion_7e(main_fixture))
     assert r.ok, r.details

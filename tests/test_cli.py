@@ -301,6 +301,18 @@ def test_distality_max_code_depth_exits_2_before_enumerating(
     assert isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize("max_code_depth", ["-1", "5", "9"])
+def test_ly_scan_max_code_depth_exits_2_before_building(
+    runner, tmp_path, monkeypatch, max_code_depth
+):
+    monkeypatch.setattr(cli, "_configure", _refuse)
+    argv = ["ly-scan", "--depth", "4", "--max-code-depth", max_code_depth]
+    res = runner.invoke(main, argv + ["-o", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"max code depth {max_code_depth} outside 0..4" in res.output
+
+
 @pytest.mark.parametrize("delta", ["0", "-1/4"])
 def test_ly_scan_bad_delta_exits_2_before_drawing(runner, tmp_path, monkeypatch, delta):
     monkeypatch.setattr(acceptance, "random", SimpleNamespace(Random=_refuse))
