@@ -59,7 +59,7 @@ from .constructions import (
     lemma_psi,
     times_S,
 )
-from .dynamics import code_rel_trajectory, trajectory
+from .dynamics import code_rel_trajectory
 from .plmap import (
     compose_chain,
     eval_pl,
@@ -367,9 +367,8 @@ def settle_scan(bundle, program) -> tuple[int, int]:
     one pass over the program's stages.
     """
     pts: list[Fraction] = []
-    for c in bundle.atlas.codes:
-        if c.depth <= 3:
-            pts += grid_in(*bundle.atlas.interval_of(c), 50)
+    for c in all_codes(min(3, bundle.atlas.depth)):
+        pts += grid_in(*bundle.atlas.interval_of(c), 50)
     for n in (1, 2, 3):
         for j in (0, 1):
             pts += build_k_interval(bundle, n, j)
@@ -416,11 +415,7 @@ def ly_scan(
         delta = epsilon_zero(bundle) / 4
     if delta <= 0:
         raise ValueError("delta must be positive")
-    groups = [
-        grid_in(*bundle.atlas.interval_of(c), 10)
-        for c in bundle.atlas.codes
-        if c.depth <= max_code_depth
-    ]
+    groups = [grid_in(*bundle.atlas.interval_of(c), 10) for c in all_codes(max_code_depth)]
     rng = random.Random(seed)
     counts = {"LY-candidate": 0, "asymptotic-candidate": 0, "distal-candidate": 0}
     made = 0
@@ -491,13 +486,8 @@ def criterion_9():
     """Unflagged trajectories agree across depths 6 and 7 in orbit coordinates."""
     progs = {}
     for d in (6, 7):
-        atlas = build_atlas(d, DEFAULT_RHO, DEFAULT_BASE)
-        bundle = build_limit_map(atlas)
-        progs[d] = (
-            bundle,
-            build_main_nds(bundle, StageParams()),
-            autonomous_program(bundle.f, bundle),
-        )
+        bundle = build_limit_map(build_atlas(d, DEFAULT_RHO, DEFAULT_BASE))
+        progs[d] = (build_main_nds(bundle, StageParams()), autonomous_program(bundle.f, bundle))
     starts = [
         (c, rel)
         for c in all_codes(3)
@@ -505,14 +495,12 @@ def criterion_9():
     ]
     horizon = 32
     compared = 0
-    for idx in (1, 2):
+    for p6, p7 in zip(progs[6], progs[7]):
         for cr in starts:
-            v6 = trajectory(progs[6][idx], progs[6][0].point_at(*cr), horizon)
-            v7 = trajectory(progs[7][idx], progs[7][0].point_at(*cr), horizon)
-            if v6.tainted or v7.tainted:
+            t6 = code_rel_trajectory(p6, cr, horizon)
+            t7 = code_rel_trajectory(p7, cr, horizon)
+            if t6 is None or t7 is None:
                 continue
-            t6 = code_rel_trajectory(progs[6][idx], cr, horizon)
-            t7 = code_rel_trajectory(progs[7][idx], cr, horizon)
             if t6 != t7 or len(t6) != horizon + 1:
                 return False, f"divergence from {cr[0]} rel {cr[1]}"
             compared += 1

@@ -76,16 +76,12 @@ class Atlas:
         """Index of G(c) in theta-order, the (depth+1)-prefix of c in binary; None if deeper."""
         return int(c.prefix(self.depth + 1), 2) if c.depth <= self.depth else None
 
-    def locate_code(self, c: Code) -> Optional[Interval]:
-        """G(c) if the code is represented, else None."""
-        i = self.position(c)
-        return None if i is None else self.intervals[i]
-
     def interval_of(self, c: Code) -> Interval:
-        iv = self.locate_code(c)
-        if iv is None:
+        """G(c); a code deeper than the atlas raises KeyError."""
+        i = self.position(c)
+        if i is None:
             raise KeyError(f"code {c} exceeds atlas depth {self.depth}")
-        return iv
+        return self.intervals[i]
 
     def interval_at_index(self, j: int) -> Interval:
         """G at orbit index j (j-th forward/backward image of the base code).

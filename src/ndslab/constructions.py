@@ -60,8 +60,10 @@ class BlockProgram:
 
     ``tail_mode`` is either ``"repeat"`` (keep applying ``tail_map``) or
     ``"cycle"`` (wrap around the concatenated stage maps forever).  Programs
-    built on an atlas carry the frontier intervals (where the finite-depth
-    limit map is only approximate) and the exact horizon for flagging.
+    built on an atlas take the frontier intervals (where the finite-depth
+    limit map is only approximate) and the exact horizon for flagging from
+    their bundle; other programs may give both explicitly, and giving either
+    together with a bundle raises ValueError.
     """
 
     stages: tuple[Stage, ...]
@@ -86,10 +88,10 @@ class BlockProgram:
         )
         if not self._schedule:
             raise ValueError("a program needs at least one map in its stages")
-        if self.bundle is not None and not self.frontier:
-            object.__setattr__(
-                self, "frontier", tuple(self.bundle.frontier_intervals())
-            )
+        if self.bundle is not None:
+            if self.frontier or self.exact_horizon is not None:
+                raise ValueError("a program takes its frontier and exact horizon from its bundle")
+            object.__setattr__(self, "frontier", tuple(self.bundle.frontier_intervals()))
             object.__setattr__(self, "exact_horizon", self.bundle.exact_horizon)
         if self.exact_horizon is not None and _count(self.exact_horizon, "exact_horizon") < 0:
             raise ValueError("exact_horizon must be >= 0")

@@ -21,18 +21,16 @@ from .plmap import eval_pl
 class Trajectory:
     start: Fraction
     values: tuple[Fraction, ...]      # values[t] for t = 0..T
-    flags: tuple[bool, ...]           # exactness taint, monotone in t
+    tainted_from: Optional[int]       # first tainted time, None if exact throughout
 
     @property
     def tainted(self) -> bool:
-        return self.flags[-1]
+        return self.tainted_from is not None
 
     def rows(self) -> list[tuple[int, int, int, bool]]:
         """CSV rows (t, numerator, denominator, flag)."""
-        return [
-            (t, v.numerator, v.denominator, fl)
-            for t, (v, fl) in enumerate(zip(self.values, self.flags))
-        ]
+        t0 = len(self.values) if self.tainted_from is None else self.tainted_from
+        return [(t, v.numerator, v.denominator, t >= t0) for t, v in enumerate(self.values)]
 
 
 def trajectory(
@@ -51,15 +49,15 @@ def trajectory(
     # cannot lie in a frontier interval and skips the exact test.
     float_frontier = [(float(l), float(r)) for l, r in frontier]
     values = [Fraction(x)]
-    flags = [False]
-    tainted = False
+    tainted_from = None
     for t in range(1, T + 1):
         v = values[-1]
-        if float_frontier and not tainted:
+        if float_frontier and tainted_from is None:
             fv = v.numerator / v.denominator  # float(v), without the Rational dispatch
             for l, r in float_frontier:
                 if l <= fv <= r:
-                    tainted = any(a <= v <= b for a, b in frontier)
+                    if any(a <= v <= b for a, b in frontier):
+                        tainted_from = t
                     break
         f = program.map_at(t)
         if steps is None:
@@ -69,28 +67,27 @@ def trajectory(
             if key not in steps:
                 steps[key] = eval_pl(f, v)
             values.append(steps[key])
-        flags.append(tainted)
-    return Trajectory(Fraction(x), tuple(values), tuple(flags))
+    return Trajectory(Fraction(x), tuple(values), tainted_from)
 
 
 def code_rel_trajectory(
     program: BlockProgram, code_rel: tuple, T: int
 ) -> Optional[list[tuple[str, Fraction]]]:
-    """Trajectory in (code, relative position) coordinates.
+    """Trajectory in (code, relative position) coordinates, or None if tainted.
 
     The start is given as (Code, rel in [0,1]); the result lists, for each
     time, the blown interval's code string and the exact relative position
-    inside it, or None as soon as the orbit leaves the blown intervals.
-    These coordinates are independent of the atlas depth as long as no step
-    is frontier-tainted, which makes them the right object for
+    inside it, and stops where the orbit leaves the blown intervals.  A
+    frontier-tainted trajectory gives None; the others have coordinates
+    independent of the atlas depth, which makes them the right object for
     model-consistency comparisons across depths.
     """
     bundle = program.bundle
     if bundle is None:
         raise ValueError("program carries no atlas bundle")
-    code, rel = code_rel
-    x = bundle.point_at(code, Fraction(rel))
-    traj = trajectory(program, x, T)
+    traj = trajectory(program, bundle.point_at(*code_rel), T)
+    if traj.tainted:
+        return None
     out: list[tuple[str, Fraction]] = []
     for v in traj.values:
         loc = bundle.rel_of(v)

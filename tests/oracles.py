@@ -2,14 +2,16 @@
 
 These are the all-``Fraction`` versions of ``plmap.eval_pl``, the distality
 minimum of ``analysis.distality_report`` and the frontier taint of
-``dynamics.trajectory``.  This ``trajectory`` also evaluates every step,
+``dynamics.trajectory``, whose first tainted time this ``trajectory`` takes
+from its own test at every step.  It also evaluates every step,
 where ``dynamics.trajectory`` may look a step up in a memo shared over
 orbits (``distality_report`` shares one over its endpoint orbits).  Then
 come the per-symbol versions of the symbolic layer: ``theta`` as a sum of
 ``Fraction``s, ``code_at_index`` as a bit loop, ``alpha`` as the carry
 loop over the block, ``all_codes`` as a level-by-level listing sorted by
-prefix, ``tau`` and ``compare`` symbol by symbol, and ``Atlas.locate_code`` as a
-bisection over the thetas of the atlas codes.  ``Atlas.cylinder`` and
+prefix, ``tau`` and ``compare`` symbol by symbol, and the atlas's code lookup
+(``Atlas.position`` and ``Atlas.interval_of``) as ``locate_code``, a bisection
+over the thetas of the atlas codes.  ``Atlas.cylinder`` and
 ``Atlas.hull`` are kept as a scan of every code for its prefix, as the run
 from w0-bar to w1-bar and as a table of hulls grouped by prefix at every
 level, and the limit map's values at interval ends as its table of interval
@@ -157,14 +159,12 @@ def min_gap(ta, tb) -> Fraction:
 def trajectory(program, x, T: int) -> Trajectory:
     frontier = program.frontier
     values = [Fraction(x)]
-    flags = [False]
-    tainted = False
+    tainted_from = None
     for t in range(1, T + 1):
-        if frontier and not tainted and any(l <= values[-1] <= r for l, r in frontier):
-            tainted = True
+        if frontier and tainted_from is None and any(l <= values[-1] <= r for l, r in frontier):
+            tainted_from = t
         values.append(eval_pl(program.map_at(t), values[-1]))
-        flags.append(tainted)
-    return Trajectory(Fraction(x), tuple(values), tuple(flags))
+    return Trajectory(Fraction(x), tuple(values), tainted_from)
 
 
 def theta(c) -> Fraction:

@@ -14,7 +14,7 @@ from ndslab.blowup import (
     verify_orbit_action,
 )
 from ndslab.plmap import interval_image, is_surjective
-from ndslab.symbolic import ZERO, ONE, alpha, canonicalize, int_to_word, theta
+from ndslab.symbolic import ZERO, ONE, all_codes, alpha, canonicalize, int_to_word, theta
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +65,20 @@ class TestAtlasLayout:
         assert one_code_per_deep_cylinder(atlas8)
 
     def test_locate(self, atlas8):
-        assert atlas8.locate_code(ZERO) == atlas8.intervals[0]
-        assert atlas8.locate_code(ONE) == atlas8.intervals[-1]
-        assert atlas8.locate_code(canonicalize("0" * 9 + "1", 0)) is None
+        assert atlas8.interval_of(ZERO) == atlas8.intervals[0]
+        assert atlas8.interval_of(ONE) == atlas8.intervals[-1]
+        deep = canonicalize("0" * 9 + "1", 0)
+        assert atlas8.position(deep) is None
+        with pytest.raises(KeyError):
+            atlas8.interval_of(deep)
+
+    @pytest.mark.parametrize("depth", [1, 2, 5, 12])
+    def test_shallow_codes_are_all_codes(self, depth):
+        # the scans list their shallow codes with all_codes(m): the same codes
+        # in the same order as the atlas's, so their random draws are unchanged
+        codes = build_atlas(depth, Fraction(1, 2), 4).codes
+        for m in range(depth + 1):
+            assert [c for c in codes if c.depth <= m] == all_codes(m)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -73,6 +74,29 @@ def test_program_roundtrip_and_trajectory(runner, tmp_path):
     assert len(lines) == 14
     t, num, den, flag = lines[1].split(",")
     assert (t, num, den, flag) == ("0", "1", "3", "0")
+
+
+def test_trajectory_csv_from_the_frontier_matches_golden_digest(runner, tmp_path):
+    # the start is the midpoint of the depth-6 frontier interval, so the flag
+    # column switches from 0 to 1 after the first step; the digest was
+    # recorded while a trajectory still stored one flag per step
+    prog_path, csv_path = tmp_path / "prog.json", tmp_path / "traj.csv"
+    res = runner.invoke(
+        main, ["build-nds", "--family", "main", "--depth", "6", "-o", str(prog_path)]
+    )
+    assert res.exit_code == 0, res.output
+    l, r = load_program(str(prog_path)).frontier[0]
+    x = (l + r) / 2
+    assert x == Fraction(29648039, 35645184)
+    argv = ["trajectory", "--program", str(prog_path), "--x", str(x), "--steps", "40"]
+    res = runner.invoke(main, argv + ["-o", str(csv_path)])
+    assert res.exit_code == 0, res.output
+    assert "(tainted: True)" in res.output
+    text = csv_path.read_text()
+    assert [row.split(",")[-1] for row in text.splitlines()[1:]] == ["0"] + ["1"] * 40
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a669cb697894d973271a24e5a82b83bb047a78d36f18475a0c454d0ffddfdf75"
+    )
 
 
 def test_trajectory_rejects_outside_domain(runner, tmp_path):

@@ -416,6 +416,25 @@ class TestPrograms:
             for m in s.meta["distinct_maps"]:
                 assert is_surjective(m)
 
+    def test_bundle_supplies_frontier_and_horizon(self, bundle):
+        prog = BlockProgram(stages=(Stage("f", (bundle.f,)),), tail_mode="cycle", bundle=bundle)
+        assert prog.frontier == tuple(bundle.frontier_intervals())
+        assert prog.exact_horizon == bundle.exact_horizon == 2 ** 7
+
+    def test_bundle_with_explicit_exact_horizon_raises(self, bundle):
+        with pytest.raises(ValueError, match="from its bundle"):
+            BlockProgram(
+                stages=(Stage("f", (bundle.f,)),), tail_mode="cycle", bundle=bundle,
+                exact_horizon=3,
+            )
+
+    def test_bundle_with_explicit_frontier_raises(self, bundle):
+        with pytest.raises(ValueError, match="from its bundle"):
+            BlockProgram(
+                stages=(Stage("f", (bundle.f,)),), tail_mode="cycle", bundle=bundle,
+                frontier=((Fraction(0), Fraction(1, 2)),),
+            )
+
     def test_stage_validation(self):
         with pytest.raises(ValueError):
             StageParams(stages=(StageSpec(Block("11"), 3), StageSpec(Block("1"), 5)))

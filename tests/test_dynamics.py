@@ -80,14 +80,19 @@ class TestTrajectory:
         assert a == b
 
     def test_flags_monotone(self, main_prog):
-        traj = trajectory(main_prog, Fraction(1, 3), 40)
-        assert all(b or not a for a, b in zip(traj.flags, traj.flags[1:]))
+        # the flag of time t is set once an earlier value has met the frontier
+        for x, first in ((Fraction(1, 3), None), (main_prog.frontier[0][0], 1)):
+            traj = trajectory(main_prog, x, 40)
+            hit = [any(l <= v <= r for l, r in main_prog.frontier) for v in traj.values]
+            assert [fl for *_, fl in traj.rows()] == [any(hit[:t]) for t in range(41)]
+            assert traj.tainted_from == first
 
     def test_frontier_taints(self, main_prog):
         bundle = main_prog.bundle
         l, r = bundle.atlas.interval_of(bundle.frontier_code)
         traj = trajectory(main_prog, (l + r) / 2, 3)
-        assert not traj.flags[0] and traj.flags[1] and traj.tainted
+        assert traj.tainted_from == 1 and traj.tainted
+        assert [fl for *_, fl in traj.rows()] == [False, True, True, True]
 
     def test_rows_format(self, lemma_prog):
         rows = trajectory(lemma_prog, Fraction(1, 3), 2).rows()
@@ -107,6 +112,12 @@ class TestCodeRelCoordinates:
                 block, tail = code_str.split("|")
                 l, r = bundle.atlas.interval_of(canonicalize(block, int(tail)))
                 assert l + rel * (r - l) == v
+
+    def test_tainted_orbit_gives_none(self, main_prog):
+        bundle = main_prog.bundle
+        start = (bundle.frontier_code, Fraction(1, 2))
+        assert trajectory(main_prog, bundle.point_at(*start), 3).tainted
+        assert code_rel_trajectory(main_prog, start, 3) is None
 
     def test_requires_bundle(self, lemma_prog):
         with pytest.raises(ValueError):

@@ -126,16 +126,19 @@ def test_compare_matches_expansions(a, b):
 @given(codes)
 @example(canonicalize("0000001", 0))
 def test_locate_code_matches_theta_bisect(atlas6, c):
-    got = atlas6.locate_code(c)
-    assert got == oracles.locate_code(atlas6, c)
+    want = oracles.locate_code(atlas6, c)
     if c.depth > atlas6.depth:
-        assert got is None and atlas6.position(c) is None
+        assert want is None and atlas6.position(c) is None
+        with pytest.raises(KeyError):
+            atlas6.interval_of(c)
+    else:
+        assert atlas6.interval_of(c) == atlas6.intervals[atlas6.position(c)] == want
 
 
 def test_locate_code_every_atlas_code(atlas6):
     assert [atlas6.position(c) for c in atlas6.codes] == list(range(atlas6.size))
     for c, iv in zip(atlas6.codes, atlas6.intervals):
-        assert atlas6.locate_code(c) == iv == oracles.locate_code(atlas6, c)
+        assert atlas6.interval_of(c) == iv == oracles.locate_code(atlas6, c)
 
 
 @given(carry_codes)
