@@ -325,7 +325,7 @@ def _main_fixture():
 def criterion_7a(fixture=None):
     """Uniform-convergence envelopes under the hull-image bounds, decreasing."""
     bundle, params, program = fixture or _main_fixture()
-    rows, strict = convergence_report(program, bundle.f)
+    rows, strict = convergence_report(program)
     for r in rows:
         if not r.within_bound:
             return False, f"{r.label}: envelope {float(r.envelope):.4f} exceeds bound"
@@ -341,6 +341,8 @@ def criterion_7b(fixture=None):
     bundle, params, program = fixture or _main_fixture()
     S = times_S(params, 8)
     cands, eps = entropy_inputs(bundle)
+    # n = 3 comes first: perfbench's test_default_seed_reproduces_7b_inputs
+    # checks the entropy-main workload against 7b's first greedy_separated call
     rep3 = greedy_separated(program, cands, S, 3, eps)
     rep8 = greedy_separated(program, cands, S, 8, eps)
     if rep3.cardinality < 9:
@@ -349,13 +351,15 @@ def criterion_7b(fixture=None):
         return False, f"n=8 count {rep8.cardinality} < 81"
     if not (verify_separated(program, rep3) and verify_separated(program, rep8)):
         return False, "witness sets fail post-hoc verification"
-    table = entropy_estimate(program, S, [eps], [1, 3, 8], cands)
+    # the headline of entropy_estimate's table over the cells n = 1, 3, 8
+    rep1 = greedy_separated(program, cands, S, 1, eps)
+    headline = max(r.entropy_estimate for r in (rep1, rep3, rep8))
     target = 0.9 * math.log(3)
-    if table.headline < target:
-        return False, f"headline {table.headline:.4f} < {target:.4f}"
+    if headline < target:
+        return False, f"headline {headline:.4f} < {target:.4f}"
     return True, (
         f"counts n=3:{rep3.cardinality}>=9, n=8:{rep8.cardinality}>=81, "
-        f"headline {table.headline:.3f}>=0.9*log3"
+        f"headline {headline:.3f}>=0.9*log3"
     )
 
 

@@ -353,24 +353,23 @@ class ConvergenceRow:
         }
 
 
-def convergence_report(
-    program: BlockProgram, limit
-) -> tuple[list[ConvergenceRow], bool]:
-    """Per-stage uniform-distance envelopes against the limit map.
+def convergence_report(program: BlockProgram) -> tuple[list[ConvergenceRow], bool]:
+    """Per-stage uniform-distance envelopes against the bundle's limit map.
 
     The envelope of a stage is the largest sup-distance between any of its
-    maps and the limit; when the stage carries an image-hull record the
-    envelope is compared against that hull's length.  Returns the rows and
-    whether the envelopes decrease strictly.
+    maps and the limit; when the stage carries an image hull the envelope is
+    compared against that hull's length.  Returns the rows and whether the
+    envelopes decrease strictly; a program without a bundle raises ValueError.
     """
+    if program.bundle is None:
+        raise ValueError("program carries no atlas bundle")
+    limit = program.bundle.f
     rows: list[ConvergenceRow] = []
     for s in program.stages:
-        maps = s.meta.get("distinct_maps") or tuple(dict.fromkeys(s.maps))
+        # stage maps are shared objects: dedupe by identity
+        maps = {id(m): m for m in s.maps}.values()
         env = max(sup_distance(m, limit) for m in maps)
-        bound = None
-        if "image_hull" in s.meta:
-            lo, hi = s.meta["image_hull"]
-            bound = hi - lo
+        bound = None if s.image_hull is None else s.image_hull[1] - s.image_hull[0]
         rows.append(
             ConvergenceRow(
                 label=s.label,

@@ -31,7 +31,7 @@ from .constructions import (
 )
 from .dynamics import trajectory
 from .symbolic import Block
-from .plmap import PLMap, tent_map, identity_map
+from .plmap import PLMap, graph_samples, tent_map, identity_map
 
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
@@ -163,11 +163,7 @@ def _program_json(program: BlockProgram) -> dict:
         {
             "label": s.label,
             "maps": [ref(m) for m in s.maps],
-            "meta": {
-                k: v
-                for k, v in s.meta.items()
-                if isinstance(v, (int, str))
-            },
+            "meta": s.meta,
         }
         for s in program.stages
     ]
@@ -287,8 +283,6 @@ def trajectory_cmd(program_path, x_text, steps, out):
 @click.option("-o", "out", default="map.csv", show_default=True, callback=_out_path)
 def dump_map_cmd(program_path, time_index, grid, out):
     """Sample the map applied at time t on a uniform grid, as x,y CSV."""
-    from .plmap import graph_samples
-
     program = load_program(program_path)
     if time_index < 1:
         raise click.UsageError("time starts at 1")
@@ -397,8 +391,8 @@ def distality_cmd(depth, rho, base, config_path, max_code_depth, steps, out):
 @click.option("-o", "out", default="convergence.json", show_default=True, callback=_out_path)
 def convergence_cmd(depth, rho, base, config_path, out):
     """Per-stage uniform-distance envelopes against the limit map."""
-    program, bundle, _ = _configure("main", config_path, depth, rho, base)
-    rows, strict = convergence_report(program, bundle.f)
+    program, _, _ = _configure("main", config_path, depth, rho, base)
+    rows, strict = convergence_report(program)
     payload = {
         "rows": [r.to_json_dict() for r in rows],
         "strictly_decreasing": strict,

@@ -51,7 +51,8 @@ class Stage:
 
     label: str
     maps: tuple[PLMap, ...]
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)  # ints and strings, written by build-nds
+    image_hull: Optional[Interval] = None  # bounds the convergence envelope
 
 
 @dataclass(frozen=True)
@@ -397,8 +398,8 @@ def build_psi_stage(
 
 def _fold_unit(
     bundle: LimitMapBundle, params: StageParams, i: int, n: int
-) -> tuple[PLMap, PLMap, list[PLMap]]:
-    """(elem, eta, unit): one fold-after-reverse step, then 2^k - 1 eta steps.
+) -> list[PLMap]:
+    """One fold-after-reverse step (elem), then 2^k - 1 plain steps (eta).
 
     Every eta step of the unit is the same map object.
     """
@@ -407,7 +408,7 @@ def _fold_unit(
     ends = _hull_end_values(bundle, spec.block)
     eta = _holding(compose(bundle.f, lam), ends)
     elem = _holding(compose(build_phi_stage(bundle, params, i, n), lam), ends)
-    return elem, eta, [elem] + [eta] * (2 ** spec.k - 1)
+    return [elem] + [eta] * (2 ** spec.k - 1)
 
 
 def _hull_end_values(bundle: LimitMapBundle, n_block: Block) -> dict[int, Fraction]:
@@ -449,7 +450,7 @@ def build_g1inf(
     spec = params.stages[i - 1]
     stage = Stage(
         label=f"g{i}n{n}",
-        maps=tuple(_fold_unit(bundle, params, i, n)[2]),
+        maps=tuple(_fold_unit(bundle, params, i, n)),
         meta={"i": i, "n": n, "k": spec.k, "p": spec.p},
     )
     return BlockProgram(stages=(stage,), tail_mode="cycle", bundle=bundle)
@@ -464,10 +465,8 @@ def build_main_nds(bundle: LimitMapBundle, params: StageParams) -> BlockProgram:
     """
     stages = []
     for i, spec in enumerate(params.stages, start=1):
-        elem, eta, unit = _fold_unit(bundle, params, i, i)
-        psi = build_psi_stage(bundle, params, i, i)
-        maps = tuple(unit * spec.a + [psi])
-        image_hull = bundle.atlas.hull(spec.k, (spec.p + 1) % 2 ** spec.k)
+        unit = _fold_unit(bundle, params, i, i)
+        maps = tuple(unit * spec.a + [build_psi_stage(bundle, params, i, i)])
         stages.append(
             Stage(
                 label=f"B{i}",
@@ -478,9 +477,8 @@ def build_main_nds(bundle: LimitMapBundle, params: StageParams) -> BlockProgram:
                     "a": spec.a,
                     "p": spec.p,
                     "block": spec.block.word,
-                    "image_hull": image_hull,
-                    "distinct_maps": (elem, eta, psi),
                 },
+                image_hull=bundle.atlas.hull(spec.k, (spec.p + 1) % 2 ** spec.k),
             )
         )
         expected = spec.a * 2 ** spec.k + 1

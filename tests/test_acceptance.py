@@ -14,11 +14,20 @@ import inspect
 import pytest
 
 from ndslab import acceptance
+from ndslab.blowup import build_atlas, build_limit_map
+from ndslab.constructions import StageParams, build_main_nds
 
 
 @pytest.fixture(scope="module")
 def main_fixture():
     return acceptance._main_fixture()
+
+
+@pytest.fixture(scope="module")
+def depth8_fixture():
+    bundle = build_limit_map(build_atlas(8, acceptance.DEFAULT_RHO, acceptance.DEFAULT_BASE))
+    params = StageParams()
+    return bundle, params, build_main_nds(bundle, params)
 
 
 # the details string of every criterion, recorded from the battery before a
@@ -91,6 +100,31 @@ def test_criterion_7b_separated_growth(main_fixture):
     r = _report(acceptance.criterion_7b(main_fixture))
     assert r.ok, r.details
     assert r.details == DETAILS["7b"]
+
+
+def test_criterion_7b_computes_each_cell_once(depth8_fixture, monkeypatch):
+    # three greedy cells, n = 3 first, and no entropy table; the headline is
+    # the one the table over the same cells gives
+    greedy, table = acceptance.greedy_separated, acceptance.entropy_estimate
+    cells, tables = [], []
+
+    def greedy_spy(*args):
+        rep = greedy(*args)
+        cells.append((args, rep))
+        return rep
+
+    def table_spy(*args):
+        tables.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(acceptance, "greedy_separated", greedy_spy)
+    monkeypatch.setattr(acceptance, "entropy_estimate", table_spy)
+    assert acceptance.criterion_7b(depth8_fixture).ok
+    assert [args[3] for args, _ in cells] == [3, 8, 1]
+    assert tables == []
+    program, cands, S, _, eps = cells[0][0]
+    headline = max(rep.entropy_estimate for _, rep in cells)
+    assert headline == table(program, S, [eps], [1, 3, 8], cands).headline
 
 
 @pytest.mark.xfail(

@@ -233,11 +233,15 @@ class TestDistality:
 class TestConvergence:
     def test_autonomous_limit_is_zero(self, bundle):
         prog = autonomous_program(bundle.f, bundle)
-        rows, strict = convergence_report(prog, bundle.f)
+        rows, strict = convergence_report(prog)
         assert rows[0].envelope == 0
 
     def test_main_envelopes(self, bundle, main_prog):
-        rows, strict = convergence_report(main_prog, bundle.f)
+        rows, strict = convergence_report(main_prog)
         assert strict
         for r in rows:
             assert r.within_bound
+
+    def test_program_without_bundle_raises(self):
+        with pytest.raises(ValueError, match="no atlas bundle"):
+            convergence_report(autonomous_program(tent_map()))

@@ -140,7 +140,7 @@ def test_stage_maps_hold_the_atlas_ends(word):
     # at the hull's interval ends, not equal copies
     bundle = build_limit_map(build_atlas(8, Fraction(1, 2), 4))
     params = StageParams((StageSpec(Block(word), 1),))
-    elem, eta, _ = _fold_unit(bundle, params, 1, 1)
+    elem, eta = _fold_unit(bundle, params, 1, 1)[:2]
     held = {id(v) for iv in bundle.images for v in iv}
     ends = {id(v) for i in bundle.atlas.cylinder(word) for v in bundle.atlas.intervals[i]}
     for m in (elem, eta):

@@ -413,8 +413,19 @@ class TestPrograms:
     def test_every_map_surjective(self, bundle, params):
         prog = build_main_nds(bundle, params)
         for s in prog.stages:
-            for m in s.meta["distinct_maps"]:
+            for m in {id(m): m for m in s.maps}.values():
                 assert is_surjective(m)
+
+    def test_main_stage_record(self, bundle, params):
+        # meta is the record build-nds writes; the image hull is a typed field
+        for s in build_main_nds(bundle, params).stages:
+            assert all(type(v) in (int, str) for v in s.meta.values())
+            k, p = s.meta["k"], s.meta["p"]
+            assert s.image_hull == bundle.atlas.hull(k, (p + 1) % 2 ** k)
+
+    def test_lemma_stage_record(self):
+        for s in lemma_nds(num_stages=3).stages:
+            assert all(type(v) in (int, str) for v in s.meta.values())
 
     def test_bundle_supplies_frontier_and_horizon(self, bundle):
         prog = BlockProgram(stages=(Stage("f", (bundle.f,)),), tail_mode="cycle", bundle=bundle)
@@ -500,7 +511,7 @@ class TestMiddleCylinders:
             stages=(StageSpec(Block("0"), 2), StageSpec(Block("01"), 3))
         )
         prog = build_main_nds(bundle, params)
-        rows, strict = convergence_report(prog, bundle.f)
+        rows, strict = convergence_report(prog)
         assert strict
         assert all(r.within_bound for r in rows)
 

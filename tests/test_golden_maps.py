@@ -186,7 +186,7 @@ def _digest(m) -> str:
 def _stage_digests(bundle, params) -> dict:
     # (elem, eta, psi): the fold step, the plain step and the collapse
     return {
-        stage.label: tuple(_digest(m) for m in stage.meta["distinct_maps"])
+        stage.label: tuple(_digest(m) for m in {id(m): m for m in stage.maps}.values())
         for stage in build_main_nds(bundle, params).stages
     }
 
