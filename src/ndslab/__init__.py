@@ -15,11 +15,9 @@ from .symbolic import (
     all_blocks,
     all_codes,
     canonicalize,
-    code_at_index,
     eta,
     eta_orbit,
     evaluate_e,
-    orbit_index,
     tau,
     theta,
 )

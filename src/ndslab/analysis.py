@@ -256,11 +256,11 @@ class DistalityRow:
 
 
 def _split_depth(a: Code, b: Code) -> int:
-    n = max(a.depth, b.depth) + 1
-    for i, (p, q) in enumerate(zip(a.prefix(n), b.prefix(n)), start=1):
-        if p != q:
-            return i
-    raise ValueError("codes must be distinct")
+    """The first position where a and b differ: the lowest set bit of a XOR b."""
+    x = a.index ^ b.index
+    if not x:
+        raise ValueError("codes must be distinct")
+    return (x & -x).bit_length()
 
 
 def _min_gap(a: tuple, b: tuple) -> Fraction:

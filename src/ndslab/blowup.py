@@ -19,8 +19,9 @@ The layout formulas:
 Codes are laid out in the order of their expansions.  Codes of depth <= D
 differ within their first D+1 letters, so a code's position is its
 (D+1)-prefix read as a binary numeral, first letter most significant; its
-orbit index (``symbolic.orbit_index``) is the other numbering, the one
-``alpha`` shifts by 1, and mod 2^(D+1) it is the position read backwards.
+orbit index (``Code.index``, the code itself read as a 2-adic integer) is
+the other numbering, the one ``alpha`` shifts by 1, and mod 2^(D+1) it is
+the position read backwards.
 For a word w of length n <= D the level-n cylinder of w is the contiguous
 run of intervals from G(w0-bar) to G(w1-bar), both of which are
 represented; the hull J(n, e(w)) is the span of that run.
@@ -35,7 +36,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .plmap import PLMap, _canonical_map, interval_image, is_surjective
-from .symbolic import Code, all_codes, code_at_index, int_to_word, theta
+from .symbolic import Code, all_codes, int_to_word, theta
 
 Interval = tuple[Fraction, Fraction]
 
@@ -70,7 +71,7 @@ class Atlas:
     def code_at(self, i: int) -> Code:
         """The code at position i: its orbit index is i read backwards, less 2^(D+1) at tail 1."""
         width = self.depth + 1
-        return code_at_index(_reverse(i, width) - ((i & 1) << width))
+        return Code(_reverse(i, width) - ((i & 1) << width))
 
     def position(self, c: Code) -> Optional[int]:
         """Index of G(c) in theta-order, the (depth+1)-prefix of c in binary; None if deeper."""
@@ -208,10 +209,6 @@ class LimitMapBundle:
         return self.atlas.code_at(i), (x - l) / (r - l)
 
 
-def _frontier_code(depth: int) -> Code:
-    return Code("1" * depth, 0)
-
-
 def build_limit_map(atlas: Atlas) -> LimitMapBundle:
     """Extend the interval-to-interval adding machine to a continuous f_D.
 
@@ -221,7 +218,7 @@ def build_limit_map(atlas: Atlas) -> LimitMapBundle:
     its true (depth D+1) image, at the theta-proportional position.
     """
     d = atlas.depth
-    frontier = _frontier_code(d)
+    frontier = Code((1 << d) - 1)  # 1^d 0-bar
 
     # Gap that will receive the frontier image: between G(all-zeros) and its
     # theta-successor.  The true image code is 0^d 1 0-bar at theta 2/3^(d+1).

@@ -201,7 +201,9 @@ def load_program(path: str) -> BlockProgram:
             frontier=frontier,
             exact_horizon=d["exact_horizon"],
         )
-    except (OSError, AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+    except (
+        OSError, AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError
+    ) as e:
         raise click.UsageError(f"cannot load program {path}: {e!r}")
 
 

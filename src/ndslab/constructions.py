@@ -32,7 +32,7 @@ from typing import Literal, Optional, Sequence
 
 from .blowup import Atlas, Interval, LimitMapBundle
 from .plmap import PLMap, compose, eval_pl, identity_map, pl_from_points
-from .symbolic import Block, evaluate_e, orbit_index
+from .symbolic import Block, evaluate_e
 
 # ---------------------------------------------------------------------------
 # programs
@@ -60,11 +60,11 @@ class BlockProgram:
     """A time-indexed sequence of maps: finite stages, then a tail policy.
 
     ``tail_mode`` is either ``"repeat"`` (keep applying ``tail_map``) or
-    ``"cycle"`` (wrap around the concatenated stage maps forever).  Programs
-    built on an atlas take the frontier intervals (where the finite-depth
-    limit map is only approximate) and the exact horizon for flagging from
-    their bundle; other programs may give both explicitly, and giving either
-    together with a bundle raises ValueError.
+    ``"cycle"`` (wrap around the concatenated stage maps forever, with no
+    ``tail_map``).  Programs built on an atlas take the frontier intervals
+    (where the finite-depth limit map is only approximate) and the exact
+    horizon for flagging from their bundle; other programs may give both
+    explicitly, and giving either together with a bundle raises ValueError.
     """
 
     stages: tuple[Stage, ...]
@@ -82,8 +82,8 @@ class BlockProgram:
     def __post_init__(self) -> None:
         if self.tail_mode not in ("repeat", "cycle"):
             raise ValueError(f"unknown tail mode {self.tail_mode!r}")
-        if self.tail_mode == "repeat" and self.tail_map is None:
-            raise ValueError("repeat tail needs a map")
+        if (self.tail_mode == "repeat") != (self.tail_map is not None):
+            raise ValueError("a repeat tail needs a map, and a cycle takes none")
         object.__setattr__(
             self, "_schedule", tuple(m for s in self.stages for m in s.maps)
         )
@@ -260,6 +260,12 @@ class StageParams:
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("cylinder block lengths must increase strictly")
 
+    def stage(self, i: int) -> StageSpec:
+        """Stage i, counting from 1; any other index raises ValueError."""
+        if not 1 <= i <= len(self.stages):
+            raise ValueError(f"stage index {i} outside 1..{len(self.stages)}")
+        return self.stages[i - 1]
+
 
 def stack_rel(n: int) -> Fraction:
     """|K^n| / |G| = 1 - 2^(-n-1): increasing to 1, and above 1/3 from n = 1."""
@@ -358,8 +364,8 @@ def build_lambda(bundle: LimitMapBundle, n_block: Block) -> PLMap:
 
 def _visit(bundle: LimitMapBundle, params: StageParams, i: int) -> int:
     """Stage i's visit index p; refused at the frontier code, which f_D sends into a gap."""
-    p = params.stages[i - 1].p
-    if p == orbit_index(bundle.frontier_code):
+    p = params.stage(i).p
+    if p == bundle.frontier_code.index:
         raise ValueError(f"orbit index {p} is the frontier code {bundle.frontier_code}")
     return p
 
@@ -403,7 +409,7 @@ def _fold_unit(
 
     Every eta step of the unit is the same map object.
     """
-    spec = params.stages[i - 1]
+    spec = params.stage(i)
     lam = build_lambda(bundle, spec.block)
     ends = _hull_end_values(bundle, spec.block)
     eta = _holding(compose(bundle.f, lam), ends)
@@ -447,7 +453,7 @@ def build_g1inf(
     bundle: LimitMapBundle, params: StageParams, i: int, n: int
 ) -> BlockProgram:
     """The single-stage periodic probe: fold step, then 2^k - 1 plain steps."""
-    spec = params.stages[i - 1]
+    spec = params.stage(i)
     stage = Stage(
         label=f"g{i}n{n}",
         maps=tuple(_fold_unit(bundle, params, i, n)),
@@ -492,7 +498,7 @@ def times_R(params: StageParams, i: int, m_max: int) -> list[int]:
     """Arithmetic sampling times q - 1 + m * 2^k for one probe stage."""
     if m_max < 1:
         raise ValueError("need at least one time")
-    spec = params.stages[i - 1]
+    spec = params.stage(i)
     step = 2 ** spec.k
     return [spec.q - 1 + m * step for m in range(1, m_max + 1)]
 

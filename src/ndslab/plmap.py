@@ -173,8 +173,9 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     Breakpoints are g's own plus the preimages under g of f's breakpoints,
     emitted piece by piece in x-order, so they need no sort; the result is
     canonical, and a preimage of f's breakpoint k takes the value f.ys[k].
-    Each breakpoint of g is located in f once, as the slice [l, r) of f's
-    breakpoints equal to its value, and serves both pieces it ends.
+    Each breakpoint of g is located in f as the slice [l, r) of f's
+    breakpoints equal to its value, which serves both pieces it ends; its
+    value under f is then a second search, by ``eval_pl``.
     """
     fx, fy = f.xs, f.ys
     pts: list[tuple[Fraction, Fraction]] = []

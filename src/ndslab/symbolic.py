@@ -1,17 +1,17 @@
 """Exact symbolic dynamics on eventually-constant binary sequences.
 
-A point of the binary shift space that ends in a constant tail is stored as a
-``Code``: a finite block of symbols followed by an infinite run of a single
-tail bit.  All points produced by the constructions in this package live in
+A point of the binary shift space that ends in a constant tail, a finite
+block of symbols followed by an infinite run of a single tail bit, is a
+``Code``.  All points produced by the constructions in this package live in
 this countable set, so every operation here is exact and terminating.
 
 Conventions used throughout:
 
 * sequences are one-sided, indexed from position 1;
-* a code is a 2-adic integer, position i weighing 2^(i-1): tail 0 gives
-  its orbit index j = e(block) >= 0, tail 1 gives j = e(block) - 2^depth < 0,
-  and the adding machine ``alpha`` (binary +1, carry running to the right)
-  is j -> j + 1;
+* a code is a 2-adic integer, position i weighing 2^(i-1), and it is stored
+  as that integer, its orbit index j: tail 0 gives j = e(block) >= 0, tail 1
+  gives j = e(block) - 2^depth < 0.  The adding machine ``alpha`` (binary
+  +1, carry running to the right) is j -> j + 1, and ``tau`` is one XOR;
 * ``theta`` embeds codes into the Cantor middle-third set, order-isomorphic
   with the lexicographic order on expansions; codes of depth <= D differ
   within D+1 letters, so their order is that of their (D+1)-prefixes read
@@ -28,7 +28,7 @@ Bit = int  # 0 or 1
 
 
 def _check_bit(b: int) -> int:
-    if b not in (0, 1):
+    if type(b) is not int or b not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {b!r}")
     return b
 
@@ -52,58 +52,52 @@ def int_to_word(m: int, length: int) -> str:
     return format(m, f"0{length}b")[::-1] if length else ""  # format(0, "00b") is "0"
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True)
 class Code:
-    """An eventually-constant binary sequence ``block + tail^inf``.
+    """An eventually-constant binary sequence, stored as its orbit index.
 
-    The canonical form (enforced by :func:`canonicalize`) requires the last
-    letter of ``block`` to differ from ``tail``; the all-zero and all-one
-    sequences have an empty block.  Two codes denote the same sequence iff
-    their canonical forms are equal, so dataclass equality is semantic
-    equality.
+    The sequence c_1 c_2 ... is the 2-adic integer sum c_i 2^(i-1): a tail
+    of zeros gives an index >= 0, a tail of ones an index < 0.  Every int is
+    exactly one such sequence, so dataclass equality is semantic equality.
+    ``block`` and ``tail`` are the canonical form: the shortest block after
+    which the sequence is constant, and that constant.
     """
 
-    block: str
-    tail: Bit
+    index: int
 
     def __post_init__(self) -> None:
-        _check_word(self.block)
-        _check_bit(self.tail)
-        if self.block and int(self.block[-1]) == self.tail:
-            raise ValueError(
-                f"non-canonical code: block {self.block!r} ends with tail bit {self.tail}"
-            )
+        if type(self.index) is not int:  # a bool is an int too, but no code
+            raise ValueError(f"a code is an int orbit index, got {self.index!r}")
+
+    @property
+    def tail(self) -> Bit:
+        return int(self.index < 0)
 
     @property
     def depth(self) -> int:
         """Length of the canonical block (0 for the two constant sequences)."""
-        return len(self.block)
+        return (~self.index if self.index < 0 else self.index).bit_length()
 
-    def symbol(self, i: int) -> Bit:
-        """The i-th letter of the expansion, positions starting at 1."""
-        if i < 1:
-            raise ValueError("positions start at 1")
-        if i <= len(self.block):
-            return int(self.block[i - 1])
-        return self.tail
+    @property
+    def block(self) -> str:
+        return self.prefix(self.depth)
 
     def prefix(self, n: int) -> str:
         """First ``n`` letters of the infinite expansion, as a word."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
-        return self.block[:n] + str(self.tail) * (n - len(self.block))
+        return int_to_word(self.index % (1 << n), n)  # % fills in the tail letters
 
     def starts_with(self, word: str) -> bool:
         """Whether the expansion begins with ``word`` (cylinder membership)."""
-        _check_word(word)
-        return self.prefix(len(word)) == word
+        return word_to_int(_check_word(word)) == self.index % (1 << len(word))
 
     def __str__(self) -> str:
         return f"{self.block}|{self.tail}"
 
 
-ZERO = Code("", 0)   # the all-zero sequence
-ONE = Code("", 1)    # the all-one sequence
+ZERO = Code(0)   # the all-zero sequence
+ONE = Code(-1)   # the all-one sequence
 
 
 @dataclass(frozen=True)
@@ -125,32 +119,29 @@ class Block:
 
 
 def canonicalize(block: str, tail: int) -> Code:
-    """The canonical Code for ``block + tail^inf``: trailing tail letters join the tail."""
+    """The Code of ``block + tail^inf``."""
     _check_word(block)
     _check_bit(tail)
-    return Code(block.rstrip("01"[tail]), tail)
+    return Code(word_to_int(block) - (tail << len(block)))
 
 
 def alpha(c: Code, direction: Literal[1, -1] = 1) -> Code:
     """The adding machine (binary +1 with carry) or its inverse: orbit index + direction."""
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    return code_at_index(orbit_index(c) + direction)
-
-
-_FLIP = str.maketrans("01", "10")
+    return Code(c.index + direction)
 
 
 def tau(n: Block, c: Code) -> Code:
     """The 0-1-after-k-symbols-reversing map for the cylinder of ``n``.
 
     Outside the cylinder it is the identity; inside, the first k symbols are
-    kept and every later symbol is complemented (the tail bit flips).
+    kept and every later symbol is complemented (the tail bit flips): the
+    index is XORed with -2^k, whose ones start at position k+1.
     """
-    k = len(n)
     if not c.starts_with(n.word):
         return c
-    return canonicalize(c.prefix(k) + c.block[k:].translate(_FLIP), 1 - c.tail)
+    return Code(c.index ^ -(1 << len(n)))
 
 
 def eta(n: Block, c: Code) -> Code:
@@ -183,22 +174,6 @@ def theta(c: Code) -> Fraction:
     return Fraction(head + c.tail, 3 ** c.depth)
 
 
-def orbit_index(c: Code) -> int:
-    """The unique j with alpha^j(all-zeros) == c.
-
-    Tail-0 codes are the forward orbit (j = e(block) >= 0), tail-1 codes the
-    backward orbit (j = e(block) - 2^depth < 0).
-    """
-    return word_to_int(c.block) - c.tail * 2 ** c.depth
-
-
-def code_at_index(j: int) -> Code:
-    """Inverse of :func:`orbit_index`."""
-    tail = int(j < 0)
-    d = (~j if tail else j).bit_length()  # least d with -2^d <= j < 2^d
-    return Code(int_to_word(j % 2 ** d, d), tail)
-
-
 def all_codes(max_depth: int) -> list[Code]:
     """All 2^(max_depth+1) canonical codes of depth <= max_depth, sorted by theta.
 
@@ -209,7 +184,7 @@ def all_codes(max_depth: int) -> list[Code]:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     width = max_depth + 1
     words = (format(i, f"0{width}b") for i in range(2 ** width))
-    return [Code(w.rstrip(w[-1]), int(w[-1])) for w in words]
+    return [Code(word_to_int(w) - (int(w[-1]) << width)) for w in words]
 
 
 def all_blocks(k: int) -> Iterator[Block]:

@@ -6,12 +6,17 @@ minimum of ``analysis.distality_report`` and the frontier taint of
 from its own test at every step.  It also evaluates every step,
 where ``dynamics.trajectory`` may look a step up in a memo shared over
 orbits (``distality_report`` shares one over its endpoint orbits).  Then
-come the per-symbol versions of the symbolic layer: ``theta`` as a sum of
-``Fraction``s, ``code_at_index`` as a bit loop, ``alpha`` as the carry
-loop over the block, ``all_codes`` as a level-by-level listing sorted by
-prefix, ``tau`` and ``compare`` symbol by symbol, and the atlas's code lookup
-(``Atlas.position`` and ``Atlas.interval_of``) as ``locate_code``, a bisection
-over the thetas of the atlas codes.  ``Atlas.cylinder`` and
+come the per-symbol versions of the symbolic layer.  A ``Code`` is its
+orbit index, the 2-adic integer its expansion spells; ``code_words`` reads
+the canonical (block, tail) off that integer with a bit loop.  ``symbol``,
+``prefix`` and the symbolic oracles after them read those words, not the
+properties ``Code`` derives from the integer: ``theta`` as a sum of
+``Fraction``s, ``alpha`` as the carry loop over the block, ``all_codes`` as
+a level-by-level listing sorted by prefix, ``tau`` and ``compare`` symbol
+by symbol, and ``split_depth`` (``analysis._split_depth``) as the first
+differing letter of two prefixes.  The atlas's code lookup
+(``Atlas.position`` and ``Atlas.interval_of``) is kept as ``locate_code``, a
+bisection over the thetas of the atlas codes.  ``Atlas.cylinder`` and
 ``Atlas.hull`` are kept as a scan of every code for its prefix, as the run
 from w0-bar to w1-bar and as a table of hulls grouped by prefix at every
 level, and the limit map's values at interval ends as its table of interval
@@ -51,7 +56,7 @@ from ndslab import dynamics
 from ndslab.analysis import PairVerdict
 from ndslab.dynamics import Trajectory
 from ndslab.plmap import PLMap
-from ndslab.symbolic import ONE, ZERO, Block, Code, canonicalize, int_to_word, word_to_int
+from ndslab.symbolic import ONE, ZERO, Block, canonicalize, int_to_word, word_to_int
 
 
 def eval_pl(f, x) -> Fraction:
@@ -167,20 +172,15 @@ def trajectory(program, x, T: int) -> Trajectory:
     return Trajectory(Fraction(x), tuple(values), tainted_from)
 
 
-def theta(c) -> Fraction:
-    d = c.depth
-    head = sum(Fraction(2 * int(ch), 3 ** (i + 1)) for i, ch in enumerate(c.block))
-    return head + Fraction(c.tail, 3 ** d)
-
-
-def code_at_index(j: int):
+def code_words(j: int) -> tuple[str, int]:
+    """The canonical (block, tail) of the code at orbit index j, by a bit loop."""
     if j >= 0:
         bits = ""
         m = j
         while m:
             bits += str(m & 1)
             m >>= 1
-        return canonicalize(bits, 0)
+        return bits, 0
     m = -j
     # smallest depth d with 2^d >= m; block encodes 2^d - m
     d = max(1, m.bit_length() if m & (m - 1) else (m.bit_length() - 1))
@@ -188,26 +188,44 @@ def code_at_index(j: int):
         d += 1
     e = 2 ** d - m
     bits = "".join(str((e >> i) & 1) for i in range(d))
-    return canonicalize(bits, 1)
+    return bits.rstrip("1"), 1
+
+
+def symbol(c, i: int) -> int:
+    """The i-th letter of the expansion of c, positions starting at 1."""
+    block, tail = code_words(c.index)
+    return int(block[i - 1]) if i <= len(block) else tail
+
+
+def prefix(c, n: int) -> str:
+    block, tail = code_words(c.index)
+    return (block + str(tail) * n)[:n]
+
+
+def theta(c) -> Fraction:
+    block, tail = code_words(c.index)
+    head = sum(Fraction(2 * int(ch), 3 ** (i + 1)) for i, ch in enumerate(block))
+    return head + Fraction(tail, 3 ** len(block))
 
 
 def alpha(c, direction: int = 1):
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
+    block, tail = code_words(c.index)
     # Adding looks for the first 0, subtracting for the first 1; positions
     # before the pivot all flip to the carry digit.
     pivot = "0" if direction == 1 else "1"
     fill = "0" if direction == 1 else "1"
-    for i, ch in enumerate(c.block):
+    for i, ch in enumerate(block):
         if ch == pivot:
-            new_block = fill * i + ("1" if direction == 1 else "0") + c.block[i + 1 :]
-            return canonicalize(new_block, c.tail)
-    if str(c.tail) == pivot:
+            new_block = fill * i + ("1" if direction == 1 else "0") + block[i + 1 :]
+            return canonicalize(new_block, tail)
+    if str(tail) == pivot:
         # carry stops at the first tail position
-        new_block = fill * c.depth + ("1" if direction == 1 else "0")
-        return canonicalize(new_block, c.tail)
+        new_block = fill * len(block) + ("1" if direction == 1 else "0")
+        return canonicalize(new_block, tail)
     # No pivot anywhere: the constant sequence rolls over to the other one.
-    return Code("", 1 - c.tail)
+    return canonicalize("", 1 - tail)
 
 
 def all_codes(max_depth: int) -> list:
@@ -216,28 +234,37 @@ def all_codes(max_depth: int) -> list:
         for head in range(2 ** (d - 1)):
             bits = int_to_word(head, d - 1)
             for tail in (0, 1):
-                codes.append(Code(bits + str(1 - tail), tail))
+                codes.append(canonicalize(bits + str(1 - tail), tail))
     width = max_depth + 1
-    codes.sort(key=lambda c: c.prefix(width))
+    codes.sort(key=lambda c: prefix(c, width))
     return codes
 
 
 def tau(n, c):
     k = len(n)
-    if not all(c.symbol(i + 1) == int(ch) for i, ch in enumerate(n.word)):
+    block, tail = code_words(c.index)
+    if not all(symbol(c, i + 1) == int(ch) for i, ch in enumerate(n.word)):
         return c
-    kept = "".join(str(c.symbol(i)) for i in range(1, k + 1))
-    rest = "".join(str(1 - c.symbol(i)) for i in range(k + 1, c.depth + 1))
-    return canonicalize(kept + rest, 1 - c.tail)
+    kept = "".join(str(symbol(c, i)) for i in range(1, k + 1))
+    rest = "".join(str(1 - symbol(c, i)) for i in range(k + 1, len(block) + 1))
+    return canonicalize(kept + rest, 1 - tail)
 
 
 def compare(a, b) -> int:
-    n = max(a.depth, b.depth) + 1
-    ea = tuple(a.symbol(i) for i in range(1, n + 1))
-    eb = tuple(b.symbol(i) for i in range(1, n + 1))
+    n = max(len(code_words(a.index)[0]), len(code_words(b.index)[0])) + 1
+    ea = tuple(symbol(a, i) for i in range(1, n + 1))
+    eb = tuple(symbol(b, i) for i in range(1, n + 1))
     if ea == eb:
         return 0
     return -1 if ea < eb else 1
+
+
+def split_depth(a, b) -> int:
+    n = max(len(code_words(a.index)[0]), len(code_words(b.index)[0])) + 1
+    for i, (p, q) in enumerate(zip(prefix(a, n), prefix(b, n)), start=1):
+        if p != q:
+            return i
+    raise ValueError("codes must be distinct")
 
 
 def locate_code(atlas, c):

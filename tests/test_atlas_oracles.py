@@ -21,7 +21,7 @@ import oracles
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import StageParams, StageSpec, _fold_unit, _holding, build_lambda
 from ndslab.plmap import eval_pl, identity_map
-from ndslab.symbolic import Block, alpha, code_at_index, int_to_word, orbit_index, tau
+from ndslab.symbolic import Block, Code, alpha, int_to_word, tau
 
 small_rhos = st.fractions(min_value=0, max_value=1, max_denominator=100).filter(lambda r: 0 < r < 1)
 wide_rhos = st.integers(2 ** 59, 2 ** 61).flatmap(
@@ -77,9 +77,9 @@ def test_lambda_matches_tau_partners(depth, rho, base, data):
 def test_alpha_adds_one_to_the_reversed_position(depth):
     atlas = build_atlas(depth, Fraction(1, 2), 4)
     width = depth + 1
-    frontier = code_at_index(2 ** depth - 1)
+    frontier = Code(2 ** depth - 1)
     for i, c in enumerate(atlas.codes):
-        assert _rev(i, width) == orbit_index(c) % 2 ** width
+        assert _rev(i, width) == c.index % 2 ** width
         if c != frontier:
             assert atlas.position(alpha(c)) == _rev((_rev(i, width) + 1) % 2 ** width, width)
     assert atlas.position(frontier) == 2 ** width - 2
@@ -109,7 +109,7 @@ def test_interval_at_index_matches_code_lookup(depth):
     atlas = build_atlas(depth, Fraction(1, 2), 4)
     half = 2 ** depth
     for j in range(-half, half):
-        assert atlas.interval_at_index(j) == atlas.interval_of(code_at_index(j))
+        assert atlas.interval_at_index(j) == atlas.interval_of(Code(j))
     # -2^D is 0^D 1-bar at position 1, 2^D - 1 the frontier code 1^D 0-bar
     assert atlas.interval_at_index(-half) == atlas.intervals[1]
     assert atlas.interval_at_index(half - 1) == atlas.intervals[-2]
@@ -117,7 +117,7 @@ def test_interval_at_index_matches_code_lookup(depth):
         with pytest.raises(KeyError):
             atlas.interval_at_index(j)
         with pytest.raises(KeyError):
-            atlas.interval_of(code_at_index(j))
+            atlas.interval_of(Code(j))
 
 
 def test_cylinder_rejects_non_binary_words():

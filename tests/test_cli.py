@@ -471,6 +471,15 @@ BAD_INPUTS = {
     "negative-map-index": (_program_json([-1]), TRAJECTORY_ARGV),
     "negative-tail-map-index": (_program_json([0], -1, "repeat"), TRAJECTORY_ARGV),
     "unknown-tail-mode": (_program_json([0], None, "foo"), TRAJECTORY_ARGV),
+    "cycle-with-tail-map": (_program_json([0], 0, "cycle"), TRAJECTORY_ARGV),
+    "program-map-zero-denominator": (
+        _program_json([0], map_table=[{"x": ["0", "1"], "y": ["0", "1/0"]}]),
+        TRAJECTORY_ARGV,
+    ),
+    "program-frontier-zero-denominator": (
+        _program_json([0], frontier=[["1/4", "1/0"]]),
+        TRAJECTORY_ARGV,
+    ),
     "program-without-maps-trajectory": (_program_json([]), TRAJECTORY_ARGV),
     "program-without-maps-dump-map": (_program_json([]), ["dump-map", "--program"]),
     "ly-scan-without-two-intervals": (

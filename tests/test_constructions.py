@@ -43,7 +43,6 @@ from ndslab.symbolic import (
     canonicalize,
     evaluate_e,
     int_to_word,
-    orbit_index,
     tau,
 )
 
@@ -305,6 +304,18 @@ class TestStageMaps:
         with pytest.raises(ValueError):
             build_phi_stage(bundle, params, 1, 0)
 
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_stage_index_outside_the_stages(self, bundle, params, i):
+        # stages count from 1: index 0 must not wrap round to the last stage
+        for build in (
+            lambda: build_phi_stage(bundle, params, i, 1),
+            lambda: build_psi_stage(bundle, params, i, 1),
+            lambda: build_g1inf(bundle, params, i, 1),
+            lambda: times_R(params, i, 2),
+        ):
+            with pytest.raises(ValueError, match="outside 1..3"):
+                build()
+
     def test_psi_constant_on_stack(self, bundle, params):
         psi = build_psi_stage(bundle, params, 1, 1)
         p = params.stages[0].p
@@ -361,7 +372,7 @@ class TestVisitLimits:
     @pytest.mark.parametrize("depth, p", PAST_THE_HORIZON)
     def test_fold_past_the_horizon_is_exact(self, depth, p):
         bundle = build_limit_map(build_atlas(depth, Fraction(1, 2), 4))
-        assert bundle.exact_horizon < p < orbit_index(bundle.frontier_code)
+        assert bundle.exact_horizon < p < bundle.frontier_code.index
         self._check_fold_is_exact(bundle, Block(int_to_word(p, depth)), 1)
 
     def test_frontier_visit_is_refused(self):

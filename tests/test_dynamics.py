@@ -60,6 +60,13 @@ class TestMapAt:
         with pytest.raises(ValueError, match="tail mode"):
             BlockProgram(stages=lemma_prog.stages, tail_mode="foo")
 
+    def test_cycle_rejects_a_tail_map(self, lemma_prog):
+        # a cycling program never reads its tail map, so giving one is an error
+        with pytest.raises(ValueError, match="cycle takes none"):
+            BlockProgram(
+                stages=lemma_prog.stages, tail_mode="cycle", tail_map=lemma_prog.tail_map
+            )
+
 
 class TestTrajectory:
     def test_lemma_collapse_to_half(self, lemma_prog):

@@ -15,11 +15,9 @@ from ndslab.symbolic import (
     all_blocks,
     all_codes,
     canonicalize,
-    code_at_index,
     eta,
     eta_orbit,
     evaluate_e,
-    orbit_index,
     tau,
     theta,
 )
@@ -39,21 +37,29 @@ def blocks_strategy(max_len=6):
 
 class TestCanonicalize:
     def test_trailing_zeros_absorbed(self):
-        assert canonicalize("100", 0) == Code("1", 0)
+        assert canonicalize("100", 0) == Code(1)
 
     def test_already_canonical(self):
         assert canonicalize("", 1) == ONE
 
     def test_trailing_ones_absorbed(self):
-        assert canonicalize("0111", 1) == Code("0", 1)
+        assert canonicalize("0111", 1) == Code(-2)
 
     def test_rejects_noncanonical_direct_construction(self):
+        # a code is its int orbit index, so every int is canonical and
+        # nothing else is a code
+        for bad in ("10", 1.0, True):
+            with pytest.raises(ValueError):
+                Code(bad)
+
+    @pytest.mark.parametrize("tail", [1.0, True, 2, -1])
+    def test_rejects_tails_that_are_not_int_bits(self, tail):
         with pytest.raises(ValueError):
-            Code("10", 0)
+            canonicalize("1", tail)
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: Block(["1"]), lambda: Code(["1", "0"], 1), lambda: canonicalize(("1",), 0)],
+        [lambda: Block(["1"]), lambda: Code(["1", "0"]), lambda: canonicalize(("1",), 0)],
         ids=["block", "code", "canonicalize"],
     )
     def test_rejects_words_that_are_not_strings(self, build):
@@ -95,23 +101,24 @@ class TestAddingMachine:
 
     def test_orbit_index_increment_depth_10(self):
         for c in all_codes(10):
-            assert orbit_index(alpha(c)) == orbit_index(c) + 1
+            assert alpha(c).index == c.index + 1
 
     def test_orbit_index_examples(self):
-        assert orbit_index(ZERO) == 0
-        assert orbit_index(ONE) == -1
-        assert orbit_index(canonicalize("11", 0)) == 3
+        assert ZERO.index == 0
+        assert ONE.index == -1
+        assert canonicalize("11", 0).index == 3
 
     @given(st.integers(min_value=-300, max_value=300))
     def test_code_at_index_roundtrip(self, j):
-        assert orbit_index(code_at_index(j)) == j
+        c = Code(j)
+        assert canonicalize(c.block, c.tail).index == j
 
     @given(st.integers(min_value=-100, max_value=100), st.integers(-20, 20))
     def test_index_is_equivariant(self, j, k):
-        c = code_at_index(j)
+        c = Code(j)
         for _ in range(abs(k)):
             c = alpha(c, 1 if k >= 0 else -1)
-        assert c == code_at_index(j + k)
+        assert c == Code(j + k)
 
 
 class TestTau:
@@ -203,7 +210,7 @@ class TestTheta:
     def test_series_truncation_brackets_value(self, c):
         # independent oracle: partial sums of sum 2 c_i / 3^i
         n = c.depth + 30
-        partial = sum(Fraction(2 * c.symbol(i), 3 ** i) for i in range(1, n + 1))
+        partial = sum(Fraction(2 * int(ch), 3 ** i) for i, ch in enumerate(c.prefix(n), start=1))
         tail_max = Fraction(1, 3 ** n)
         assert partial <= theta(c) <= partial + tail_max
 

@@ -5,13 +5,18 @@ Binary words and their values have one home in ``symbolic`` (``Code.prefix``,
 ``Atlas.position``.  Each rewritten function is compared here with the
 per-symbol version in ``oracles`` on the constant codes, codes of depth
 0-14, orbit indices around powers of two, and codes deeper than the atlas.
-``alpha``, the index shift ``code_at_index(orbit_index(c) + s)`` and
-``all_codes`` read a code as a number (its orbit index, or its atlas
-position) and are compared with the carry loop and the sorted
-level-by-level listing they replaced.  The symbol-by-symbol comparison of
-expansions is the order that ``theta`` must keep.
+A ``Code`` is its orbit index: its depth, block, tail, prefixes, cylinder
+tests and string are compared with the words that ``oracles.code_words``
+reads off the index with a bit loop.  ``alpha``, the index shift
+``Code(c.index + s)``, ``tau`` and ``all_codes`` read a code as a number
+(its orbit index, or its atlas position) and are compared with the carry
+loop, the per-symbol flip and the sorted level-by-level listing they
+replaced, and ``analysis._split_depth`` with the first differing letter.
+The symbol-by-symbol comparison of expansions is the order that ``theta``
+must keep.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -19,19 +24,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from ndslab.analysis import _split_depth
 from ndslab.blowup import build_atlas
 from ndslab.symbolic import (
     ONE,
     ZERO,
     Block,
+    Code,
     alpha,
     all_blocks,
     all_codes,
     block_successor,
     canonicalize,
-    code_at_index,
     int_to_word,
-    orbit_index,
     tau,
     theta,
     word_to_int,
@@ -49,6 +54,7 @@ near_powers = st.builds(
     st.sampled_from([-1, 0, 1]),
 )
 indices = st.one_of(st.integers(-(2 ** 16), 2 ** 16), near_powers)
+wide_indices = st.one_of(st.integers(-(2 ** 40), 2 ** 40), near_powers)
 # depth 0-40 words with constant runs, so the carry crosses long blocks and
 # reaches the tail
 runs = st.builds(str.__mul__, st.sampled_from("01"), st.integers(1, 40))
@@ -91,7 +97,7 @@ def test_int_to_word_matches_bit_loop(k, data):
 
 @given(codes, st.integers(0, 20))
 def test_prefix_matches_symbols(c, n):
-    assert c.prefix(n) == "".join(str(c.symbol(i)) for i in range(1, n + 1))
+    assert c.prefix(n) == "".join(str(oracles.symbol(c, i)) for i in range(1, n + 1))
 
 
 def test_prefix_rejects_negative_length():
@@ -110,7 +116,46 @@ def test_theta_matches_fraction_sum(c):
 @example(0)
 @example(-1)
 def test_code_at_index_matches_bit_loop(j):
-    assert code_at_index(j) == oracles.code_at_index(j)
+    assert Code(j) == canonicalize(*oracles.code_words(j))
+
+
+@given(wide_indices)
+@example(0)
+@example(-1)
+@example(2 ** 40 - 1)
+@example(-(2 ** 40))
+def test_code_matches_bit_loop_words(j):
+    c = Code(j)
+    block, tail = oracles.code_words(j)
+    assert (c.depth, c.block, c.tail) == (len(block), block, tail)
+    assert str(c) == f"{block}|{tail}"
+    assert canonicalize(c.block, c.tail) == c
+    for n in range(c.depth + 4):
+        word = oracles.prefix(c, n)
+        assert c.prefix(n) == word
+        assert c.starts_with(word)
+        if n:
+            assert not c.starts_with(word[:-1] + "10"[int(word[-1])])
+
+
+def test_all_codes_12_digest():
+    # recorded while a Code still stored its (block, tail) words
+    text = "\n".join(map(str, all_codes(12)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b85f6c329601f3e543f5f959bcc606475991f3371ffabc8cf71ecae86c2e0ee1"
+    )
+
+
+@given(wide_indices, wide_indices)
+@example(0, -1)
+@example(2 ** 40, -(2 ** 40))
+def test_split_depth_matches_first_differing_letter(i, j):
+    a, b = Code(i), Code(j)
+    if i == j:
+        with pytest.raises(ValueError):
+            _split_depth(a, b)
+    else:
+        assert _split_depth(a, b) == oracles.split_depth(a, b)
 
 
 @given(blocks, codes)
@@ -154,7 +199,7 @@ def test_index_shift_matches_repeated_carry_loop(c, steps):
     ref = c
     for _ in range(abs(steps)):
         ref = oracles.alpha(ref, 1 if steps >= 0 else -1)
-    assert code_at_index(orbit_index(c) + steps) == ref
+    assert Code(c.index + steps) == ref
 
 
 @pytest.mark.parametrize("depth", range(0, 14))
