@@ -73,11 +73,19 @@ def _separated(
 
 
 def _greedy(rows: Sequence[Sequence[Fraction]], n: int, epsilon: Fraction) -> list[int]:
-    """Indices of the rows kept by one greedy pass over their first n values."""
+    """Indices of the rows kept by one greedy pass over their first n values.
+
+    A row equal to an earlier row is skipped untested: that row was kept (at
+    distance 0) or was blocked by a chosen row that blocks this one too.
+    """
     kept: list[int] = []
     chosen: list[Sequence[Fraction]] = []
+    first: dict = {}  # first value -> index of the first row that has it
     for i, row in enumerate(rows):
         vx = row[:n]
+        j = first.setdefault(vx[0], i)
+        if j != i and rows[j][:n] == vx:
+            continue
         if _separated(vx, chosen, epsilon):
             chosen.append(vx)
             kept.append(i)

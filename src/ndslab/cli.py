@@ -66,6 +66,15 @@ def _rho(ctx, param, text: str) -> Fraction:
     return rho
 
 
+def _epsilons(ctx, param, texts: tuple) -> tuple:
+    """--epsilon is checked while parsing, so a bad scale fails before any work."""
+    epsilons = tuple(_frac(text) for text in texts)
+    for text, eps in zip(texts, epsilons):
+        if eps <= 0:
+            raise click.BadParameter(f"{text} is not a positive rational")
+    return epsilons
+
+
 def _out_path(ctx, param, path: str) -> str:
     """-o is checked while parsing, so a bad path fails before any work."""
     if Path(path).is_dir() or not Path(path).parent.is_dir():
@@ -300,7 +309,9 @@ def dump_map_cmd(program_path, time_index, grid, out):
 @click.option("--family", type=click.Choice(["lemma", "main", "tent", "identity"]), required=True)
 @_atlas_options()
 @click.option("--times", "times_spec", default="S", show_default=True, help="R, S or 1..n")
-@click.option("--epsilon", multiple=True, help="scales; default family-specific")
+@click.option(
+    "--epsilon", multiple=True, callback=_epsilons, help="scales; default family-specific"
+)
 @click.option("--count", type=int, default=8, show_default=True, help="times to take")
 @click.option("--min-headline", type=float, default=None, help="fail below this")
 @click.option("-o", "out", default="entropy.json", show_default=True, callback=_out_path)
@@ -309,7 +320,7 @@ def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, coun
     program, bundle, params = _configure(family, config_path, depth, rho, base)
     A = _resolve_times(times_spec, params, count, family)
     cands, eps_default = acceptance.entropy_inputs(bundle)
-    epsilons = [_frac(e) for e in epsilon] or [eps_default]
+    epsilons = list(epsilon) or [eps_default]
     n_list = sorted({1, max(1, len(A) // 2), len(A)})
     try:
         table = entropy_estimate(program, A, epsilons, n_list, cands)

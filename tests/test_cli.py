@@ -337,6 +337,16 @@ def test_ly_scan_max_code_depth_exits_2_before_building(
     assert f"max code depth {max_code_depth} outside 0..4" in res.output
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-1/3", "abc", "1/0"])
+def test_entropy_bad_epsilon_exits_2_before_building(runner, tmp_path, monkeypatch, epsilon):
+    monkeypatch.setattr(cli, "_configure", _refuse)
+    argv = ["entropy", "--family", "main", "--epsilon", "1/6", "--epsilon", epsilon]
+    res = runner.invoke(main, argv + ["-o", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert epsilon in res.output
+
+
 @pytest.mark.parametrize("delta", ["0", "-1/4"])
 def test_ly_scan_bad_delta_exits_2_before_drawing(runner, tmp_path, monkeypatch, delta):
     monkeypatch.setattr(acceptance, "random", SimpleNamespace(Random=_refuse))

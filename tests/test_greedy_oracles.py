@@ -5,9 +5,13 @@ both ``greedy_separated`` (which samples every candidate first) and
 ``entropy_estimate``.  It is compared with the count over pre-sampled rows
 and with the sample-then-test loop kept in ``oracles``, on small rational
 rows, duplicate rows, rows exactly epsilon apart (the strict ``>`` must not
-separate them), and on the first value only as well as on whole rows.
+separate them), and on the first value only as well as on whole rows.  A row
+equal to an earlier row on its first n values is skipped without a test, so
+the cases include copies of kept and of rejected rows, rows equal only on
+their first n values, and rows that share only their first value.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,10 +19,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ndslab.acceptance import epsilon_zero, main_candidates
-from ndslab.analysis import _greedy, greedy_separated
+from ndslab.acceptance import autonomous_program, epsilon_zero, main_candidates
+from ndslab.analysis import _greedy, _sample, greedy_separated
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import StageParams, build_main_nds, times_S
+from ndslab.plmap import tent_map
+
+F = Fraction
 
 
 @st.composite
@@ -48,6 +55,18 @@ def _kept_by_count(rows, n, epsilon):
 @example(([], 1, Fraction(1)))
 @example(([[Fraction(0)], [Fraction(1)]], 1, Fraction(1)))
 @example(([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]], 2, Fraction(1, 2)))
+# a copy of a rejected row
+@example(([[F(0), F(0)], [F(1, 4), F(0)], [F(1, 4), F(0)], [F(1), F(1)]], 2, F(1, 2)))
+# equal on the first n < width values, different after them: skipped
+@example(([[F(0), F(0)], [F(3), F(0)], [F(0), F(5)]], 1, F(1)))
+@example(([[F(0), F(0)], [F(1, 2), F(0)], [F(1, 2), F(7)], [F(2), F(0)]], 1, F(1)))
+# the same first value and a different later one: tested in full
+@example(([[F(0), F(0)], [F(0), F(3)], [F(0), F(1, 2)]], 2, F(1)))
+@example(([[F(0), F(0)], [F(1), F(1)], [F(1), F(-2)], [F(1), F(1)]], 2, F(1, 2)))
+# equal values held by distinct Fraction objects
+@example(
+    ([[F(1, 3), F(2, 3)], [F(2, 6), F("4/6")], [F(9, 3), F(1)], [F("3"), F(2, 2)]], 2, F(1, 4))
+)
 def test_greedy_matches_count_oracle(case):
     rows, n, epsilon = case
     kept = _greedy(rows, n, epsilon)
@@ -60,6 +79,49 @@ def test_rows_exactly_epsilon_apart_are_not_separated():
     rows = [[Fraction(0), Fraction(0)], [eps, -eps], [Fraction(0), eps + Fraction(1, 10**9)]]
     assert _greedy(rows, 2, eps) == [0, 2]
     assert _greedy(rows, 1, eps) == [0]
+
+
+@pytest.fixture(scope="module")
+def tent_rows():
+    # x and 1 - x share their row from t = 1 on, so most rows have an earlier copy
+    grid = [Fraction(j, 2 ** 6) for j in range(2 ** 6 + 1)]
+    rows, flagged = _sample(autonomous_program(tent_map()), grid, range(1, 11))
+    assert not flagged
+    assert len({tuple(r) for r in rows}) < len(rows)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_tent_rows_in_any_order_match_count_oracle(tent_rows, seed):
+    rows = list(tent_rows)
+    random.Random(seed).shuffle(rows)
+    for n in (1, 4, 10):
+        assert _greedy(rows, n, Fraction(1, 6)) == _kept_by_count(rows, n, Fraction(1, 6))
+
+
+def test_greedy_hashes_at_most_one_value_per_row(monkeypatch):
+    """The skip hashes each row's first value only.
+
+    Hashing whole rows as tuples cost 0.16 s per n = 8 cell of the
+    entropy-main benchmark workload, and an index of (numerator, denominator)
+    keys mapping to row slices raised its peak_rss_mb by 6% (32.25 to
+    34.18 MB), past the benchmark's 5% bound.
+    """
+    rows = [[F(j % 5, 7), F(j % 3, 2), F(j, 9)] for j in range(30)]
+    rows += [list(r) for r in rows[::2]]
+    expected = _kept_by_count(rows, 2, F(1, 8))
+    hashed = []
+    real_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        hashed.append(self)
+        return real_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    kept = _greedy(rows, 2, F(1, 8))
+    monkeypatch.undo()
+    assert kept == expected
+    assert 0 < len(hashed) <= len(rows)
 
 
 @pytest.fixture(scope="module")
