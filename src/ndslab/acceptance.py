@@ -134,8 +134,11 @@ def grid_in(l: Fraction, r: Fraction, m: int) -> list[Fraction]:
 
 
 def autonomous_program(f, bundle=None) -> BlockProgram:
+    """f at every time, with the frontier and exact horizon of the bundle f comes from."""
     return BlockProgram(
-        stages=(Stage("auto", (f,)),), tail_mode="cycle", bundle=bundle
+        stages=(Stage("auto", (f,)),),
+        frontier=() if bundle is None else tuple(bundle.frontier_intervals()),
+        exact_horizon=None if bundle is None else bundle.exact_horizon,
     )
 
 
@@ -325,7 +328,7 @@ def _main_fixture():
 def criterion_7a(fixture=None):
     """Uniform-convergence envelopes under the hull-image bounds, decreasing."""
     bundle, params, program = fixture or _main_fixture()
-    rows, strict = convergence_report(program)
+    rows, strict = convergence_report(bundle, program)
     for r in rows:
         if not r.within_bound:
             return False, f"{r.label}: envelope {float(r.envelope):.4f} exceeds bound"
@@ -488,9 +491,9 @@ def criterion_8():
 @_criterion("9", "cross-depth model consistency")
 def criterion_9():
     """Unflagged trajectories agree across depths 6 and 7 in orbit coordinates."""
-    progs = {}
+    bundles, progs = {}, {}
     for d in (6, 7):
-        bundle = build_limit_map(build_atlas(d, DEFAULT_RHO, DEFAULT_BASE))
+        bundles[d] = bundle = build_limit_map(build_atlas(d, DEFAULT_RHO, DEFAULT_BASE))
         progs[d] = (build_main_nds(bundle, StageParams()), autonomous_program(bundle.f, bundle))
     starts = [
         (c, rel)
@@ -501,8 +504,8 @@ def criterion_9():
     compared = 0
     for p6, p7 in zip(progs[6], progs[7]):
         for cr in starts:
-            t6 = code_rel_trajectory(p6, cr, horizon)
-            t7 = code_rel_trajectory(p7, cr, horizon)
+            t6 = code_rel_trajectory(bundles[6], p6, cr, horizon)
+            t7 = code_rel_trajectory(bundles[7], p7, cr, horizon)
             if t6 is None or t7 is None:
                 continue
             if t6 != t7 or len(t6) != horizon + 1:

@@ -361,22 +361,21 @@ class ConvergenceRow:
         }
 
 
-def convergence_report(program: BlockProgram) -> tuple[list[ConvergenceRow], bool]:
+def convergence_report(
+    bundle: LimitMapBundle, program: BlockProgram
+) -> tuple[list[ConvergenceRow], bool]:
     """Per-stage uniform-distance envelopes against the bundle's limit map.
 
     The envelope of a stage is the largest sup-distance between any of its
     maps and the limit; when the stage carries an image hull the envelope is
     compared against that hull's length.  Returns the rows and whether the
-    envelopes decrease strictly; a program without a bundle raises ValueError.
+    envelopes decrease strictly.
     """
-    if program.bundle is None:
-        raise ValueError("program carries no atlas bundle")
-    limit = program.bundle.f
     rows: list[ConvergenceRow] = []
     for s in program.stages:
         # stage maps are shared objects: dedupe by identity
         maps = {id(m): m for m in s.maps}.values()
-        env = max(sup_distance(m, limit) for m in maps)
+        env = max(sup_distance(m, bundle.f) for m in maps)
         bound = None if s.image_hull is None else s.image_hull[1] - s.image_hull[0]
         rows.append(
             ConvergenceRow(

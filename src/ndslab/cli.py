@@ -66,13 +66,16 @@ def _rho(ctx, param, text: str) -> Fraction:
     return rho
 
 
-def _epsilons(ctx, param, texts: tuple) -> tuple:
-    """--epsilon is checked while parsing, so a bad scale fails before any work."""
-    epsilons = tuple(_frac(text) for text in texts)
-    for text, eps in zip(texts, epsilons):
-        if eps <= 0:
-            raise click.BadParameter(f"{text} is not a positive rational")
-    return epsilons
+class _PositiveRational(click.ParamType):
+    """A scale such as --epsilon or --delta, checked while parsing, so it fails before any work."""
+
+    name = "p/q"
+
+    def convert(self, value, param, ctx) -> Fraction:
+        scale = _frac(value)
+        if scale <= 0:
+            self.fail(f"{param.name} must be positive, not {value}", param, ctx)
+        return scale
 
 
 def _out_path(ctx, param, path: str) -> str:
@@ -178,7 +181,7 @@ def _program_json(program: BlockProgram) -> dict:
     ]
     return {
         "stages": stages,
-        "tail_mode": program.tail_mode,
+        "tail_mode": "cycle" if program.tail_map is None else "repeat",
         "tail_map": None if program.tail_map is None else ref(program.tail_map),
         "map_table": [m.to_json_dict() for m in maps],
         "frontier": [[str(l), str(r)] for l, r in program.frontier],
@@ -202,10 +205,11 @@ def load_program(path: str) -> BlockProgram:
             for s in d["stages"]
         )
         tail = None if d["tail_map"] is None else pick(d["tail_map"])
+        if d["tail_mode"] != ("cycle" if tail is None else "repeat"):
+            raise ValueError(f"tail mode {d['tail_mode']!r}: repeat needs a tail map, cycle none")
         frontier = tuple((Fraction(l), Fraction(r)) for l, r in d["frontier"])
         return BlockProgram(
             stages=stages,
-            tail_mode=d["tail_mode"],
             tail_map=tail,
             frontier=frontier,
             exact_horizon=d["exact_horizon"],
@@ -216,23 +220,23 @@ def load_program(path: str) -> BlockProgram:
         raise click.UsageError(f"cannot load program {path}: {e!r}")
 
 
-def _resolve_times(spec: str, params: StageParams, count: int, family: str) -> list[int]:
-    if spec in ("S", "R") and family != "main":
-        raise click.UsageError(
-            f"times {spec} are defined by the main family's stages; "
-            f"use 1..n for family {family!r}"
-        )
-    try:
-        if spec == "S":
-            return times_S(params, count)
-        if spec == "R":
-            return times_R(params, 1, count)
-        if spec.startswith("1.."):
-            n = int(spec[3:])
-            if n >= 1:
-                return list(range(1, n + 1))
-    except ValueError as e:
-        raise click.UsageError(f"times {spec!r}: {e}")
+def _check_times(spec: str, count: int, family: str) -> list[int] | None:
+    """The times 1..n, or None for S and R, whose times need the stage params.
+
+    Checked before any build: the spec, and the family and count of S and R.
+    """
+    if spec in ("S", "R"):
+        if family != "main":
+            raise click.UsageError(
+                f"times {spec} are defined by the main family's stages; "
+                f"use 1..n for family {family!r}"
+            )
+        if count < 1:
+            raise click.UsageError(f"times {spec!r}: need at least one time")
+        return None
+    n = spec[3:]
+    if spec.startswith("1..") and n.isdecimal() and int(n) >= 1:
+        return list(range(1, int(n) + 1))
     raise click.UsageError(f"unknown times spec {spec!r} (use R, S or 1..n with n >= 1)")
 
 
@@ -259,7 +263,7 @@ def build_atlas_cmd(depth, rho, base, out):
 @_atlas_options()
 @click.option("-o", "out", default="program.json", show_default=True, callback=_out_path)
 def build_nds_cmd(family, depth, rho, base, config_path, out):
-    """Build a block program and write it (maps included) as JSON."""
+    """Build a block program and write its maps, tail and exactness bounds as JSON."""
     program, _, _ = _configure(family, config_path, depth, rho, base)
     _dump_json(out, _program_json(program))
     click.echo(
@@ -310,22 +314,24 @@ def dump_map_cmd(program_path, time_index, grid, out):
 @_atlas_options()
 @click.option("--times", "times_spec", default="S", show_default=True, help="R, S or 1..n")
 @click.option(
-    "--epsilon", multiple=True, callback=_epsilons, help="scales; default family-specific"
+    "--epsilon", type=_PositiveRational(), multiple=True, help="scales; default family-specific"
 )
 @click.option("--count", type=int, default=8, show_default=True, help="times to take")
 @click.option("--min-headline", type=float, default=None, help="fail below this")
 @click.option("-o", "out", default="entropy.json", show_default=True, callback=_out_path)
 def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, count, min_headline, out):
     """Greedy separated-set entropy table for a program."""
+    A = _check_times(times_spec, count, family)
     program, bundle, params = _configure(family, config_path, depth, rho, base)
-    A = _resolve_times(times_spec, params, count, family)
+    if A is None:
+        try:
+            A = times_S(params, count) if times_spec == "S" else times_R(params, 1, count)
+        except ValueError as e:  # a count beyond the configured stages
+            raise click.UsageError(f"times {times_spec!r}: {e}")
     cands, eps_default = acceptance.entropy_inputs(bundle)
     epsilons = list(epsilon) or [eps_default]
     n_list = sorted({1, max(1, len(A) // 2), len(A)})
-    try:
-        table = entropy_estimate(program, A, epsilons, n_list, cands)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    table = entropy_estimate(program, A, epsilons, n_list, cands)
     _dump_json(out, table.to_json_dict())
     click.echo(f"headline {table.headline:.6g} -> {out}")
     if min_headline is not None and table.headline < min_headline:
@@ -334,9 +340,11 @@ def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, coun
 
 @main.command("ly-scan")
 @_atlas_options()
-@click.option("--pairs", type=int, default=1000, show_default=True)
+@click.option("--pairs", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--max-code-depth", type=int, default=2, show_default=True)
-@click.option("--delta", default=None, help="closeness scale; default eps0/4")
+@click.option(
+    "--delta", type=_PositiveRational(), default=None, help="closeness scale; default eps0/4"
+)
 @click.option("--seed", type=int, default=11, show_default=True)
 @click.option("-o", "out", default="ly_scan.json", show_default=True, callback=_out_path)
 def ly_scan_cmd(depth, rho, base, config_path, pairs, max_code_depth, delta, seed, out):
@@ -345,12 +353,7 @@ def ly_scan_cmd(depth, rho, base, config_path, pairs, max_code_depth, delta, see
     if not 0 <= max_code_depth <= depth:
         raise click.UsageError(f"max code depth {max_code_depth} outside 0..{depth}")
     program, bundle, _ = _configure("main", config_path, depth, rho, base)
-    try:
-        dl, counts = acceptance.ly_scan(
-            bundle, program, pairs, max_code_depth, _frac(delta) if delta else None, seed
-        )
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    dl, counts = acceptance.ly_scan(bundle, program, pairs, max_code_depth, delta, seed)
     payload = {
         "delta": str(dl),
         "horizon": program.stage_length,
@@ -384,14 +387,14 @@ def settle_scan_cmd(depth, rho, base, config_path, out):
 @click.option("-o", "out", default="distality.json", show_default=True, callback=_out_path)
 def distality_cmd(depth, rho, base, config_path, max_code_depth, steps, out):
     """Verify split-depth gap bounds for interval pairs."""
-    # distality_scan checks m too, but only once the atlas is built
+    # distality_scan checks m and the steps too, but only once the atlas is
+    # built; its exact horizon is 2^(depth-1)
     if not 0 <= max_code_depth < depth:
         raise click.UsageError(f"max code depth {max_code_depth} outside 0..{depth - 1}")
+    if steps is not None and not 0 <= steps <= 2 ** (depth - 1):
+        raise click.UsageError(f"steps {steps} outside 0..{2 ** (depth - 1)}")
     program, bundle, _ = _configure("main", config_path, depth, rho, base)
-    try:
-        T, rows = acceptance.distality_scan(bundle, program, max_code_depth, steps)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    T, rows = acceptance.distality_scan(bundle, program, max_code_depth, steps)
     bad = [r for r in rows if not r.ok]
     _dump_json(out, {"steps": T, "rows": [r.to_json_dict() for r in rows]})
     click.echo(f"{len(rows) - len(bad)}/{len(rows)} pairs hold -> {out}")
@@ -404,8 +407,8 @@ def distality_cmd(depth, rho, base, config_path, max_code_depth, steps, out):
 @click.option("-o", "out", default="convergence.json", show_default=True, callback=_out_path)
 def convergence_cmd(depth, rho, base, config_path, out):
     """Per-stage uniform-distance envelopes against the limit map."""
-    program, _, _ = _configure("main", config_path, depth, rho, base)
-    rows, strict = convergence_report(program)
+    program, bundle, _ = _configure("main", config_path, depth, rho, base)
+    rows, strict = convergence_report(bundle, program)
     payload = {
         "rows": [r.to_json_dict() for r in rows],
         "strictly_decreasing": strict,

@@ -18,8 +18,8 @@ cylinder's visit point and psi_{i,n} collapses it to the centre of the next
 blown interval.  K^n has the fixed relative length 1 - 2^(-n-1) of its blown
 interval (stack_rel); only the stage blocks and repeat counts are configurable.
 
-All maps are exact PLMaps; programs are finite stage lists plus an explicit
-tail policy so that the map at any time t >= 1 is well defined.
+All maps are exact PLMaps; programs are finite stage lists plus a tail map,
+or none to cycle, so that the map at any time t >= 1 is well defined.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index
-from typing import Literal, Optional, Sequence
+from typing import Optional, Sequence
 
 from .blowup import Atlas, Interval, LimitMapBundle
 from .plmap import PLMap, compose, eval_pl, identity_map, pl_from_points
@@ -57,20 +57,18 @@ class Stage:
 
 @dataclass(frozen=True)
 class BlockProgram:
-    """A time-indexed sequence of maps: finite stages, then a tail policy.
+    """A time-indexed sequence of maps: finite stages, then a tail.
 
-    ``tail_mode`` is either ``"repeat"`` (keep applying ``tail_map``) or
-    ``"cycle"`` (wrap around the concatenated stage maps forever, with no
-    ``tail_map``).  Programs built on an atlas take the frontier intervals
-    (where the finite-depth limit map is only approximate) and the exact
-    horizon for flagging from their bundle; other programs may give both
-    explicitly, and giving either together with a bundle raises ValueError.
+    After the stages the program keeps applying ``tail_map``, or, when it
+    has none, cycles through the concatenated stage maps forever.
+    ``frontier`` lists the intervals where the maps are only approximate
+    and ``exact_horizon`` the last exact time; a program built on an atlas
+    copies both from its bundle.  Diagnostics that need the atlas take the
+    bundle as an argument.
     """
 
     stages: tuple[Stage, ...]
-    tail_mode: Literal["repeat", "cycle"]
     tail_map: Optional[PLMap] = None
-    bundle: Optional[LimitMapBundle] = None
     frontier: tuple[Interval, ...] = ()
     exact_horizon: Optional[int] = None
     # the stage maps in time order, so map_at is one index
@@ -80,20 +78,11 @@ class BlockProgram:
     _tails: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.tail_mode not in ("repeat", "cycle"):
-            raise ValueError(f"unknown tail mode {self.tail_mode!r}")
-        if (self.tail_mode == "repeat") != (self.tail_map is not None):
-            raise ValueError("a repeat tail needs a map, and a cycle takes none")
         object.__setattr__(
             self, "_schedule", tuple(m for s in self.stages for m in s.maps)
         )
         if not self._schedule:
             raise ValueError("a program needs at least one map in its stages")
-        if self.bundle is not None:
-            if self.frontier or self.exact_horizon is not None:
-                raise ValueError("a program takes its frontier and exact horizon from its bundle")
-            object.__setattr__(self, "frontier", tuple(self.bundle.frontier_intervals()))
-            object.__setattr__(self, "exact_horizon", self.bundle.exact_horizon)
         if self.exact_horizon is not None and _count(self.exact_horizon, "exact_horizon") < 0:
             raise ValueError("exact_horizon must be >= 0")
         if not all(0 <= l <= r <= 1 for l, r in self.frontier):
@@ -109,7 +98,7 @@ class BlockProgram:
             raise ValueError("time starts at 1")
         idx = t - 1
         if idx >= len(self._schedule):
-            if self.tail_mode == "repeat":
+            if self.tail_map is not None:
                 return self.tail_map
             idx %= len(self._schedule)
         return self._schedule[idx]
@@ -208,9 +197,7 @@ def lemma_nds(num_stages: int = 5, repeats: Optional[Sequence[int]] = None) -> B
                 meta={"k": k, "repeats": r},
             )
         )
-    return BlockProgram(
-        stages=tuple(stages), tail_mode="repeat", tail_map=stages[-1].maps[-1]
-    )
+    return BlockProgram(stages=tuple(stages), tail_map=stages[-1].maps[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +446,11 @@ def build_g1inf(
         maps=tuple(_fold_unit(bundle, params, i, n)),
         meta={"i": i, "n": n, "k": spec.k, "p": spec.p},
     )
-    return BlockProgram(stages=(stage,), tail_mode="cycle", bundle=bundle)
+    return BlockProgram(
+        stages=(stage,),
+        frontier=tuple(bundle.frontier_intervals()),
+        exact_horizon=bundle.exact_horizon,
+    )
 
 
 def build_main_nds(bundle: LimitMapBundle, params: StageParams) -> BlockProgram:
@@ -490,7 +481,10 @@ def build_main_nds(bundle: LimitMapBundle, params: StageParams) -> BlockProgram:
         expected = spec.a * 2 ** spec.k + 1
         assert len(maps) == expected
     return BlockProgram(
-        stages=tuple(stages), tail_mode="repeat", tail_map=bundle.f, bundle=bundle
+        stages=tuple(stages),
+        tail_map=bundle.f,
+        frontier=tuple(bundle.frontier_intervals()),
+        exact_horizon=bundle.exact_horizon,
     )
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .blowup import LimitMapBundle
 from .constructions import BlockProgram
 from .plmap import eval_pl
 
@@ -71,20 +72,17 @@ def trajectory(
 
 
 def code_rel_trajectory(
-    program: BlockProgram, code_rel: tuple, T: int
+    bundle: LimitMapBundle, program: BlockProgram, code_rel: tuple, T: int
 ) -> Optional[list[tuple[str, Fraction]]]:
     """Trajectory in (code, relative position) coordinates, or None if tainted.
 
-    The start is given as (Code, rel in [0,1]); the result lists, for each
-    time, the blown interval's code string and the exact relative position
-    inside it, and stops where the orbit leaves the blown intervals.  A
-    frontier-tainted trajectory gives None; the others have coordinates
-    independent of the atlas depth, which makes them the right object for
-    model-consistency comparisons across depths.
+    The start is given as (Code, rel in [0,1]) on the bundle's atlas; the
+    result lists, for each time, the blown interval's code string and the
+    exact relative position inside it, and stops where the orbit leaves the
+    blown intervals.  A frontier-tainted trajectory gives None; the others
+    have coordinates independent of the atlas depth, which makes them the
+    right object for model-consistency comparisons across depths.
     """
-    bundle = program.bundle
-    if bundle is None:
-        raise ValueError("program carries no atlas bundle")
     traj = trajectory(program, bundle.point_at(*code_rel), T)
     if traj.tainted:
         return None

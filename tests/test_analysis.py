@@ -112,9 +112,7 @@ class TestGreedy:
     def test_horizon_flag_matches_rho(self):
         # the flag follows the times that rho_{n,A} samples: a time beyond
         # the exact horizon is inexact even when no trajectory is tainted
-        prog = BlockProgram(
-            stages=(Stage("id", (identity_map(),)),), tail_mode="cycle", exact_horizon=2
-        )
+        prog = BlockProgram(stages=(Stage("id", (identity_map(),)),), exact_horizon=2)
         cands = [Fraction(0), Fraction(1)]
         reps = [greedy_separated(prog, cands, [1, 2, 3], n, Fraction(1, 2)) for n in (1, 2, 3)]
         assert [r.flagged for r in reps] == [False, False, True]
@@ -205,8 +203,7 @@ class TestEventualConstancy:
         t0, v = res
         assert v == Fraction(1, 2) and t0 <= 2  # block one is phi_1, psi_1
 
-    def test_moving_point_does_not_settle(self, main_prog):
-        bundle = main_prog.bundle
+    def test_moving_point_does_not_settle(self, bundle, main_prog):
         c0 = sum(bundle.atlas.interval_of(ZERO)) / 2
         assert eventual_constancy(main_prog, c0, 30) is None
 
@@ -233,15 +230,12 @@ class TestDistality:
 class TestConvergence:
     def test_autonomous_limit_is_zero(self, bundle):
         prog = autonomous_program(bundle.f, bundle)
-        rows, strict = convergence_report(prog)
+        rows, strict = convergence_report(bundle, prog)
         assert rows[0].envelope == 0
 
     def test_main_envelopes(self, bundle, main_prog):
-        rows, strict = convergence_report(main_prog)
+        rows, strict = convergence_report(bundle, main_prog)
         assert strict
         for r in rows:
             assert r.within_bound
 
-    def test_program_without_bundle_raises(self):
-        with pytest.raises(ValueError, match="no atlas bundle"):
-            convergence_report(autonomous_program(tent_map()))

@@ -6,11 +6,15 @@ import math
 from fractions import Fraction
 from types import SimpleNamespace
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from ndslab import acceptance, cli, constructions
+from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.cli import load_program, main
+from ndslab.dynamics import code_rel_trajectory
+from ndslab.symbolic import all_codes
 
 
 @pytest.fixture()
@@ -39,6 +43,42 @@ def test_build_atlas_deterministic(runner, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "family",
+    [["main", "--depth", "5"], ["lemma"], ["tent"]],
+    ids=["main-depth-5", "lemma", "tent"],
+)
+def test_program_reads_back_as_built(runner, tmp_path, family):
+    path = tmp_path / "prog.json"
+    res = runner.invoke(main, ["build-nds", "--family", *family, "-o", str(path)])
+    assert res.exit_code == 0, res.output
+    built, _, _ = cli._configure(
+        family[0], None, 5, acceptance.DEFAULT_RHO, acceptance.DEFAULT_BASE
+    )
+    loaded = load_program(str(path))
+    horizon = 2 * built.stage_length + 1
+    for t in range(1, horizon + 1):
+        assert loaded.map_at(t) == built.map_at(t)
+    assert loaded.tail_map == built.tail_map
+    assert (loaded.frontier, loaded.exact_horizon) == (built.frontier, built.exact_horizon)
+    # every program's orbits read in the depth-5 atlas's coordinates
+    bundle = build_limit_map(build_atlas(5, acceptance.DEFAULT_RHO, acceptance.DEFAULT_BASE))
+    for c in all_codes(2):
+        start = (c, Fraction(1, 3))
+        got = code_rel_trajectory(bundle, loaded, start, horizon)
+        assert got == code_rel_trajectory(bundle, built, start, horizon)
+
+
+@pytest.mark.parametrize(
+    "tail_map, tail_mode", [(None, "foo"), (0, "foo"), (None, "repeat"), (0, "cycle")]
+)
+def test_load_program_refuses_a_tail_mode_that_does_not_fit(tmp_path, tail_map, tail_mode):
+    path = tmp_path / "prog.json"
+    path.write_text(_program_json([0], tail_map, tail_mode))
+    with pytest.raises(click.UsageError, match="tail mode"):
+        load_program(str(path))
+
+
 def test_build_atlas_rejects_bad_rho(runner, tmp_path):
     res = runner.invoke(
         main, ["build-atlas", "--rho", "7/2", "-o", str(tmp_path / "x.json")]
@@ -55,7 +95,7 @@ def test_program_roundtrip_and_trajectory(runner, tmp_path):
     assert res.exit_code == 0, res.output
     prog = load_program(str(prog_path))
     assert prog.exact_horizon == 2 ** 4
-    assert prog.tail_mode == "repeat"
+    assert prog.tail_map is not None
 
     csv_path = tmp_path / "traj.csv"
     res = runner.invoke(
@@ -265,6 +305,29 @@ GOLDEN_ARTEFACTS = {
         ["build-atlas", "--depth", "5", "--rho", "99/100", "--base", "9"],
         "6bf4e100a2b1730d1c52c539d23ada663f02939eb18f0b4ebdf269e58a7eb0a3",
     ),
+    # the program artefact, recorded while a program still held its tail mode
+    # and its bundle: these pin "tail_mode", "frontier" and "exact_horizon"
+    # as well as the stages and the map table
+    "build-nds-main-depth-6": (
+        ["build-nds", "--family", "main", "--depth", "6"],
+        "20bf7e9e41f5d93c76d07740c5ff77b1171cd2c79511d5ef6680c5730fc09288",
+    ),
+    "build-nds-main-depth-8": (
+        ["build-nds", "--family", "main", "--depth", "8"],
+        "5e3d8e35274f0450800161cb71cd42005f3566206e3125b86f2313100ba5cb01",
+    ),
+    "build-nds-lemma": (
+        ["build-nds", "--family", "lemma"],
+        "7979e89e978270f3e06e938c0db5069b6700a666170b6afa9feed7a33b6492e0",
+    ),
+    "build-nds-tent": (
+        ["build-nds", "--family", "tent"],
+        "77c26e535f75e4276f1711c2d45f02c716d1ee5c873bdc11ea74b6407b09258e",
+    ),
+    "build-nds-identity": (
+        ["build-nds", "--family", "identity"],
+        "138c1a3807460ce865e76efdd4077dff4331fbf5f4ea899175edfa3849daefbf",
+    ),
 }
 
 
@@ -335,6 +398,54 @@ def test_ly_scan_max_code_depth_exits_2_before_building(
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert f"max code depth {max_code_depth} outside 0..4" in res.output
+
+
+# option values that their command refuses before anything is built
+EARLY_REFUSALS = {
+    "entropy-times-not-a-range": ["entropy", "--family", "main", "--times", "1..x"],
+    "entropy-times-range-empty": ["entropy", "--family", "main", "--times", "1..0"],
+    "entropy-times-unknown": ["entropy", "--family", "main", "--times", "T"],
+    "entropy-times-S-outside-main": ["entropy", "--family", "tent", "--times", "S"],
+    "entropy-times-R-outside-main": ["entropy", "--family", "lemma", "--times", "R"],
+    "entropy-times-S-count-zero": ["entropy", "--family", "main", "--count", "0"],
+    "entropy-times-R-count-negative": [
+        "entropy", "--family", "main", "--times", "R", "--count", "-2"
+    ],
+    "ly-scan-pairs-zero": ["ly-scan", "--pairs", "0"],
+    "ly-scan-pairs-negative": ["ly-scan", "--pairs", "-5"],
+    "ly-scan-delta-zero": ["ly-scan", "--delta", "0"],
+    "ly-scan-delta-negative": ["ly-scan", "--delta", "-1/4"],
+    "ly-scan-delta-not-rational": ["ly-scan", "--delta", "abc"],
+    "distality-steps-negative": ["distality", "--steps", "-1"],
+    "distality-steps-beyond-horizon": ["distality", "--steps", "5000"],
+    "distality-steps-beyond-horizon-depth-6": ["distality", "--depth", "6", "--steps", "33"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EARLY_REFUSALS))
+def test_bad_option_exits_2_before_building(runner, tmp_path, monkeypatch, case):
+    monkeypatch.setattr(cli, "_configure", _refuse)
+    res = runner.invoke(main, EARLY_REFUSALS[case] + ["-o", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_distality_steps_at_the_horizon_reach_the_build(runner, tmp_path, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli, "_configure", reached)
+    argv = ["distality", "--depth", "6", "--steps", "32", "-o", str(tmp_path / "out")]
+    assert isinstance(runner.invoke(main, argv).exception, Reached)
+
+
+def test_entropy_count_is_unused_by_a_range(runner, tmp_path):
+    argv = ["entropy", "--family", "identity", "--times", "1..3", "--count", "0"]
+    res = runner.invoke(main, argv + ["-o", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-1/3", "abc", "1/0"])
@@ -481,7 +592,9 @@ BAD_INPUTS = {
     "negative-map-index": (_program_json([-1]), TRAJECTORY_ARGV),
     "negative-tail-map-index": (_program_json([0], -1, "repeat"), TRAJECTORY_ARGV),
     "unknown-tail-mode": (_program_json([0], None, "foo"), TRAJECTORY_ARGV),
+    "unknown-tail-mode-with-tail-map": (_program_json([0], 0, "foo"), TRAJECTORY_ARGV),
     "cycle-with-tail-map": (_program_json([0], 0, "cycle"), TRAJECTORY_ARGV),
+    "repeat-without-tail-map": (_program_json([0], None, "repeat"), TRAJECTORY_ARGV),
     "program-map-zero-denominator": (
         _program_json([0], map_table=[{"x": ["0", "1"], "y": ["0", "1/0"]}]),
         TRAJECTORY_ARGV,

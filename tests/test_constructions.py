@@ -6,10 +6,9 @@ import pytest
 
 import oracles
 from oracles import cylinder_codes
+from ndslab.acceptance import autonomous_program
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import (
-    BlockProgram,
-    Stage,
     StageParams,
     StageSpec,
     build_g1inf,
@@ -387,7 +386,7 @@ class TestVisitLimits:
 class TestPrograms:
     def test_g1inf_shape(self, bundle, params):
         prog = build_g1inf(bundle, params, 1, 1)
-        assert prog.tail_mode == "cycle"
+        assert prog.tail_map is None  # it cycles
         assert len(prog.stages[0].maps) == 2
         lam = build_lambda(bundle, params.stages[0].block)
         elem = compose(build_phi_stage(bundle, params, 1, 1), lam)
@@ -438,24 +437,17 @@ class TestPrograms:
         for s in lemma_nds(num_stages=3).stages:
             assert all(type(v) in (int, str) for v in s.meta.values())
 
-    def test_bundle_supplies_frontier_and_horizon(self, bundle):
-        prog = BlockProgram(stages=(Stage("f", (bundle.f,)),), tail_mode="cycle", bundle=bundle)
-        assert prog.frontier == tuple(bundle.frontier_intervals())
-        assert prog.exact_horizon == bundle.exact_horizon == 2 ** 7
-
-    def test_bundle_with_explicit_exact_horizon_raises(self, bundle):
-        with pytest.raises(ValueError, match="from its bundle"):
-            BlockProgram(
-                stages=(Stage("f", (bundle.f,)),), tail_mode="cycle", bundle=bundle,
-                exact_horizon=3,
-            )
-
-    def test_bundle_with_explicit_frontier_raises(self, bundle):
-        with pytest.raises(ValueError, match="from its bundle"):
-            BlockProgram(
-                stages=(Stage("f", (bundle.f,)),), tail_mode="cycle", bundle=bundle,
-                frontier=((Fraction(0), Fraction(1, 2)),),
-            )
+    def test_bundle_supplies_frontier_and_horizon(self, bundle, params):
+        # every builder on an atlas copies both from its bundle
+        for prog in (
+            build_main_nds(bundle, params),
+            build_g1inf(bundle, params, 1, 1),
+            autonomous_program(bundle.f, bundle),
+        ):
+            assert prog.frontier == tuple(bundle.frontier_intervals())
+            assert prog.exact_horizon == bundle.exact_horizon == 2 ** 7
+        plain = autonomous_program(bundle.f)
+        assert (plain.frontier, plain.exact_horizon) == ((), None)
 
     def test_stage_validation(self):
         with pytest.raises(ValueError):
@@ -522,7 +514,7 @@ class TestMiddleCylinders:
             stages=(StageSpec(Block("0"), 2), StageSpec(Block("01"), 3))
         )
         prog = build_main_nds(bundle, params)
-        rows, strict = convergence_report(prog)
+        rows, strict = convergence_report(bundle, prog)
         assert strict
         assert all(r.within_bound for r in rows)
 

@@ -15,7 +15,7 @@ from ndslab.constructions import (
     lemma_psi,
 )
 from ndslab.dynamics import code_rel_trajectory, trajectory
-from ndslab.symbolic import ZERO, all_codes, canonicalize
+from ndslab.symbolic import all_codes, canonicalize
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +24,12 @@ def lemma_prog():
 
 
 @pytest.fixture(scope="module")
-def main_prog():
-    bundle = build_limit_map(build_atlas(6, Fraction(1, 2), 4))
+def bundle():
+    return build_limit_map(build_atlas(6, Fraction(1, 2), 4))
+
+
+@pytest.fixture(scope="module")
+def main_prog(bundle):
     return build_main_nds(bundle, StageParams())
 
 
@@ -45,7 +49,7 @@ class TestMapAt:
 
     def test_matches_flat_schedule(self, lemma_prog):
         flat = [m for s in lemma_prog.stages for m in s.maps]
-        cycled = BlockProgram(stages=lemma_prog.stages, tail_mode="cycle")
+        cycled = BlockProgram(stages=lemma_prog.stages)
         for t in range(1, 3 * len(flat) + 1):
             i = t - 1
             assert cycled.map_at(t) is flat[i % len(flat)]
@@ -56,16 +60,6 @@ class TestMapAt:
         with pytest.raises(ValueError):
             lemma_prog.map_at(0)
 
-    def test_rejects_unknown_tail_mode(self, lemma_prog):
-        with pytest.raises(ValueError, match="tail mode"):
-            BlockProgram(stages=lemma_prog.stages, tail_mode="foo")
-
-    def test_cycle_rejects_a_tail_map(self, lemma_prog):
-        # a cycling program never reads its tail map, so giving one is an error
-        with pytest.raises(ValueError, match="cycle takes none"):
-            BlockProgram(
-                stages=lemma_prog.stages, tail_mode="cycle", tail_map=lemma_prog.tail_map
-            )
 
 
 class TestTrajectory:
@@ -94,8 +88,7 @@ class TestTrajectory:
             assert [fl for *_, fl in traj.rows()] == [any(hit[:t]) for t in range(41)]
             assert traj.tainted_from == first
 
-    def test_frontier_taints(self, main_prog):
-        bundle = main_prog.bundle
+    def test_frontier_taints(self, bundle, main_prog):
         l, r = bundle.atlas.interval_of(bundle.frontier_code)
         traj = trajectory(main_prog, (l + r) / 2, 3)
         assert traj.tainted_from == 1 and traj.tainted
@@ -108,10 +101,9 @@ class TestTrajectory:
 
 
 class TestCodeRelCoordinates:
-    def test_matches_absolute_dynamics(self, main_prog):
-        bundle = main_prog.bundle
+    def test_matches_absolute_dynamics(self, bundle, main_prog):
         for c in all_codes(2):
-            seq = code_rel_trajectory(main_prog, (c, Fraction(1, 3)), 8)
+            seq = code_rel_trajectory(bundle, main_prog, (c, Fraction(1, 3)), 8)
             x = bundle.point_at(c, Fraction(1, 3))
             traj = trajectory(main_prog, x, 8)
             assert len(seq) == 9
@@ -120,12 +112,7 @@ class TestCodeRelCoordinates:
                 l, r = bundle.atlas.interval_of(canonicalize(block, int(tail)))
                 assert l + rel * (r - l) == v
 
-    def test_tainted_orbit_gives_none(self, main_prog):
-        bundle = main_prog.bundle
+    def test_tainted_orbit_gives_none(self, bundle, main_prog):
         start = (bundle.frontier_code, Fraction(1, 2))
         assert trajectory(main_prog, bundle.point_at(*start), 3).tainted
-        assert code_rel_trajectory(main_prog, start, 3) is None
-
-    def test_requires_bundle(self, lemma_prog):
-        with pytest.raises(ValueError):
-            code_rel_trajectory(lemma_prog, (ZERO, Fraction(1, 2)), 3)
+        assert code_rel_trajectory(bundle, main_prog, start, 3) is None

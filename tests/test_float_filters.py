@@ -188,7 +188,7 @@ class TestDistalityMinimum:
         points = {Fraction(0): Fraction(1, 2), Fraction(1): Fraction(1, 2)}
         points.update((e, Fraction(1, k + 2)) for k, e in enumerate(ends))
         f = pl_from_points(points.items())
-        prog = BlockProgram(stages=(Stage("s", (f,)),), tail_mode="cycle")
+        prog = BlockProgram(stages=(Stage("s", (f,)),))
         pairs = list(combinations(all_codes(2), 2))
         interval_of = bundle.atlas.interval_of
         for T in (1, 2):
@@ -236,7 +236,6 @@ def memo_programs(draw):
     c = draw(st.sampled_from([l, r, (l + r) / 2, draw(rationals01)]))
     return BlockProgram(
         stages=(Stage("s", (f, constant_map(c), g, constant_map(c))),),
-        tail_mode="cycle",
         frontier=((l, r),),
     )
 
@@ -257,7 +256,6 @@ class TestStepMemo:
         up, down = pl_from_points([(0, 0), (1, 1)]), pl_from_points([(0, 1), (1, 0)])
         prog = BlockProgram(
             stages=(Stage("s", (up, constant_map(third), down, constant_map(third))),),
-            tail_mode="cycle",
             frontier=((Fraction(1, 4), third),),
         )
         steps: dict = {}
@@ -281,7 +279,6 @@ class TestFrontierTaint:
         hit = min(max(l + k * TINY, Fraction(0)), Fraction(1))
         prog = BlockProgram(
             stages=(Stage("s", (f, constant_map(hit), f)),),
-            tail_mode="cycle",
             frontier=((l, r),),
         )
         for x in _near([l, r]):

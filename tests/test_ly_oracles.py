@@ -37,7 +37,7 @@ deltas = st.fractions(min_value=Fraction(1, 997), max_value=1, max_denominator=9
 
 
 def _program(maps) -> BlockProgram:
-    return BlockProgram(stages=(Stage("s", tuple(maps)),), tail_mode="cycle")
+    return BlockProgram(stages=(Stage("s", tuple(maps)),))
 
 
 programs = st.lists(crowded_plmaps(), min_size=1, max_size=3).map(_program)
