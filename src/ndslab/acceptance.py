@@ -284,15 +284,14 @@ def criterion_5():
             continue
         if interval_image(bundle.f, *iv) != atlas.interval_of(alpha(c)):
             return False, f"interval action wrong at {c}"
-    act = verify_orbit_action(bundle, bundle.exact_horizon)
-    if not act["ok"]:
-        return False, f"orbit action fails at step {act['first_failure']}"
-    full = []
+    failure = verify_orbit_action(bundle, bundle.exact_horizon)
+    if failure is not None:
+        return False, f"orbit action fails at step {failure}"
     for n in range(1, 11):
-        rep = verify_hull_periodicity(bundle, n)
-        if not rep["ok"]:
-            return False, f"hull cycle broken at level {n}, step {rep['first_failure']}"
-        full.append(rep["certified_full_cycle"])
+        failure = verify_hull_periodicity(bundle, n)
+        if failure is not None:
+            return False, f"hull cycle broken at level {n}, step {failure}"
+    full = sum(2 ** n <= bundle.exact_horizon for n in range(1, 11))
     for n in range(1, 10):
         for k in range(2 ** n):
             for bit in (0, 1):
@@ -300,7 +299,7 @@ def criterion_5():
                     return False, f"nesting broken at ({n},{k},{bit})"
     return True, (
         "order, deep-cylinder bijection, interval action, "
-        f"hull cycles (full cycles certified up to level {sum(full)}), nesting"
+        f"hull cycles (full cycles certified up to level {full}), nesting"
     )
 
 
@@ -449,7 +448,7 @@ def distality_scan(
     bundle, program, max_code_depth: int = 4, steps: Optional[int] = None
 ) -> tuple[int, list[DistalityRow]]:
     """(steps, rows) of ``distality_report`` over all pairs of distinct codes
-    of depth <= max_code_depth; steps default to 2^(D-2) at atlas depth D.
+    of depth <= max_code_depth; steps default to half the exact horizon.
 
     A max_code_depth outside 0..D-1 raises ValueError before any code is listed.
     """
@@ -457,14 +456,14 @@ def distality_scan(
     if not 0 <= max_code_depth < D:
         raise ValueError(f"max code depth {max_code_depth} outside 0..{D - 1}")
     if steps is None:
-        steps = 2 ** (D - 2)
+        steps = bundle.exact_horizon // 2
     pairs = list(combinations(all_codes(max_code_depth), 2))
     return steps, distality_report(bundle, program, pairs, steps)
 
 
 @_criterion("7e", "distality of interval pairs")
 def criterion_7e(fixture=None):
-    """Distality floor for interval pairs of depth <= 4 over 2^(D-2) steps."""
+    """Distality floor for interval pairs of depth <= 4 over half the exact horizon."""
     bundle, params, program = fixture or _main_fixture()
     _, rows = distality_scan(bundle, program)
     bad = [r for r in rows if not r.ok]

@@ -16,12 +16,11 @@ The layout formulas:
 * G(all-zeros) starts at 0 and G(all-ones) ends at 1, so the pieces tile
   [0,1] exactly and f_D is surjective.
 
-Codes are laid out in the order of their expansions.  Codes of depth <= D
-differ within their first D+1 letters, so a code's position is its
-(D+1)-prefix read as a binary numeral, first letter most significant; its
-orbit index (``Code.index``, the code itself read as a 2-adic integer) is
-the other numbering, the one ``alpha`` shifts by 1, and mod 2^(D+1) it is
-the position read backwards.
+Codes are laid out in the order of their expansions, so G(c) is
+``intervals[symbolic.position(c, D)]`` and the code of the i-th interval is
+``symbolic.code_at(i, D)``: the position is the (D+1)-prefix read as a
+binary numeral, first letter most significant, and the orbit index
+(``Code.index``, the one ``alpha`` shifts by 1) mod 2^(D+1) read backwards.
 For a word w of length n <= D the level-n cylinder of w is the contiguous
 run of intervals from G(w0-bar) to G(w1-bar), both of which are
 represented; the hull J(n, e(w)) is the span of that run.
@@ -36,17 +35,9 @@ from operator import itemgetter
 from typing import Optional
 
 from .plmap import PLMap, _canonical_map, interval_image, is_surjective
-from .symbolic import Code, all_codes, int_to_word, theta
+from .symbolic import Code, _reverse, all_codes, code_at, int_to_word, position, theta
 
 Interval = tuple[Fraction, Fraction]
-
-
-def _reverse(i: int, width: int) -> int:
-    """The width-letter binary numeral of i read backwards.
-
-    It takes an atlas position to its code's orbit index mod 2^width, and back.
-    """
-    return int(format(i, f"0{width}b")[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -68,32 +59,9 @@ class Atlas:
         """The codes in position order, built anew on each access (the atlas keeps none)."""
         return tuple(all_codes(self.depth))
 
-    def code_at(self, i: int) -> Code:
-        """The code at position i: its orbit index is i read backwards, less 2^(D+1) at tail 1."""
-        width = self.depth + 1
-        return Code(_reverse(i, width) - ((i & 1) << width))
-
-    def position(self, c: Code) -> Optional[int]:
-        """Index of G(c) in theta-order, the (depth+1)-prefix of c in binary; None if deeper."""
-        return int(c.prefix(self.depth + 1), 2) if c.depth <= self.depth else None
-
     def interval_of(self, c: Code) -> Interval:
         """G(c); a code deeper than the atlas raises KeyError."""
-        i = self.position(c)
-        if i is None:
-            raise KeyError(f"code {c} exceeds atlas depth {self.depth}")
-        return self.intervals[i]
-
-    def interval_at_index(self, j: int) -> Interval:
-        """G at orbit index j (j-th forward/backward image of the base code).
-
-        The codes of depth <= D have the orbit indices -2^D <= j < 2^D, and
-        the position of index j is j mod 2^(D+1) read backwards.
-        """
-        width = self.depth + 1
-        if not -(1 << self.depth) <= j < 1 << self.depth:
-            raise KeyError(f"orbit index {j} exceeds atlas depth {self.depth}")
-        return self.intervals[_reverse(j % (1 << width), width)]
+        return self.intervals[position(c, self.depth)]
 
     def find_g(self, x: Fraction) -> Optional[int]:
         """Index in theta-order of the G containing x, or None (gap point)."""
@@ -206,7 +174,7 @@ class LimitMapBundle:
         if i is None:
             return None
         l, r = self.atlas.intervals[i]
-        return self.atlas.code_at(i), (x - l) / (r - l)
+        return code_at(i, self.atlas.depth), (x - l) / (r - l)
 
 
 def build_limit_map(atlas: Atlas) -> LimitMapBundle:
@@ -224,7 +192,7 @@ def build_limit_map(atlas: Atlas) -> LimitMapBundle:
     # theta-successor.  The true image code is 0^d 1 0-bar at theta 2/3^(d+1).
     gap_lo = atlas.intervals[0][1]
     gap_hi = atlas.intervals[1][0]
-    th_lo, th_hi = theta(atlas.code_at(0)), theta(atlas.code_at(1))
+    th_lo, th_hi = theta(code_at(0, d)), theta(code_at(1, d))
     th_true = Fraction(2, 3 ** (d + 1))
     center = gap_lo + (th_true - th_lo) / (th_hi - th_lo) * (gap_hi - gap_lo)
     true_len = atlas.rho * Fraction(1, atlas.weight_base ** (d + 1)) / atlas.total_weight
@@ -233,7 +201,7 @@ def build_limit_map(atlas: Atlas) -> LimitMapBundle:
 
     # alpha adds 1 to the orbit index, which is the position read backwards;
     # the intervals are in x-order, so the points need no sort
-    n, fpos = atlas.size, atlas.position(frontier)
+    n, fpos = atlas.size, position(frontier, d)
     rev = [_reverse(i, d + 1) for i in range(n)]
     images = tuple(
         frontier_image if i == fpos else atlas.intervals[rev[(rev[i] + 1) % n]] for i in range(n)
@@ -254,32 +222,33 @@ def build_limit_map(atlas: Atlas) -> LimitMapBundle:
     )
 
 
-def verify_orbit_action(bundle: LimitMapBundle, steps: int) -> dict:
+def verify_orbit_action(bundle: LimitMapBundle, steps: int) -> Optional[int]:
     """Iterate G(all-zeros) by interval images and match against the orbit.
 
-    Returns ``{"ok": bool, "steps": int, "first_failure": Optional[int]}``;
-    raises if ``steps`` exceeds the exact horizon.
+    Returns the first step m at which the image is not G(alpha^m(all-zeros)),
+    or None; raises if ``steps`` exceeds the exact horizon.
     """
     if steps > bundle.exact_horizon:
         raise ValueError(
             f"steps {steps} beyond exact horizon {bundle.exact_horizon}"
         )
-    cur = bundle.atlas.interval_at_index(0)
+    atlas = bundle.atlas
+    cur = atlas.interval_of(Code(0))
     for m in range(1, steps + 1):
         cur = interval_image(bundle.f, *cur)
-        if cur != bundle.atlas.interval_at_index(m):
-            return {"ok": False, "steps": steps, "first_failure": m}
-    return {"ok": True, "steps": steps, "first_failure": None}
+        if cur != atlas.interval_of(Code(m)):
+            return m
+    return None
 
 
-def verify_hull_periodicity(bundle: LimitMapBundle, n: int) -> dict:
+def verify_hull_periodicity(bundle: LimitMapBundle, n: int) -> Optional[int]:
     """Check the level-n hull cycle J(n,0) -> J(n,1) -> ... -> J(n,0).
 
-    Follows set images of J(n,0) for min(2^n, exact horizon) steps.  When the
-    full cycle fits inside the horizon the return time is certified to be
-    exactly 2^n (the hulls at one level are pairwise disjoint, so no earlier
-    return is possible); otherwise the checked prefix must agree with the
-    cyclic pattern.
+    Follows set images of J(n,0) for min(2^n, exact horizon) steps and
+    returns the first step that leaves the cyclic pattern, or None.  When the
+    full cycle fits inside the horizon (2^n <= exact horizon) a pass
+    certifies the return time to be exactly 2^n: the hulls at one level are
+    pairwise disjoint, so no earlier return is possible.
     """
     atlas = bundle.atlas
     if not 1 <= n <= atlas.depth:
@@ -289,15 +258,9 @@ def verify_hull_periodicity(bundle: LimitMapBundle, n: int) -> dict:
     cur = atlas.hull(n, 0)
     for m in range(1, steps + 1):
         cur = interval_image(bundle.f, *cur)
-        expected = atlas.hull(n, m % period)
-        if cur != expected:
-            return {"ok": False, "level": n, "first_failure": m, "certified_full_cycle": False}
-    return {
-        "ok": True,
-        "level": n,
-        "first_failure": None,
-        "certified_full_cycle": period <= bundle.exact_horizon,
-    }
+        if cur != atlas.hull(n, m % period):
+            return m
+    return None
 
 
 def hull_nesting_holds(atlas: Atlas, n: int, k: int, bit: int) -> bool:

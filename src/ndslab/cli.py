@@ -274,7 +274,7 @@ def build_nds_cmd(family, depth, rho, base, config_path, out):
 @main.command("trajectory")
 @click.option("--program", "program_path", required=True)
 @click.option("--x", "x_text", required=True, help="start point p/q")
-@click.option("--steps", type=int, required=True)
+@click.option("--steps", type=click.IntRange(min=0), required=True)
 @click.option("-o", "out", default="trajectory.csv", show_default=True, callback=_out_path)
 def trajectory_cmd(program_path, x_text, steps, out):
     """Iterate a point and write t,value_num,value_den,flag rows."""
@@ -282,8 +282,6 @@ def trajectory_cmd(program_path, x_text, steps, out):
     x = _frac(x_text)
     if not 0 <= x <= 1:
         raise click.UsageError("start point must lie in [0,1]")
-    if steps < 0:
-        raise click.UsageError("steps must be >= 0")
     traj = trajectory(program, x, steps)
     lines = ["t,value_num,value_den,flag"]
     lines += [f"{t},{n},{d},{int(fl)}" for t, n, d, fl in traj.rows()]
@@ -293,16 +291,12 @@ def trajectory_cmd(program_path, x_text, steps, out):
 
 @main.command("dump-map")
 @click.option("--program", "program_path", required=True)
-@click.option("--t", "time_index", type=int, default=1, show_default=True)
-@click.option("--grid", type=int, default=256, show_default=True)
+@click.option("--t", "time_index", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--grid", type=click.IntRange(min=1), default=256, show_default=True)
 @click.option("-o", "out", default="map.csv", show_default=True, callback=_out_path)
 def dump_map_cmd(program_path, time_index, grid, out):
     """Sample the map applied at time t on a uniform grid, as x,y CSV."""
     program = load_program(program_path)
-    if time_index < 1:
-        raise click.UsageError("time starts at 1")
-    if grid < 1:
-        raise click.UsageError("grid must be >= 1")
     f = program.map_at(time_index)
     lines = ["x,y"] + [f"{x},{y}" for x, y in graph_samples(f, grid)]
     Path(out).write_text("\n".join(lines) + "\n")
@@ -383,7 +377,7 @@ def settle_scan_cmd(depth, rho, base, config_path, out):
 @main.command("distality")
 @_atlas_options()
 @click.option("--max-code-depth", type=int, default=4, show_default=True)
-@click.option("--steps", type=int, default=None, help="default 2^(depth-2)")
+@click.option("--steps", type=int, default=None, help="default: half the exact horizon")
 @click.option("-o", "out", default="distality.json", show_default=True, callback=_out_path)
 def distality_cmd(depth, rho, base, config_path, max_code_depth, steps, out):
     """Verify split-depth gap bounds for interval pairs."""

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .blowup import Atlas, Interval, LimitMapBundle
 from .plmap import PLMap, compose, eval_pl, identity_map, pl_from_points
-from .symbolic import Block, evaluate_e
+from .symbolic import Block, Code, evaluate_e
 
 # ---------------------------------------------------------------------------
 # programs
@@ -269,7 +269,7 @@ def build_k_interval(bundle: LimitMapBundle, n: int, j: int) -> Interval:
     if n < 0:
         raise ValueError("stack level must be >= 0")
     try:
-        l, r = bundle.atlas.interval_at_index(j)
+        l, r = bundle.atlas.interval_of(Code(j))
     except KeyError as e:
         raise ValueError(f"orbit index {j} is not in the atlas") from e
     rel = stack_rel(n)  # level 0 is legal here: it serves as the fold divider

@@ -15,14 +15,16 @@ Conventions used throughout:
 * ``theta`` embeds codes into the Cantor middle-third set, order-isomorphic
   with the lexicographic order on expansions; codes of depth <= D differ
   within D+1 letters, so their order is that of their (D+1)-prefixes read
-  as binary numerals, first letter most significant.
+  as binary numerals, first letter most significant.  That numeral is the
+  code's place (``position``; ``code_at`` inverts it), the orbit index mod
+  2^(D+1) read backwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal
+from typing import Iterator
 
 Bit = int  # 0 or 1
 
@@ -125,11 +127,9 @@ def canonicalize(block: str, tail: int) -> Code:
     return Code(word_to_int(block) - (tail << len(block)))
 
 
-def alpha(c: Code, direction: Literal[1, -1] = 1) -> Code:
-    """The adding machine (binary +1 with carry) or its inverse: orbit index + direction."""
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    return Code(c.index + direction)
+def alpha(c: Code) -> Code:
+    """The adding machine, binary +1 with carry: orbit index + 1."""
+    return Code(c.index + 1)
 
 
 def tau(n: Block, c: Code) -> Code:
@@ -174,17 +174,43 @@ def theta(c: Code) -> Fraction:
     return Fraction(head + c.tail, 3 ** c.depth)
 
 
+def _reverse(i: int, width: int) -> int:
+    """The width-letter binary numeral of i read backwards.
+
+    It takes a code's place in theta order to its orbit index mod 2^width, and back.
+    """
+    return int(format(i, f"0{width}b")[::-1], 2)
+
+
+def position(c: Code, max_depth: int) -> int:
+    """The place of ``c`` among the codes of depth <= max_depth in theta order.
+
+    It is the (max_depth+1)-prefix read as a binary numeral, first letter most
+    significant: the orbit index mod 2^(max_depth+1) read backwards.  A
+    deeper code has no place and raises KeyError.
+    """
+    if c.depth > max_depth:
+        raise KeyError(f"code {c} exceeds depth {max_depth}")
+    width = max_depth + 1
+    return _reverse(c.index % (1 << width), width)
+
+
+def code_at(i: int, max_depth: int) -> Code:
+    """The code at place i: its orbit index is i read backwards, less 2^(max_depth+1) at tail 1."""
+    width = max_depth + 1
+    return Code(_reverse(i, width) - ((i & 1) << width))
+
+
 def all_codes(max_depth: int) -> list[Code]:
     """All 2^(max_depth+1) canonical codes of depth <= max_depth, sorted by theta.
 
-    The code at position i has the (max_depth+1)-letter binary numeral of i
-    as its prefix, and that prefix's last letter as its tail.
+    The code at place i is ``code_at(i, max_depth)``, written in line to save
+    a call per code.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     width = max_depth + 1
-    words = (format(i, f"0{width}b") for i in range(2 ** width))
-    return [Code(word_to_int(w) - (int(w[-1]) << width)) for w in words]
+    return [Code(_reverse(i, width) - ((i & 1) << width)) for i in range(1 << width)]
 
 
 def all_blocks(k: int) -> Iterator[Block]:

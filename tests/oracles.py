@@ -15,12 +15,13 @@ properties ``Code`` derives from the integer: ``theta`` as a sum of
 a level-by-level listing sorted by prefix, ``tau`` and ``compare`` symbol
 by symbol, and ``split_depth`` (``analysis._split_depth``) as the first
 differing letter of two prefixes.  The atlas's code lookup
-(``Atlas.position`` and ``Atlas.interval_of``) is kept as ``locate_code``, a
-bisection over the thetas of the atlas codes.  ``Atlas.cylinder`` and
-``Atlas.hull`` are kept as a scan of every code for its prefix, as the run
-from w0-bar to w1-bar and as a table of hulls grouped by prefix at every
-level, and the limit map's values at interval ends as its table of interval
-images.  The set-up that now works on integers and positions is kept in
+(``symbolic.position`` and ``Atlas.interval_of``) is kept as
+``locate_code``, a bisection over the thetas of the atlas codes.
+``Atlas.cylinder`` and ``Atlas.hull`` are kept as a scan of every code for
+its prefix, as the run from w0-bar to w1-bar with its places found in the
+sorted listing of ``all_codes``, and as a table of hulls grouped by prefix
+at every level, and the limit map's values at interval ends as its table of
+interval images.  The set-up that now works on integers and positions is kept in
 its ``Fraction`` and ``Code`` form: ``build_atlas``'s layout as the sum of
 ``Fraction`` lengths and gaps, ``build_limit_map``'s points as one
 ``alpha`` image per code, then sorted, and ``build_lambda``'s partner of
@@ -336,8 +337,9 @@ def tau_partner(atlas, word: str, c):
 
 
 def cylinder_run(atlas, word: str) -> range:
-    """Positions from G(w0-bar) to G(w1-bar)."""
-    return range(atlas.position(canonicalize(word, 0)), atlas.position(canonicalize(word, 1)) + 1)
+    """Positions from G(w0-bar) to G(w1-bar), read off the sorted listing."""
+    codes = all_codes(atlas.depth)
+    return range(codes.index(canonicalize(word, 0)), codes.index(canonicalize(word, 1)) + 1)
 
 
 def separated(row, chosen, epsilon) -> bool:

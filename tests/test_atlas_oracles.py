@@ -7,8 +7,9 @@ of the position.  Each is compared here with the ``Fraction`` and ``Code``
 version in ``oracles`` over rho drawn with small and ~60-bit denominators,
 weight bases 2-9 and depths 1-9; the position identities themselves are
 checked on every code at small depths.  The atlas keeps no codes
-(``Atlas.code_at`` builds one from its position), and the stage maps hold
-the bundle's own interval ends as their values at the hull's ends.
+(``symbolic.code_at`` builds one from its position, checked against the
+sorted listing in ``oracles``), and the stage maps hold the bundle's own
+interval ends as their values at the hull's ends.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ import oracles
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import StageParams, StageSpec, _fold_unit, _holding, build_lambda
 from ndslab.plmap import eval_pl, identity_map
-from ndslab.symbolic import Block, Code, alpha, int_to_word, tau
+from ndslab.symbolic import Block, Code, alpha, code_at, int_to_word, position, tau
 
 small_rhos = st.fractions(min_value=0, max_value=1, max_denominator=100).filter(lambda r: 0 < r < 1)
 wide_rhos = st.integers(2 ** 59, 2 ** 61).flatmap(
@@ -81,8 +82,8 @@ def test_alpha_adds_one_to_the_reversed_position(depth):
     for i, c in enumerate(atlas.codes):
         assert _rev(i, width) == c.index % 2 ** width
         if c != frontier:
-            assert atlas.position(alpha(c)) == _rev((_rev(i, width) + 1) % 2 ** width, width)
-    assert atlas.position(frontier) == 2 ** width - 2
+            assert position(alpha(c), depth) == _rev((_rev(i, width) + 1) % 2 ** width, width)
+    assert position(frontier, depth) == 2 ** width - 2
 
 
 @pytest.mark.parametrize("depth", range(1, 9))
@@ -94,7 +95,7 @@ def test_tau_flips_the_low_bits_of_the_position(depth):
             continue
         flip = 2 ** (depth + 1 - len(word)) - 1
         for i in atlas.cylinder(word):
-            assert atlas.position(tau(Block(word), codes[i])) == i ^ flip
+            assert position(tau(Block(word), codes[i]), depth) == i ^ flip
 
 
 @pytest.mark.parametrize("depth", range(1, 9))
@@ -108,14 +109,14 @@ def test_cylinder_matches_canonical_run(depth):
 def test_interval_at_index_matches_code_lookup(depth):
     atlas = build_atlas(depth, Fraction(1, 2), 4)
     half = 2 ** depth
+    places = {c: i for i, c in enumerate(oracles.all_codes(depth))}
     for j in range(-half, half):
-        assert atlas.interval_at_index(j) == atlas.interval_of(Code(j))
-    # -2^D is 0^D 1-bar at position 1, 2^D - 1 the frontier code 1^D 0-bar
-    assert atlas.interval_at_index(-half) == atlas.intervals[1]
-    assert atlas.interval_at_index(half - 1) == atlas.intervals[-2]
+        assert atlas.interval_of(Code(j)) == atlas.intervals[places[Code(j)]]
+    # G at orbit index j is G(Code(j)); -2^D is 0^D 1-bar at position 1 and
+    # 2^D - 1 the frontier code 1^D 0-bar
+    assert atlas.interval_of(Code(-half)) == atlas.intervals[1]
+    assert atlas.interval_of(Code(half - 1)) == atlas.intervals[-2]
     for j in (half, -half - 1):
-        with pytest.raises(KeyError):
-            atlas.interval_at_index(j)
         with pytest.raises(KeyError):
             atlas.interval_of(Code(j))
 
@@ -131,7 +132,7 @@ def test_cylinder_rejects_non_binary_words():
 def test_code_at_matches_all_codes(depth):
     atlas = build_atlas(depth, Fraction(1, 2), 4)
     codes = oracles.all_codes(depth)
-    assert [atlas.code_at(i) for i in range(atlas.size)] == codes == list(atlas.codes)
+    assert [code_at(i, depth) for i in range(atlas.size)] == codes == list(atlas.codes)
 
 
 @pytest.mark.parametrize("word", ["0", "1", "011", "111"])

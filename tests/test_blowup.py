@@ -14,7 +14,16 @@ from ndslab.blowup import (
     verify_orbit_action,
 )
 from ndslab.plmap import interval_image, is_surjective
-from ndslab.symbolic import ZERO, ONE, all_codes, alpha, canonicalize, int_to_word, theta
+from ndslab.symbolic import (
+    ZERO,
+    ONE,
+    all_codes,
+    alpha,
+    canonicalize,
+    int_to_word,
+    position,
+    theta,
+)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +77,8 @@ class TestAtlasLayout:
         assert atlas8.interval_of(ZERO) == atlas8.intervals[0]
         assert atlas8.interval_of(ONE) == atlas8.intervals[-1]
         deep = canonicalize("0" * 9 + "1", 0)
-        assert atlas8.position(deep) is None
+        with pytest.raises(KeyError):
+            position(deep, 8)
         with pytest.raises(KeyError):
             atlas8.interval_of(deep)
 
@@ -118,8 +128,7 @@ class TestLimitMap:
         assert gap_lo < lo < hi < gap_hi
 
     def test_orbit_action_full_horizon(self, bundle8):
-        rep = verify_orbit_action(bundle8, bundle8.exact_horizon)
-        assert rep["ok"] and rep["first_failure"] is None
+        assert verify_orbit_action(bundle8, bundle8.exact_horizon) is None
 
     def test_orbit_action_horizon_guard(self, bundle8):
         with pytest.raises(ValueError):
@@ -136,9 +145,7 @@ class TestLimitMap:
 class TestHulls:
     def test_periodicity_all_levels(self, bundle8):
         for n in range(1, 9):
-            rep = verify_hull_periodicity(bundle8, n)
-            assert rep["ok"], rep
-            assert rep["certified_full_cycle"] == (2 ** n <= bundle8.exact_horizon)
+            assert verify_hull_periodicity(bundle8, n) is None
 
     def test_nesting(self, atlas8):
         for n in range(1, 8):

@@ -251,6 +251,16 @@ def test_distality_command_small(runner, tmp_path):
     assert all(r["ok"] for r in data["rows"])
 
 
+def test_distality_default_steps_at_depth_1(runner, tmp_path):
+    # half the exact horizon 2^(D-1) is 0 steps at depth 1, an int
+    config, out = tmp_path / "c.json", tmp_path / "d.json"
+    config.write_text('{"stages": [{"block": "0", "a": 1}]}')
+    argv = ["distality", "--depth", "1", "--max-code-depth", "0", "--config", str(config)]
+    res = runner.invoke(main, argv + ["-o", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(out.read_text())["steps"] == 0
+
+
 # SHA-256 of the artefact each command writes, recorded before the CLI handed
 # its candidate grids, scales and distality pairs to ``acceptance``; a command
 # that gathers different inputs or writes them differently fails here
@@ -628,6 +638,8 @@ BAD_INPUTS = {
         _program_json([0]),
         ["trajectory", "--x", "1/3", "--steps", "-1", "--program"],
     ),
+    "dump-map-time-zero": (_program_json([0]), ["dump-map", "--t", "0", "--program"]),
+    "dump-map-grid-zero": (_program_json([0]), ["dump-map", "--grid", "0", "--program"]),
     "bad-times-range": (None, ["entropy", "--family", "identity", "--times", "1..x"]),
     "more-times-than-stages": (
         None,
@@ -683,6 +695,16 @@ def test_bad_config_exits_2_before_building(runner, tmp_path, monkeypatch, case)
     for name in ("build_atlas", "build_main_nds"):
         monkeypatch.setattr(cli, name, _refuse)
     monkeypatch.setattr(acceptance, "autonomous_program", _refuse)
+    res = _invoke_case(runner, tmp_path, case)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "case", ["trajectory-negative-steps", "dump-map-time-zero", "dump-map-grid-zero"]
+)
+def test_bad_count_exits_2_before_reading_the_program(runner, tmp_path, monkeypatch, case):
+    monkeypatch.setattr(cli, "load_program", _refuse)
     res = _invoke_case(runner, tmp_path, case)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)

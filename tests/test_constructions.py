@@ -37,11 +37,13 @@ from ndslab.plmap import (
 )
 from ndslab.symbolic import (
     Block,
+    Code,
     ZERO,
     ONE,
     canonicalize,
     evaluate_e,
     int_to_word,
+    position,
     tau,
 )
 
@@ -319,7 +321,7 @@ class TestStageMaps:
         psi = build_psi_stage(bundle, params, 1, 1)
         p = params.stages[0].p
         K = build_k_interval(bundle, 1, p)
-        g_next = bundle.atlas.interval_at_index(p + 1)
+        g_next = bundle.atlas.interval_of(Code(p + 1))
         centre = (g_next[0] + g_next[1]) / 2
         for t in range(5):
             x = K[0] + (K[1] - K[0]) * Fraction(t, 4)
@@ -336,7 +338,7 @@ class TestStageMaps:
         psi = build_psi_stage(bundle, params, 1, 1)
         p = params.stages[0].p
         outer = build_k_interval(bundle, 2, p)
-        g_next = bundle.atlas.interval_at_index(p + 1)
+        g_next = bundle.atlas.interval_of(Code(p + 1))
         for x in outer:
             assert g_next[0] <= eval_pl(psi, x) <= g_next[1]
 
@@ -356,7 +358,7 @@ class TestVisitLimits:
         phi = build_phi_stage(bundle, params, 1, n)
         (kl, kr), (dl, dr) = build_k_interval(bundle, n, p), build_k_interval(bundle, n - 1, p)
         # the centred stack in G_(p+1), which lies past the horizon
-        l, r = bundle.atlas.interval_at_index(p + 1)
+        l, r = bundle.atlas.interval_of(Code(p + 1))
         mid, half = (l + r) / 2, stack_rel(n) * (r - l) / 2
         ends = [eval_pl(phi, x) for x in (kl, dl, dr, kr)]
         assert ends == [mid - half, mid + half, mid - half, mid + half]
@@ -481,7 +483,7 @@ class TestMiddleCylinders:
         k = len(word)
         image_hull = oracles.hull_table(atlas)[(k, (evaluate_e(Block(word)) + 1) % 2 ** k)]
         lam = build_lambda(bundle, Block(word))
-        i0, i1 = atlas.position(codes[0]), atlas.position(codes[-1])
+        i0, i1 = position(codes[0], atlas.depth), position(codes[-1], atlas.depth)
         jl, jr = atlas.intervals[i0][0], atlas.intervals[i1][1]
         collars = []
         if jl > 0:

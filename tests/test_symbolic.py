@@ -88,16 +88,16 @@ class TestAddingMachine:
         ]
         for a, b in zip(chain, chain[1:]):
             assert alpha(a) == b
-            assert alpha(b, -1) == a
+            assert Code(b.index - 1) == a
 
     def test_rollover(self):
         assert alpha(ONE) == ZERO
-        assert alpha(ZERO, -1) == ONE
+        assert Code(ZERO.index - 1) == ONE
 
     def test_inverse_exhaustive_depth_12(self):
         for c in all_codes(12):
-            assert alpha(alpha(c), -1) == c
-            assert alpha(alpha(c, -1)) == c
+            assert Code(alpha(c).index - 1) == c
+            assert alpha(Code(c.index - 1)) == c
 
     def test_orbit_index_increment_depth_10(self):
         for c in all_codes(10):
@@ -117,7 +117,7 @@ class TestAddingMachine:
     def test_index_is_equivariant(self, j, k):
         c = Code(j)
         for _ in range(abs(k)):
-            c = alpha(c, 1 if k >= 0 else -1)
+            c = alpha(c) if k >= 0 else Code(c.index - 1)
         assert c == Code(j + k)
 
 

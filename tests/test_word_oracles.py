@@ -1,17 +1,21 @@
 """Differential tests: the word-based symbolic layer against per-symbol oracles.
 
 Binary words and their values have one home in ``symbolic`` (``Code.prefix``,
-``word_to_int``, ``int_to_word``), and code positions one home in
-``Atlas.position``.  Each rewritten function is compared here with the
-per-symbol version in ``oracles`` on the constant codes, codes of depth
-0-14, orbit indices around powers of two, and codes deeper than the atlas.
+``word_to_int``, ``int_to_word``), and so do code positions
+(``position`` and its inverse ``code_at``).  Each rewritten function is
+compared here with the per-symbol version in ``oracles`` on the constant
+codes, codes of depth 0-14, orbit indices around powers of two, and codes
+deeper than the atlas.
 A ``Code`` is its orbit index: its depth, block, tail, prefixes, cylinder
 tests and string are compared with the words that ``oracles.code_words``
 reads off the index with a bit loop.  ``alpha``, the index shift
-``Code(c.index + s)``, ``tau`` and ``all_codes`` read a code as a number
-(its orbit index, or its atlas position) and are compared with the carry
-loop, the per-symbol flip and the sorted level-by-level listing they
-replaced, and ``analysis._split_depth`` with the first differing letter.
+``Code(c.index + s)``, ``tau``, ``position`` and ``all_codes`` read a code
+as a number (its orbit index, or its atlas position) and are compared with
+the carry loop, the per-symbol flip, the prefix read as a binary numeral
+and the sorted level-by-level listing they replaced, and
+``analysis._split_depth`` with the first differing letter.  ``position``
+and ``code_at`` are checked to be inverse at depths 0-13 on codes at the
+edge of the depth, where ``position`` must refuse the deeper ones.
 The symbol-by-symbol comparison of expansions is the order that ``theta``
 must keep.
 """
@@ -36,7 +40,9 @@ from ndslab.symbolic import (
     all_codes,
     block_successor,
     canonicalize,
+    code_at,
     int_to_word,
+    position,
     tau,
     theta,
     word_to_int,
@@ -173,15 +179,17 @@ def test_compare_matches_expansions(a, b):
 def test_locate_code_matches_theta_bisect(atlas6, c):
     want = oracles.locate_code(atlas6, c)
     if c.depth > atlas6.depth:
-        assert want is None and atlas6.position(c) is None
+        assert want is None
+        with pytest.raises(KeyError):
+            position(c, atlas6.depth)
         with pytest.raises(KeyError):
             atlas6.interval_of(c)
     else:
-        assert atlas6.interval_of(c) == atlas6.intervals[atlas6.position(c)] == want
+        assert atlas6.interval_of(c) == atlas6.intervals[position(c, atlas6.depth)] == want
 
 
 def test_locate_code_every_atlas_code(atlas6):
-    assert [atlas6.position(c) for c in atlas6.codes] == list(range(atlas6.size))
+    assert [position(c, atlas6.depth) for c in atlas6.codes] == list(range(atlas6.size))
     for c, iv in zip(atlas6.codes, atlas6.intervals):
         assert atlas6.interval_of(c) == iv == oracles.locate_code(atlas6, c)
 
@@ -190,8 +198,8 @@ def test_locate_code_every_atlas_code(atlas6):
 @example(ZERO)
 @example(ONE)
 def test_alpha_matches_carry_loop(c):
-    for direction in (1, -1):
-        assert alpha(c, direction) == oracles.alpha(c, direction)
+    assert alpha(c) == oracles.alpha(c, 1)
+    assert Code(c.index - 1) == oracles.alpha(c, -1)
 
 
 @given(codes, st.integers(-40, 40))
@@ -200,6 +208,24 @@ def test_index_shift_matches_repeated_carry_loop(c, steps):
     for _ in range(abs(steps)):
         ref = oracles.alpha(ref, 1 if steps >= 0 else -1)
     assert Code(c.index + steps) == ref
+
+
+@given(st.integers(0, 13), st.sampled_from([1, -1]), st.integers(-2, 2))
+@example(0, 1, -1)
+@example(0, -1, -1)
+@example(13, 1, 0)
+@example(13, -1, 0)
+def test_position_round_trip_at_the_depth_edge(depth, sign, off):
+    # the codes of depth <= D are the orbit indices -2^D <= j < 2^D
+    j = sign * 2 ** depth + off
+    c = Code(j)
+    if not -(2 ** depth) <= j < 2 ** depth:
+        with pytest.raises(KeyError):
+            position(c, depth)
+    else:
+        i = position(c, depth)
+        assert i == int(oracles.prefix(c, depth + 1), 2)
+        assert code_at(i, depth) == c
 
 
 @pytest.mark.parametrize("depth", range(0, 14))
