@@ -65,31 +65,53 @@ def _sample(
     return rows, flagged
 
 
-def _separated(
-    row: Sequence[Fraction], chosen: Sequence[Sequence[Fraction]], epsilon: Fraction
-) -> bool:
-    """True when row differs by more than epsilon somewhere from every chosen row."""
-    return all(any(abs(a - b) > epsilon for a, b in zip(row, c)) for c in chosen)
+def _separation(row: Sequence[Fraction], other: Sequence[Fraction], epsilon: Fraction) -> int:
+    """The first index at which the rows differ by more than epsilon, or len(row) if none."""
+    for t, (a, b) in enumerate(zip(row, other)):
+        if abs(a - b) > epsilon:
+            return t
+    return len(row)
 
 
-def _greedy(rows: Sequence[Sequence[Fraction]], n: int, epsilon: Fraction) -> list[int]:
-    """Indices of the rows kept by one greedy pass over their first n values.
+def _greedy(
+    rows: Sequence[Sequence[Fraction]], ns: Sequence[int], epsilon: Fraction
+) -> list[list[int]]:
+    """For each n in ns, the indices of the rows a greedy pass on their first n values keeps.
 
-    A row equal to an earlier row is skipped untested: that row was kept (at
-    distance 0) or was blocked by a chosen row that blocks this one too.
+    One pass over the rows serves every n.  A row and a kept row have a
+    separation index s: the first time index at which they differ by more
+    than epsilon, or the cell's n if there is none before it.  The kept row
+    blocks the row in exactly the cells with n <= s.  The cells are visited
+    in descending n, so the s found in one cell decides every later cell too,
+    and a row is compared with each kept row at most once.
+
+    A row whose first n values equal those of the first earlier row with the
+    same first value is skipped untested in that cell: that row was kept (at
+    distance 0) or was blocked by a kept row that blocks this one too.
     """
-    kept: list[int] = []
-    chosen: list[Sequence[Fraction]] = []
+    cells = sorted(set(ns), reverse=True)
+    kept: dict[int, list[int]] = {n: [] for n in cells}
     first: dict = {}  # first value -> index of the first row that has it
     for i, row in enumerate(rows):
-        vx = row[:n]
+        vx = row[:cells[0]]
         j = first.setdefault(vx[0], i)
-        if j != i and rows[j][:n] == vx:
-            continue
-        if _separated(vx, chosen, epsilon):
-            chosen.append(vx)
-            kept.append(i)
-    return kept
+        # the length of the prefix vx shares with row j, whose values are 0 apart
+        same = _separation(vx, rows[j], 0) if j != i else 0
+        seps: dict[int, int] = {}  # kept index -> separation index, capped at n
+        for n in cells:
+            if same >= n:
+                break
+            vn = vx[:n]
+            chosen = kept[n]
+            for k in chosen:
+                s = seps.get(k)
+                if s is None:
+                    s = seps[k] = _separation(vn, rows[k], epsilon)
+                if s >= n:
+                    break
+            else:
+                chosen.append(i)
+    return [kept[n] for n in ns]
 
 
 def _estimate(card: int, a_n: int) -> float:
@@ -115,7 +137,7 @@ def greedy_separated(
     times = list(A[:n])
     epsilon = Fraction(epsilon)
     rows, flagged = _sample(program, candidates, times)
-    selected = [Fraction(candidates[i]) for i in _greedy(rows, n, epsilon)]
+    selected = [Fraction(candidates[i]) for i in _greedy(rows, [n], epsilon)[0]]
     return SeparationReport(
         times=tuple(times),
         epsilon=epsilon,
@@ -133,7 +155,12 @@ def verify_separated(
 ) -> bool:
     """Post-hoc soundness check of a report's witness set."""
     rows, _ = _sample(program, report.witnesses, report.times)
-    return all(_separated(row, rows[:j], report.epsilon) for j, row in enumerate(rows))
+    n = len(report.times)
+    return all(
+        _separation(row, other, report.epsilon) < n
+        for j, row in enumerate(rows)
+        for other in rows[:j]
+    )
 
 
 @dataclass(frozen=True)
@@ -165,6 +192,8 @@ def entropy_estimate(
     The headline is the table maximum.  This estimates the sequence-entropy
     double limit from below only; callers choose the cells, and the identity
     program yields exactly 0 whenever epsilon dominates the candidate spread.
+    The candidates are sampled once, and one greedy pass per epsilon serves
+    every n: each cell equals ``greedy_separated``'s cardinality for that n.
     """
     if not epsilons or not n_list:
         raise ValueError("the table needs at least one epsilon and one n")
@@ -175,10 +204,9 @@ def entropy_estimate(
     headline = 0.0
     for eps in epsilons:
         eps = Fraction(eps)
-        for n in n_list:
-            card = len(_greedy(samples, n, eps))
-            est = _estimate(card, times[n - 1])
-            rows.append((str(eps), n, card, est))
+        for n, kept in zip(n_list, _greedy(samples, n_list, eps)):
+            est = _estimate(len(kept), times[n - 1])
+            rows.append((str(eps), n, len(kept), est))
             headline = max(headline, est)
     return EntropyTable(A=tuple(times), rows=tuple(rows), headline=headline)
 
