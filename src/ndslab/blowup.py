@@ -158,7 +158,6 @@ class LimitMapBundle:
     exact_horizon: int
     frontier_code: Code
     frontier_image: Interval
-    images: tuple[Interval, ...]                 # f_D(G) at each position
 
     def frontier_intervals(self) -> list[Interval]:
         return [self.atlas.interval_of(self.frontier_code), self.frontier_image]
@@ -218,7 +217,6 @@ def build_limit_map(atlas: Atlas) -> LimitMapBundle:
         exact_horizon=2 ** (d - 1),
         frontier_code=frontier,
         frontier_image=frontier_image,
-        images=images,
     )
 
 

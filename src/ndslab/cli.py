@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -48,34 +49,29 @@ MAX_DEPTH = 13
 MAX_K = 10
 
 
-def _frac(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise click.UsageError(f"bad rational {text!r}: {e}")
-
-
 def _dump_json(path: str, payload) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _rho(ctx, param, text: str) -> Fraction:
-    rho = _frac(text)
-    if not 0 < rho < 1:
-        raise click.BadParameter(f"{text} does not lie strictly between 0 and 1")
-    return rho
-
-
-class _PositiveRational(click.ParamType):
-    """A scale such as --epsilon or --delta, checked while parsing, so it fails before any work."""
+class _Rational(click.ParamType):
+    """A rational p/q that ``inside`` accepts, checked while parsing, so it fails before any work."""
 
     name = "p/q"
 
+    def __init__(self, what: str, inside: Callable[[Fraction], bool]):
+        self.what, self.inside = what, inside
+
     def convert(self, value, param, ctx) -> Fraction:
-        scale = _frac(value)
-        if scale <= 0:
-            self.fail(f"{param.name} must be positive, not {value}", param, ctx)
-        return scale
+        try:
+            v = Fraction(value)
+        except (ValueError, ZeroDivisionError) as e:
+            self.fail(f"bad rational {value!r}: {e}", param, ctx)
+        if not self.inside(v):
+            self.fail(f"{param.name} must {self.what}, not {value}", param, ctx)
+        return v
+
+
+_SCALE = _Rational("be positive", lambda v: v > 0)  # --epsilon and --delta
 
 
 def _out_path(ctx, param, path: str) -> str:
@@ -91,7 +87,10 @@ def _atlas_options(with_config: bool = True):
     options = [
         click.option("--depth", type=depths, default=acceptance.DEFAULT_DEPTH, show_default=True),
         click.option(
-            "--rho", default=str(acceptance.DEFAULT_RHO), show_default=True, callback=_rho
+            "--rho",
+            type=_Rational("lie strictly between 0 and 1", lambda v: 0 < v < 1),
+            default=str(acceptance.DEFAULT_RHO),
+            show_default=True,
         ),
         click.option("--base", type=bases, default=acceptance.DEFAULT_BASE, show_default=True),
     ]
@@ -273,15 +272,14 @@ def build_nds_cmd(family, depth, rho, base, config_path, out):
 
 @main.command("trajectory")
 @click.option("--program", "program_path", required=True)
-@click.option("--x", "x_text", required=True, help="start point p/q")
+@click.option(
+    "--x", type=_Rational("lie in [0, 1]", lambda v: 0 <= v <= 1), required=True, help="start point"
+)
 @click.option("--steps", type=click.IntRange(min=0), required=True)
 @click.option("-o", "out", default="trajectory.csv", show_default=True, callback=_out_path)
-def trajectory_cmd(program_path, x_text, steps, out):
+def trajectory_cmd(program_path, x, steps, out):
     """Iterate a point and write t,value_num,value_den,flag rows."""
     program = load_program(program_path)
-    x = _frac(x_text)
-    if not 0 <= x <= 1:
-        raise click.UsageError("start point must lie in [0,1]")
     traj = trajectory(program, x, steps)
     lines = ["t,value_num,value_den,flag"]
     lines += [f"{t},{n},{d},{int(fl)}" for t, n, d, fl in traj.rows()]
@@ -308,7 +306,7 @@ def dump_map_cmd(program_path, time_index, grid, out):
 @_atlas_options()
 @click.option("--times", "times_spec", default="S", show_default=True, help="R, S or 1..n")
 @click.option(
-    "--epsilon", type=_PositiveRational(), multiple=True, help="scales; default family-specific"
+    "--epsilon", type=_SCALE, multiple=True, help="scales; default family-specific"
 )
 @click.option("--count", type=int, default=8, show_default=True, help="times to take")
 @click.option("--min-headline", type=float, default=None, help="fail below this")
@@ -337,7 +335,7 @@ def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, coun
 @click.option("--pairs", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--max-code-depth", type=int, default=2, show_default=True)
 @click.option(
-    "--delta", type=_PositiveRational(), default=None, help="closeness scale; default eps0/4"
+    "--delta", type=_SCALE, default=None, help="closeness scale; default eps0/4"
 )
 @click.option("--seed", type=int, default=11, show_default=True)
 @click.option("-o", "out", default="ly_scan.json", show_default=True, callback=_out_path)

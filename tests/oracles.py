@@ -41,6 +41,11 @@ them, ``sup_distance`` evaluates over the sorted union of breakpoints, and
 ``Fraction`` comparisons.  ``constant_map`` is a test input only: no code in
 ``src/`` builds a constant map.
 
+``main_model_orbit`` is a depth-free model of the main family, not a
+replaced version: it follows a (code, relative position) pair through the
+stage steps with this module's ``alpha`` and ``tau`` and its own stack
+ends, with no atlas and no ``PLMap``.
+
 ``ly_classify`` is kept as the version that computed both trajectories on
 every call and took the tail minimum and maximum of ``Fraction`` distances;
 ``analysis.ly_classify`` now reads each start's tail window from a memo on
@@ -340,6 +345,65 @@ def cylinder_run(atlas, word: str) -> range:
     """Positions from G(w0-bar) to G(w1-bar), read off the sorted listing."""
     codes = all_codes(atlas.depth)
     return range(codes.index(canonicalize(word, 0)), codes.index(canonicalize(word, 1)) + 1)
+
+
+def stack_ends(n: int) -> tuple[Fraction, Fraction]:
+    """The relative ends (1 -+ s_n)/2 of the level-n stack, s_n = 1 - 2^(-n-1)."""
+    s = 1 - Fraction(1, 2 ** (n + 1))
+    return (1 - s) / 2, (1 + s) / 2
+
+
+def _through(points, r: Fraction) -> Fraction:
+    """The PL map through x-sorted points, at r; the identity outside their span."""
+    if not points[0][0] <= r <= points[-1][0]:
+        return r
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if r <= x1:
+            return y0 + (y1 - y0) * (r - x0) / (x1 - x0)
+
+
+def main_model_steps(stages) -> list[tuple]:
+    """The main program on stages ((word, a), ...) as (word or None, move or None, visit) steps.
+
+    Stage n repeats a times one fold step and 2^|word| - 1 plain steps, each
+    reversing the word's cylinder first, then collapses once.  A move is the
+    relative map of the visit interval: the level-n fold through (kl, kl),
+    (il, kr), (ir, kl), (kr, kr) with K^(n-1) = [il, ir] as divider, or the
+    collapse of K^n to 1/2 through (ol, ol), (kl, 1/2), (kr, 1/2), (or, or)
+    with K^(n+1) = [ol, or].
+    """
+    steps = []
+    for n, (word, a) in enumerate(stages, start=1):
+        p = sum(int(ch) << i for i, ch in enumerate(word))
+        (kl, kr), (il, ir), (ol, orr) = (stack_ends(m) for m in (n, n - 1, n + 1))
+        fold = [(kl, kl), (il, kr), (ir, kl), (kr, kr)]
+        half = Fraction(1, 2)
+        collapse = [(ol, ol), (kl, half), (kr, half), (orr, orr)]
+        unit = [(word, fold, p)] + [(word, None, p)] * (2 ** len(word) - 1)
+        steps += unit * a + [(None, collapse, p)]
+    return steps
+
+
+def main_model_orbit(stages, c, r: Fraction, T: int) -> list[tuple]:
+    """(code, relative position) at times 0..T of the main program, without an atlas.
+
+    One step reverses the code's letters after the stage word if the map has
+    a lambda, applies the move if the code is the visit code, then adds one
+    with ``alpha``; after the stages it only adds one.  The model has no
+    depth: ``alpha`` takes the frontier code 1^D 0-bar to 0^D 1 0-bar, which
+    an atlas of depth D does not hold.
+    """
+    steps = main_model_steps(stages)
+    out = [(c, Fraction(r))]
+    for t in range(T):
+        word, move, p = steps[t] if t < len(steps) else (None, None, None)
+        if word is not None:
+            c = tau(Block(word), c)
+        if move is not None and c.index == p:
+            r = _through(move, r)
+        c = alpha(c)
+        out.append((c, r))
+    return out
 
 
 def separated(row, chosen, epsilon) -> bool:

@@ -8,8 +8,11 @@ version in ``oracles`` over rho drawn with small and ~60-bit denominators,
 weight bases 2-9 and depths 1-9; the position identities themselves are
 checked on every code at small depths.  The atlas keeps no codes
 (``symbolic.code_at`` builds one from its position, checked against the
-sorted listing in ``oracles``), and the stage maps hold the bundle's own
-interval ends as their values at the hull's ends.
+sorted listing in ``oracles``).  At each hull interval end the plain and
+fold steps of a stage take the image of the end's tau partner, found
+through ``oracles.tau_partner`` and ``oracles.limit_images``, and hold the
+bundle's own object for it, which they find by value among the interval
+ends of the successor block's cylinder.
 """
 
 from fractions import Fraction
@@ -20,8 +23,14 @@ from hypothesis import strategies as st
 
 import oracles
 from ndslab.blowup import build_atlas, build_limit_map
-from ndslab.constructions import StageParams, StageSpec, _fold_unit, _holding, build_lambda
-from ndslab.plmap import eval_pl, identity_map
+from ndslab.constructions import (
+    StageParams,
+    StageSpec,
+    _fold_unit,
+    build_lambda,
+    build_phi_stage,
+)
+from ndslab.plmap import compose, eval_pl
 from ndslab.symbolic import Block, Code, alpha, code_at, int_to_word, position, tau
 
 small_rhos = st.fractions(min_value=0, max_value=1, max_denominator=100).filter(lambda r: 0 < r < 1)
@@ -57,8 +66,6 @@ def test_layout_matches_fraction_sums(depth, rho, base):
 def test_limit_map_matches_alpha_images(depth, rho, base):
     bundle = build_limit_map(build_atlas(depth, rho, base))
     assert list(zip(bundle.f.xs, bundle.f.ys)) == oracles.pl_points(oracles.limit_points(bundle))
-    images = oracles.limit_images(bundle)
-    assert list(bundle.images) == [images[c] for c in bundle.atlas.codes]
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,15 +149,50 @@ def test_stage_maps_hold_the_atlas_ends(word):
     bundle = build_limit_map(build_atlas(8, Fraction(1, 2), 4))
     params = StageParams((StageSpec(Block(word), 1),))
     elem, eta = _fold_unit(bundle, params, 1, 1)[:2]
-    held = {id(v) for iv in bundle.images for v in iv}
+    held = {id(v) for iv in (*bundle.atlas.intervals, bundle.frontier_image) for v in iv}
     ends = {id(v) for i in bundle.atlas.cylinder(word) for v in bundle.atlas.intervals[i]}
     for m in (elem, eta):
         at_ends = [y for x, y in zip(m.xs, m.ys) if id(x) in ends]
         assert len(at_ends) > 2 ** (8 - len(word)) and all(id(y) in held for y in at_ends)
 
 
-def test_holding_refuses_a_different_value():
-    m = identity_map()
-    with pytest.raises(AssertionError):
-        _holding(m, {id(m.xs[1]): Fraction(1, 2)})
-    assert _holding(m, {id(m.xs[1]): Fraction(1)}).ys == m.ys
+# a depth and a block of any length up to it, 1^k drawn often: its cylinder
+# holds the partner of the frontier code, whose image lies in a gap (1^D
+# itself visits the frontier code, which no stage may)
+stage_cases = st.integers(3, 8).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.integers(1, d).flatmap(
+            lambda k: st.one_of(
+                st.just("1" * k), st.integers(0, 2 ** k - 1).map(lambda m: int_to_word(m, k))
+            )
+        ).filter(lambda w: w != "1" * d),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stage_cases, rhos, bases, st.integers(1, 3))
+@example((8, "111"), Fraction(1, 2), 4, 1)
+@example((5, "0110"), Fraction(2 ** 60 - 1, 2 ** 60 + 3), 9, 3)
+def test_stage_maps_take_the_partner_images_at_the_hull_ends(case, rho, base, n):
+    # at each hull interval end x of G(c), both steps equal f_D(lambda(x)),
+    # an end of the image of G(tau(c)); where x is a breakpoint the map holds
+    # the bundle's own object, and holding those objects changes no value
+    depth, word = case
+    bundle = build_limit_map(build_atlas(depth, rho, base))
+    atlas = bundle.atlas
+    params = StageParams((StageSpec(Block(word), 1),))
+    elem, eta = _fold_unit(bundle, params, 1, n)[:2]
+    lam = build_lambda(bundle, Block(word))
+    assert eta == compose(bundle.f, lam)
+    assert elem == compose(build_phi_stage(bundle, params, 1, n), lam)
+    images = oracles.limit_images(bundle)
+    image_of = {atlas.interval_of(c): images[c] for c in atlas.codes}
+    for m in (elem, eta):
+        held = dict(zip(m.xs, m.ys))
+        for c in oracles.cylinder_codes(atlas, word):
+            ends = image_of[oracles.tau_partner(atlas, word, c)]
+            for x, want in zip(atlas.interval_of(c), ends):
+                assert eval_pl(m, x) == want
+                assert x not in held or held[x] is want

@@ -149,6 +149,16 @@ def test_trajectory_rejects_outside_domain(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("x", ["5/4", "abc", "1/0"])
+def test_trajectory_bad_start_exits_2_before_reading_the_program(runner, tmp_path, monkeypatch, x):
+    monkeypatch.setattr(cli, "load_program", _refuse)
+    argv = ["trajectory", "--program", "missing.json", "--x", x, "--steps", "3"]
+    res = runner.invoke(main, argv + ["-o", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert x in res.output
+
+
 def test_dump_map_csv(runner, tmp_path):
     prog_path = tmp_path / "prog.json"
     runner.invoke(main, ["build-nds", "--family", "lemma", "-o", str(prog_path)])

@@ -10,9 +10,7 @@ needs:
 * ``parse``: an option value is refused before any file is read or anything
   is built (``_configure``, ``load_program`` and the builders refuse);
 * ``read``: a value in a file the line names (a ``--config`` file or a
-  ``build-nds`` artefact), or a start point ``--x``, which ``trajectory``
-  checks after reading its program, is refused before any map is built or
-  evaluated;
+  ``build-nds`` artefact) is refused before any map is built or evaluated;
 * ``build``: a main-family configuration that the atlas of the drawn depth
   cannot hold (a block longer than the depth, an all-ones block as long as
   the depth, which visits the frontier code, or the default stages below
@@ -269,7 +267,7 @@ def _file_line(rng: random.Random, command: str, valid: bool) -> Line:
         line.file("--program", text)
     line.option("-o", *OUT)
     if command == "trajectory":
-        line.option("--x", ["0", "1/3", "1"], ["2", "-1/2", "abc", "1/0"], level="read")
+        line.option("--x", ["0", "1/3", "1"], ["2", "-1/2", "abc", "1/0"])
         line.option("--steps", ["0", "5", "20"], ["-1", "x", None])
     else:
         line.option("--t", [None, "1", "3", "40"], ["0", "-1"])
