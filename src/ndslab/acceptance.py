@@ -324,9 +324,9 @@ def _main_fixture():
 
 
 @_criterion("7a", "uniform convergence envelopes")
-def criterion_7a(fixture=None):
+def criterion_7a(fixture):
     """Uniform-convergence envelopes under the hull-image bounds, decreasing."""
-    bundle, params, program = fixture or _main_fixture()
+    bundle, params, program = fixture
     rows, strict = convergence_report(bundle, program)
     for r in rows:
         if not r.within_bound:
@@ -338,9 +338,9 @@ def criterion_7a(fixture=None):
 
 
 @_criterion("7b", "separated-set growth along S")
-def criterion_7b(fixture=None):
+def criterion_7b(fixture):
     """Separated-set counts along the stitched sampling times."""
-    bundle, params, program = fixture or _main_fixture()
+    bundle, params, program = fixture
     S = times_S(params, 8)
     cands, eps = entropy_inputs(bundle)
     # n = 3 comes first: perfbench's test_default_seed_reproduces_7b_inputs
@@ -384,9 +384,9 @@ def settle_scan(bundle, program) -> tuple[int, int]:
 
 
 @_criterion("7c", "eventual constancy of sampled trajectories", expected_fail=True)
-def criterion_7c(fixture=None):
+def criterion_7c(fixture):
     """Settlement to exactly constant trajectories (expected to fail)."""
-    bundle, params, program = fixture or _main_fixture()
+    bundle, params, program = fixture
     settled, sampled = settle_scan(bundle, program)
     return settled == sampled, (
         f"{settled}/{sampled} sampled points settle within {program.stage_length} steps"
@@ -436,9 +436,9 @@ def ly_scan(
 
 
 @_criterion("7d", "LY-candidate scan")
-def criterion_7d(fixture=None):
+def criterion_7d(fixture):
     """No LY-candidates among pairs from distinct shallow intervals."""
-    bundle, params, program = fixture or _main_fixture()
+    bundle, params, program = fixture
     _, counts = ly_scan(bundle, program)
     bad = counts["LY-candidate"]
     return bad == 0, f"{bad}/1000 LY-candidates at delta=eps0/4"
@@ -462,9 +462,9 @@ def distality_scan(
 
 
 @_criterion("7e", "distality of interval pairs")
-def criterion_7e(fixture=None):
+def criterion_7e(fixture):
     """Distality floor for interval pairs of depth <= 4 over half the exact horizon."""
-    bundle, params, program = fixture or _main_fixture()
+    bundle, params, program = fixture
     _, rows = distality_scan(bundle, program)
     bad = [r for r in rows if not r.ok]
     if bad:

@@ -35,7 +35,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .plmap import PLMap, _canonical_map, interval_image, is_surjective
-from .symbolic import Code, _reverse, all_codes, code_at, int_to_word, position, theta
+from .symbolic import Code, _check_word, _reverse, all_codes, code_at, int_to_word, position, theta
 
 Interval = tuple[Fraction, Fraction]
 
@@ -79,8 +79,7 @@ class Atlas:
         """
         if len(word) > self.depth:
             raise ValueError(f"word {word!r} is longer than atlas depth {self.depth}")
-        if word.strip("01"):
-            raise ValueError(f"binary word expected, got {word!r}")
+        _check_word(word)
         v, m = int(word or "0", 2), self.depth + 1 - len(word)
         return range(v << m, (v + 1) << m)
 
@@ -176,6 +175,11 @@ class LimitMapBundle:
         return code_at(i, self.atlas.depth), (x - l) / (r - l)
 
 
+def exact_horizon(depth: int) -> int:
+    """The last time up to which f_D at atlas depth ``depth`` is exact."""
+    return 2 ** (depth - 1)
+
+
 def build_limit_map(atlas: Atlas) -> LimitMapBundle:
     """Extend the interval-to-interval adding machine to a continuous f_D.
 
@@ -214,7 +218,7 @@ def build_limit_map(atlas: Atlas) -> LimitMapBundle:
     return LimitMapBundle(
         atlas=atlas,
         f=f,
-        exact_horizon=2 ** (d - 1),
+        exact_horizon=exact_horizon(d),
         frontier_code=frontier,
         frontier_image=frontier_image,
     )

@@ -19,7 +19,7 @@ import click
 
 from . import acceptance
 from .analysis import convergence_report, entropy_estimate
-from .blowup import build_atlas, build_limit_map
+from .blowup import build_atlas, build_limit_map, exact_horizon
 from .constructions import (
     BlockProgram,
     Stage,
@@ -379,12 +379,12 @@ def settle_scan_cmd(depth, rho, base, config_path, out):
 @click.option("-o", "out", default="distality.json", show_default=True, callback=_out_path)
 def distality_cmd(depth, rho, base, config_path, max_code_depth, steps, out):
     """Verify split-depth gap bounds for interval pairs."""
-    # distality_scan checks m and the steps too, but only once the atlas is
-    # built; its exact horizon is 2^(depth-1)
+    # distality_scan checks m and the steps too, but only once the atlas is built
     if not 0 <= max_code_depth < depth:
         raise click.UsageError(f"max code depth {max_code_depth} outside 0..{depth - 1}")
-    if steps is not None and not 0 <= steps <= 2 ** (depth - 1):
-        raise click.UsageError(f"steps {steps} outside 0..{2 ** (depth - 1)}")
+    horizon = exact_horizon(depth)
+    if steps is not None and not 0 <= steps <= horizon:
+        raise click.UsageError(f"steps {steps} outside 0..{horizon}")
     program, bundle, _ = _configure("main", config_path, depth, rho, base)
     T, rows = acceptance.distality_scan(bundle, program, max_code_depth, steps)
     bad = [r for r in rows if not r.ok]

@@ -2,7 +2,7 @@
 
 Trajectories are always computed pointwise; composing the maps symbolically
 would multiply breakpoint counts and is reserved for short verification
-chains elsewhere.  Each step is exact; a step whose input lies in a
+chains elsewhere.  Each step is exact; the first value that lies in a
 frontier-flagged interval of the underlying atlas taints the rest of the
 trajectory (the finite-depth limit map is only an approximation there).
 """
@@ -34,40 +34,48 @@ class Trajectory:
         return [(t, v.numerator, v.denominator, t >= t0) for t, v in enumerate(self.values)]
 
 
+def _in_frontier(v: Fraction, frontier, float_frontier) -> bool:
+    # float() rounds monotonically, so l <= v <= r implies
+    # float(l) <= float(v) <= float(r): a value outside every float interval
+    # cannot lie in a frontier interval and skips the exact test.
+    fv = v.numerator / v.denominator  # float(v), without the Rational dispatch
+    for l, r in float_frontier:
+        if l <= fv <= r:
+            return any(a <= v <= b for a, b in frontier)
+    return False
+
+
 def trajectory(
     program: BlockProgram, x: Fraction, T: int, steps: Optional[dict] = None
 ) -> Trajectory:
     """The exact value list x, f_1(x), f_2 f_1(x), ... up to time T.
 
-    A ``steps`` dict, shared by orbits of one program, memoizes each step
-    v -> f_t(v) by (id(f_t), v), so a step is evaluated only on a miss.
+    The taint begins at the first time t >= 1 whose value lies in a frontier
+    interval, or at 1 when the start lies in one.  A ``steps`` dict, shared
+    by orbits of one program, memoizes each step v -> f_t(v) by
+    (id(f_t), v), so a step is evaluated only on a miss.
     """
     if T < 0:
         raise ValueError("horizon must be >= 0")
     frontier = program.frontier
-    # float() rounds monotonically, so l <= v <= r implies
-    # float(l) <= float(v) <= float(r): a value outside every float interval
-    # cannot lie in a frontier interval and skips the exact test.
     float_frontier = [(float(l), float(r)) for l, r in frontier]
     values = [Fraction(x)]
     tainted_from = None
+    if T and _in_frontier(values[0], frontier, float_frontier):
+        tainted_from = 1
     for t in range(1, T + 1):
         v = values[-1]
-        if float_frontier and tainted_from is None:
-            fv = v.numerator / v.denominator  # float(v), without the Rational dispatch
-            for l, r in float_frontier:
-                if l <= fv <= r:
-                    if any(a <= v <= b for a, b in frontier):
-                        tainted_from = t
-                    break
         f = program.map_at(t)
         if steps is None:
-            values.append(eval_pl(f, v))
+            v = eval_pl(f, v)
         else:
             key = (id(f), v.numerator, v.denominator)
             if key not in steps:
                 steps[key] = eval_pl(f, v)
-            values.append(steps[key])
+            v = steps[key]
+        values.append(v)
+        if float_frontier and tainted_from is None and _in_frontier(v, frontier, float_frontier):
+            tainted_from = t
     return Trajectory(Fraction(x), tuple(values), tainted_from)
 
 

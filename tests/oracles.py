@@ -3,7 +3,7 @@
 These are the all-``Fraction`` versions of ``plmap.eval_pl``, the distality
 minimum of ``analysis.distality_report`` and the frontier taint of
 ``dynamics.trajectory``, whose first tainted time this ``trajectory`` takes
-from its own test at every step.  It also evaluates every step,
+from its own test of every value.  It also evaluates every step,
 where ``dynamics.trajectory`` may look a step up in a memo shared over
 orbits (``distality_report`` shares one over its endpoint orbits).  Then
 come the per-symbol versions of the symbolic layer.  A ``Code`` is its
@@ -168,13 +168,12 @@ def min_gap(ta, tb) -> Fraction:
 
 
 def trajectory(program, x, T: int) -> Trajectory:
-    frontier = program.frontier
     values = [Fraction(x)]
-    tainted_from = None
     for t in range(1, T + 1):
-        if frontier and tainted_from is None and any(l <= values[-1] <= r for l, r in frontier):
-            tainted_from = t
         values.append(eval_pl(program.map_at(t), values[-1]))
+    # the first value in a frontier interval taints its time, the start time 1
+    hits = [t for t, v in enumerate(values) if any(l <= v <= r for l, r in program.frontier)]
+    tainted_from = max(hits[0], 1) if hits and T else None
     return Trajectory(Fraction(x), tuple(values), tainted_from)
 
 

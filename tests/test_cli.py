@@ -139,6 +139,23 @@ def test_trajectory_csv_from_the_frontier_matches_golden_digest(runner, tmp_path
     )
 
 
+def test_trajectory_csv_flags_the_first_value_in_the_frontier_image(runner, tmp_path):
+    # the start is the midpoint of G(100000|1): lambda carries it onto the
+    # frontier code within step 1 and f_D into the frontier image, so the
+    # first inexact value is row 1 although the start is off the frontier
+    prog_path, csv_path = tmp_path / "prog.json", tmp_path / "traj.csv"
+    res = runner.invoke(
+        main, ["build-nds", "--family", "main", "--depth", "6", "-o", str(prog_path)]
+    )
+    assert res.exit_code == 0, res.output
+    argv = ["trajectory", "--program", str(prog_path), "--x", "22311193/35645184", "--steps", "4"]
+    res = runner.invoke(main, argv + ["-o", str(csv_path)])
+    assert res.exit_code == 0, res.output
+    rows = [row.split(",") for row in csv_path.read_text().splitlines()[1:]]
+    assert rows[1] == ["1", "70175", "417717", "1"]
+    assert [row[-1] for row in rows] == ["0", "1", "1", "1", "1"]
+
+
 def test_trajectory_rejects_outside_domain(runner, tmp_path):
     prog_path = tmp_path / "prog.json"
     runner.invoke(main, ["build-nds", "--family", "lemma", "-o", str(prog_path)])

@@ -81,11 +81,11 @@ class TestTrajectory:
         assert a == b
 
     def test_flags_monotone(self, main_prog):
-        # the flag of time t is set once an earlier value has met the frontier
+        # the flag of time t >= 1 is set once a value up to t has met the frontier
         for x, first in ((Fraction(1, 3), None), (main_prog.frontier[0][0], 1)):
             traj = trajectory(main_prog, x, 40)
             hit = [any(l <= v <= r for l, r in main_prog.frontier) for v in traj.values]
-            assert [fl for *_, fl in traj.rows()] == [any(hit[:t]) for t in range(41)]
+            assert [fl for *_, fl in traj.rows()] == [t >= 1 and any(hit[: t + 1]) for t in range(41)]
             assert traj.tainted_from == first
 
     def test_frontier_taints(self, bundle, main_prog):

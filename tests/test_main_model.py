@@ -10,7 +10,8 @@ bit-loop ``alpha`` and ``tau`` and its own stack ends, so it needs no atlas,
 no depth and no ``PLMap``.  Here every orbit of the atlas program, up to the
 exact horizon, must be the model's orbit until the model's code leaves the
 atlas depth D, which it does only by adding one to the frontier code
-1^D 0-bar, and the taint must begin as the trajectory's frontier test says.
+1^D 0-bar, and the taint must begin at the first value the frontier test
+catches.
 
 The model also shows the mechanism behind criterion 7e's floor: alpha and
 tau never change the split depth of two codes (the first letter where they
@@ -69,6 +70,10 @@ def main_cases(draw):
     4,
 )
 @example((8, (("0110", 2), ("11111110", 1)), [(Code(6), Fraction(3, 8))]), Fraction(2, 7), 3)
+# the midpoint of G(100000|1) on the default depth-6 program: lambda carries
+# it onto the frontier code within step 1, so its value at t = 1 already
+# lies in the frontier image
+@example((6, (("1", 3), ("11", 5), ("111", 7)), [(Code(-63), Fraction(1, 2))]), Fraction(1, 2), 4)
 def test_atlas_orbits_follow_the_model(case, rho, base):
     depth, stages, starts = case
     bundle = build_limit_map(build_atlas(depth, rho, base))
@@ -84,11 +89,11 @@ def test_atlas_orbits_follow_the_model(case, rho, base):
         assert [bundle.rel_of(v) for v in traj.values[:s]] == model[:s], (c, r)
         if s <= T:
             assert bundle.frontier_image[0] <= traj.values[s] <= bundle.frontier_image[1]
-        # a step is tainted when its input lies in G(1^D 0-bar) or in the
-        # frontier image, though lambda may carry that input off the frontier
-        # code, or onto it within the step that leaves the atlas
+        # the taint begins at the first value in G(1^D 0-bar) or in the
+        # frontier image, at time 1 when the start lies in G(1^D 0-bar)
         first = min([t for t, (code, _) in enumerate(model[:s]) if code == frontier] + [s])
-        assert traj.tainted_from == (first + 1 if first < T else None), (c, r)
+        taint = min(max(first, 1), s)
+        assert traj.tainted_from == (taint if taint <= T else None), (c, r)
 
 
 @pytest.mark.parametrize("word", [None] + [s.block.word for s in default_stages()])
