@@ -344,7 +344,9 @@ def criterion_7b(fixture):
     S = times_S(params, 8)
     cands, eps = entropy_inputs(bundle)
     # n = 3 comes first: perfbench's test_default_seed_reproduces_7b_inputs
-    # checks the entropy-main workload against 7b's first greedy_separated call
+    # checks the entropy-main workload against 7b's first greedy_separated call.
+    # n = 8 samples last, so the n = 1 cell below reads the program's kept
+    # n = 8 sample and computes no trajectory.
     rep3 = greedy_separated(program, cands, S, 3, eps)
     rep8 = greedy_separated(program, cands, S, 8, eps)
     if rep3.cardinality < 9:

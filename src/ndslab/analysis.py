@@ -49,20 +49,43 @@ def _check_cells(A: Sequence[int], n_list: Sequence[int], epsilons: Sequence) ->
 
 def _sample(
     program: BlockProgram, xs: Sequence[Fraction], times: Sequence[int]
-) -> tuple[list[list[Fraction]], bool]:
-    """Each start's exact values at the given times, and whether any is inexact.
-
-    The flag is set when a trajectory touched a frontier interval or the
-    last sampled time exceeds the program's exact horizon.
-    """
-    T = max(times) if times else 0
-    flagged = program.exact_horizon is not None and T > program.exact_horizon
-    rows = []
+) -> tuple[list[list[Fraction]], list[Optional[int]]]:
+    """Each start's exact values at the given times, and its first tainted time."""
+    T = max(times, default=0)
+    rows, taints = [], []
     for x in xs:
         traj = trajectory(program, Fraction(x), T)
         rows.append([traj.values[t] for t in times])
-        flagged = flagged or traj.tainted
-    return rows, flagged
+        taints.append(traj.tainted_from)
+    return rows, taints
+
+
+def _candidate_rows(
+    program: BlockProgram, candidates: Sequence[Fraction], times: Sequence[int]
+) -> tuple[list[list[Fraction]], bool]:
+    """Rows that start with the candidates' values at the given times, and
+    whether any of those values is inexact: the last time exceeds the exact
+    horizon, or a trajectory is tainted at or before it.
+
+    The program keeps its last sample.  A call on the same candidates whose
+    times are a prefix of the kept times reads the kept rows, which may run
+    past its times (``_greedy`` reads only each cell's first n values); any
+    other call empties the slot before its first trajectory, so that two
+    samples are never held at once, and keeps its own.
+    """
+    key = tuple(candidates)
+    # found by equality, not by hash: on the same candidate objects that is
+    # an identity test per element, where hashing computes every Fraction's
+    # hash; the slot holds one entry at most
+    kept = next((v for k, v in program._samples.items() if k == key), None)
+    if kept is None or kept[0][: len(times)] != tuple(times):
+        del kept  # no reference to the old sample may outlive the slot's
+        program._samples.clear()
+        kept = program._samples[key] = (tuple(times), *_sample(program, candidates, times))
+    _, rows, taints = kept
+    T = max(times)
+    flagged = program.exact_horizon is not None and T > program.exact_horizon
+    return rows, flagged or any(t is not None and t <= T for t in taints)
 
 
 def _separation(row: Sequence[Fraction], other: Sequence[Fraction], epsilon: Fraction) -> int:
@@ -87,7 +110,8 @@ def _greedy(
 
     A row whose first n values equal those of the first earlier row with the
     same first value is skipped untested in that cell: that row was kept (at
-    distance 0) or was blocked by a kept row that blocks this one too.
+    distance 0) or was blocked by a kept row that blocks this one too.  Only
+    the first max(ns) values of each row are read.
     """
     cells = sorted(set(ns), reverse=True)
     kept: dict[int, list[int]] = {n: [] for n in cells}
@@ -131,12 +155,14 @@ def greedy_separated(
 
     A candidate joins the witness set when its sampled values differ from
     every chosen witness by more than epsilon at one of the first n times.
-    The report is flagged when any candidate's values are inexact.
+    The report is flagged when any candidate's values are inexact.  The
+    candidates' rows come from the program's one kept sample when it covers
+    these candidates and times, and are sampled (and kept) otherwise.
     """
     _check_cells(A, [n], [epsilon])
     times = list(A[:n])
     epsilon = Fraction(epsilon)
-    rows, flagged = _sample(program, candidates, times)
+    rows, flagged = _candidate_rows(program, candidates, times)
     selected = [Fraction(candidates[i]) for i in _greedy(rows, [n], epsilon)[0]]
     return SeparationReport(
         times=tuple(times),
@@ -153,7 +179,11 @@ def verify_separated(
     program: BlockProgram,
     report: SeparationReport,
 ) -> bool:
-    """Post-hoc soundness check of a report's witness set."""
+    """Post-hoc soundness check of a report's witness set.
+
+    The witnesses are sampled afresh: the program's kept candidate sample is
+    neither read nor replaced, so a wrong kept row cannot certify itself.
+    """
     rows, _ = _sample(program, report.witnesses, report.times)
     n = len(report.times)
     return all(
@@ -194,12 +224,15 @@ def entropy_estimate(
     program yields exactly 0 whenever epsilon dominates the candidate spread.
     The candidates are sampled once, and one greedy pass per epsilon serves
     every n: each cell equals ``greedy_separated``'s cardinality for that n.
+    Like ``greedy_separated``, the table shares the program's one kept
+    sample: when an earlier call on the same candidates sampled times that
+    start with this table's times, no trajectory is computed.
     """
     if not epsilons or not n_list:
         raise ValueError("the table needs at least one epsilon and one n")
     _check_cells(A, n_list, epsilons)
     times = list(A[:max(n_list)])
-    samples, _ = _sample(program, candidates, times)
+    samples, _ = _candidate_rows(program, candidates, times)
     rows = []
     headline = 0.0
     for eps in epsilons:

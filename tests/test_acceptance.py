@@ -9,11 +9,12 @@ keeps moving; the scan measures 0 settled points, and the test documents
 that honestly rather than weakening the assertion.
 """
 
+import dataclasses
 import inspect
 
 import pytest
 
-from ndslab import acceptance
+from ndslab import acceptance, analysis
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import StageParams, build_main_nds
 
@@ -104,27 +105,39 @@ def test_criterion_7b_separated_growth(main_fixture):
 
 def test_criterion_7b_computes_each_cell_once(depth8_fixture, monkeypatch):
     # three greedy cells, n = 3 first, and no entropy table; the headline is
-    # the one the table over the same cells gives
+    # the one the table over the same cells gives on a fresh program.  The
+    # n = 1 cell reads the n = 8 sample the program kept: no trajectory
     greedy, table = acceptance.greedy_separated, acceptance.entropy_estimate
-    cells, tables = [], []
+    trajectory = analysis.trajectory
+    cells, tables, trajectories = [], [], []
 
     def greedy_spy(*args):
+        before = len(trajectories)
         rep = greedy(*args)
-        cells.append((args, rep))
+        cells.append((args, rep, len(trajectories) - before))
         return rep
 
     def table_spy(*args):
         tables.append(args)
         return table(*args)
 
+    def trajectory_spy(*args):
+        trajectories.append(args)
+        return trajectory(*args)
+
     monkeypatch.setattr(acceptance, "greedy_separated", greedy_spy)
     monkeypatch.setattr(acceptance, "entropy_estimate", table_spy)
+    monkeypatch.setattr(analysis, "trajectory", trajectory_spy)
     assert acceptance.criterion_7b(depth8_fixture).ok
-    assert [args[3] for args, _ in cells] == [3, 8, 1]
+    assert [args[3] for args, _, _ in cells] == [3, 8, 1]
     assert tables == []
     program, cands, S, _, eps = cells[0][0]
-    headline = max(rep.entropy_estimate for _, rep in cells)
-    assert headline == table(program, S, [eps], [1, 3, 8], cands).headline
+    assert [made for _, _, made in cells] == [len(cands), len(cands), 0]
+    monkeypatch.undo()
+    headline = max(rep.entropy_estimate for _, rep, _ in cells)
+    fresh = dataclasses.replace(program)
+    assert fresh._samples == {}
+    assert headline == table(fresh, S, [eps], [1, 3, 8], cands).headline
 
 
 @pytest.mark.xfail(
