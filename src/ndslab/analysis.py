@@ -61,28 +61,29 @@ def _sample(
 
 
 def _candidate_rows(
-    program: BlockProgram, candidates: Sequence[Fraction], times: Sequence[int]
+    program: BlockProgram, candidates: Sequence[Fraction], times: Sequence[int], keep: bool
 ) -> tuple[list[list[Fraction]], bool]:
     """Rows that start with the candidates' values at the given times, and
     whether any of those values is inexact: the last time exceeds the exact
     horizon, or a trajectory is tainted at or before it.
 
-    The program keeps its last sample.  A call on the same candidates whose
-    times are a prefix of the kept times reads the kept rows, which may run
-    past its times (``_greedy`` reads only each cell's first n values); any
-    other call empties the slot before its first trajectory, so that two
-    samples are never held at once, and keeps its own.
+    A call on the candidates of the program's kept sample whose times are a
+    prefix of the kept times reads the kept rows, which may run past its
+    times (``_greedy`` reads only each cell's first n values).  Any other
+    call empties the slot before its first trajectory, so that two samples
+    are never held at once, and with ``keep`` stores its own.
     """
-    key = tuple(candidates)
-    # found by equality, not by hash: on the same candidate objects that is
-    # an identity test per element, where hashing computes every Fraction's
-    # hash; the slot holds one entry at most
-    kept = next((v for k, v in program._samples.items() if k == key), None)
-    if kept is None or kept[0][: len(times)] != tuple(times):
-        del kept  # no reference to the old sample may outlive the slot's
-        program._samples.clear()
-        kept = program._samples[key] = (tuple(times), *_sample(program, candidates, times))
-    _, rows, taints = kept
+    # compared by equality, not by hash: on the same candidate objects that
+    # is an identity test per element, where hashing computes every
+    # Fraction's hash
+    key, times, slot = tuple(candidates), tuple(times), program._kept_sample
+    if slot and slot[0][0] == key and slot[0][1][: len(times)] == times:
+        _, _, rows, taints = slot[0]
+    else:
+        slot.clear()
+        rows, taints = _sample(program, key, times)
+        if keep:
+            slot.append((key, times, rows, taints))
     T = max(times)
     flagged = program.exact_horizon is not None and T > program.exact_horizon
     return rows, flagged or any(t is not None and t <= T for t in taints)
@@ -156,13 +157,14 @@ def greedy_separated(
     A candidate joins the witness set when its sampled values differ from
     every chosen witness by more than epsilon at one of the first n times.
     The report is flagged when any candidate's values are inexact.  The
-    candidates' rows come from the program's one kept sample when it covers
-    these candidates and times, and are sampled (and kept) otherwise.
+    candidates' rows come from the program's kept sample when it covers
+    these candidates and times; otherwise they are sampled, and kept in
+    place of the old sample.
     """
     _check_cells(A, [n], [epsilon])
     times = list(A[:n])
     epsilon = Fraction(epsilon)
-    rows, flagged = _candidate_rows(program, candidates, times)
+    rows, flagged = _candidate_rows(program, candidates, times, keep=True)
     selected = [Fraction(candidates[i]) for i in _greedy(rows, [n], epsilon)[0]]
     return SeparationReport(
         times=tuple(times),
@@ -224,15 +226,16 @@ def entropy_estimate(
     program yields exactly 0 whenever epsilon dominates the candidate spread.
     The candidates are sampled once, and one greedy pass per epsilon serves
     every n: each cell equals ``greedy_separated``'s cardinality for that n.
-    Like ``greedy_separated``, the table shares the program's one kept
-    sample: when an earlier call on the same candidates sampled times that
-    start with this table's times, no trajectory is computed.
+    When a ``greedy_separated`` call on the same candidates kept a sample
+    whose times start with this table's times, the table reads it and
+    computes no trajectory.  A table keeps no sample of its own: a miss
+    empties the slot, and the same table asked again samples again.
     """
     if not epsilons or not n_list:
         raise ValueError("the table needs at least one epsilon and one n")
     _check_cells(A, n_list, epsilons)
     times = list(A[:max(n_list)])
-    samples, _ = _candidate_rows(program, candidates, times)
+    samples, _ = _candidate_rows(program, candidates, times, keep=False)
     rows = []
     headline = 0.0
     for eps in epsilons:

@@ -76,10 +76,10 @@ class BlockProgram:
     # analysis.ly_classify's tail windows as (L, numerators over the common
     # denominator L), keyed by the start's (numerator, denominator, horizon)
     _tails: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # analysis's last candidate sample, at most one entry: tuple(candidates) ->
-    # (times, rows, each row's tainted_from); read by greedy_separated and
-    # entropy_estimate when their times are a prefix of the kept times
-    _samples: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # greedy_separated's last candidate sample, empty or one
+    # (candidates, times, rows, each row's tainted_from); greedy_separated and
+    # entropy_estimate read it when their times are a prefix of the kept times
+    _kept_sample: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self) -> None:
         object.__setattr__(

@@ -136,7 +136,7 @@ def test_criterion_7b_computes_each_cell_once(depth8_fixture, monkeypatch):
     monkeypatch.undo()
     headline = max(rep.entropy_estimate for _, rep, _ in cells)
     fresh = dataclasses.replace(program)
-    assert fresh._samples == {}
+    assert fresh._kept_sample == []
     assert headline == table(fresh, S, [eps], [1, 3, 8], cands).headline
 
 

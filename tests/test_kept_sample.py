@@ -1,15 +1,16 @@
 """The program's kept candidate sample against fresh programs.
 
-``greedy_separated`` and ``entropy_estimate`` keep their last candidate
-sample on the program (``BlockProgram._samples``, at most one entry) and
-read it when a later call has the same candidates and times that are a
-prefix of the kept times.  Every report and table of a random call sequence
+``greedy_separated`` keeps its last candidate sample on the program
+(``BlockProgram._kept_sample``, empty or one sample), and it and
+``entropy_estimate`` read it when a later call has the same candidates and
+times that are a prefix of the kept times; a table keeps nothing.  Every report and table of a random call sequence
 must equal the same call on a fresh copy of the program, which samples
 afresh.  The cases cover a candidate tainted strictly between a short and a
 long horizon with the long call first, times past the exact horizon, lists
 that differ in one element or in order, and ``1`` against ``Fraction(1)``.
 The slot holds at most one sample, a miss empties it before its first
-trajectory, and ``verify_separated`` neither reads nor replaces it.
+trajectory, a table asked twice samples twice, and ``verify_separated``
+neither reads nor replaces it.
 """
 
 import copy
@@ -91,22 +92,22 @@ def test_taint_between_horizons_long_call_first():
     program = fresh(PROGRAM)
     long, short, table = TAINT_BETWEEN
     assert run(program, long).flagged
-    kept = program._samples[tuple(BASE)]
+    kept, = program._kept_sample
     rep = run(program, short)
     assert not rep.flagged
-    assert program._samples[tuple(BASE)] is kept
+    assert program._kept_sample[0] is kept
     assert rep == run(fresh(program), short)
     assert run(program, table) == run(fresh(program), table)
-    assert program._samples[tuple(BASE)] is kept
+    assert program._kept_sample[0] is kept
 
 
 def test_int_and_fraction_candidates_share_the_sample():
     program = fresh(PROGRAM)
     call = ("greedy", "base", "long", 4, F(1, 4))
     run(program, call)
-    kept = program._samples[tuple(BASE)]
+    kept, = program._kept_sample
     rep = run(program, ("greedy", "ints", "long", 4, F(1, 4)))
-    assert program._samples[tuple(BASE)] is kept
+    assert program._kept_sample[0] is kept
     assert rep == run(program, call)
 
 
@@ -119,7 +120,7 @@ def test_one_sample_and_empty_slot_at_every_trajectory(sequence):
     made = []
 
     def spy(prog, *args):
-        assert prog._samples == {}
+        assert prog._kept_sample == []
         made.append(args)
         return trajectory(prog, *args)
 
@@ -127,7 +128,7 @@ def test_one_sample_and_empty_slot_at_every_trajectory(sequence):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "trajectory", spy)
         for call in sequence:
-            _, cands, times, cells, _ = call
+            kind, cands, times, cells, _ = call
             n = cells if isinstance(cells, int) else max(cells)
             key, sampled = tuple(VARIANTS[cands]), tuple(TIMES[times][:n])
             hit = kept is not None and kept[0] == key and kept[1][:n] == sampled
@@ -135,16 +136,40 @@ def test_one_sample_and_empty_slot_at_every_trajectory(sequence):
             run(program, call)
             assert len(made) - before == (0 if hit else len(key))
             if not hit:
-                kept = key, sampled
-            assert list(program._samples) == [kept[0]]
+                kept = (key, sampled) if kind == "greedy" else None
+            assert [s[:2] for s in program._kept_sample] == ([kept] if kept else [])
 
+
+
+def test_a_table_keeps_nothing():
+    # a table asked twice on one program samples twice, as on a fresh one,
+    # and a table that misses drops the sample a greedy call kept
+    program = fresh(PROGRAM)
+    trajectory = analysis.trajectory
+    made = []
+
+    def spy(*args):
+        made.append(args)
+        return trajectory(*args)
+
+    table = ("table", "base", "long", [3, 1], [F(1, 4)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "trajectory", spy)
+        first = run(program, table)
+        assert program._kept_sample == [] and len(made) == len(BASE)
+        assert run(program, table) == first
+        assert program._kept_sample == [] and len(made) == 2 * len(BASE)
+        run(program, ("greedy", "base", "other", 2, F(1, 4)))
+        assert len(program._kept_sample) == 1
+        assert run(program, table) == first
+        assert program._kept_sample == [] and len(made) == 4 * len(BASE)
 
 def _corrupt(program):
     """Overwrite every kept row with the candidate's index and return a copy."""
-    (_, rows, _), = program._samples.values()
+    (_, _, rows, _), = program._kept_sample
     for i, row in enumerate(rows):
         row[:] = [F(i)] * len(row)
-    return copy.deepcopy(program._samples)
+    return copy.deepcopy(program._kept_sample)
 
 
 def test_verify_ignores_corrupted_sample():
@@ -159,11 +184,11 @@ def test_verify_ignores_corrupted_sample():
     assert not verify_separated(fresh(program), close)
     assert not verify_separated(program, close)
     assert verify_separated(program, rep)
-    assert program._samples == snapshot
+    assert program._kept_sample == snapshot
     # with every kept row equal, the rows the slot holds would reject rep
-    (_, rows, _), = program._samples.values()
+    (_, _, rows, _), = program._kept_sample
     for row in rows:
         row[:] = [F(0)] * len(row)
-    snapshot = copy.deepcopy(program._samples)
+    snapshot = copy.deepcopy(program._kept_sample)
     assert verify_separated(program, rep)
-    assert program._samples == snapshot
+    assert program._kept_sample == snapshot
