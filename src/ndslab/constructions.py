@@ -77,8 +77,9 @@ class BlockProgram:
     # denominator L), keyed by the start's (numerator, denominator, horizon)
     _tails: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # greedy_separated's last candidate sample, empty or one
-    # (candidates, times, rows, each row's tainted_from); greedy_separated and
-    # entropy_estimate read it when their times are a prefix of the kept times
+    # (candidates, times, rows, each row's tainted_from), sampled at the
+    # call's whole time list A; greedy_separated and entropy_estimate read it
+    # when their times are a prefix of the kept times
     _kept_sample: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self) -> None:

@@ -34,15 +34,20 @@ class Trajectory:
         return [(t, v.numerator, v.denominator, t >= t0) for t, v in enumerate(self.values)]
 
 
-def _in_frontier(v: Fraction, frontier, float_frontier) -> bool:
+def _first_in_frontier(values: list[Fraction], frontier) -> Optional[int]:
+    """The first time whose value lies in a frontier interval, at least 1, or None."""
     # float() rounds monotonically, so l <= v <= r implies
     # float(l) <= float(v) <= float(r): a value outside every float interval
     # cannot lie in a frontier interval and skips the exact test.
-    fv = v.numerator / v.denominator  # float(v), without the Rational dispatch
-    for l, r in float_frontier:
-        if l <= fv <= r:
-            return any(a <= v <= b for a, b in frontier)
-    return False
+    float_frontier = [(float(l), float(r)) for l, r in frontier]
+    if not float_frontier:
+        return None
+    for t, v in enumerate(values):
+        fv = v.numerator / v.denominator  # float(v), without the Rational dispatch
+        for l, r in float_frontier:
+            if l <= fv <= r and any(a <= v <= b for a, b in frontier):
+                return max(t, 1)
+    return None
 
 
 def trajectory(
@@ -57,12 +62,7 @@ def trajectory(
     """
     if T < 0:
         raise ValueError("horizon must be >= 0")
-    frontier = program.frontier
-    float_frontier = [(float(l), float(r)) for l, r in frontier]
     values = [Fraction(x)]
-    tainted_from = None
-    if T and _in_frontier(values[0], frontier, float_frontier):
-        tainted_from = 1
     for t in range(1, T + 1):
         v = values[-1]
         f = program.map_at(t)
@@ -74,8 +74,7 @@ def trajectory(
                 steps[key] = eval_pl(f, v)
             v = steps[key]
         values.append(v)
-        if float_frontier and tainted_from is None and _in_frontier(v, frontier, float_frontier):
-            tainted_from = t
+    tainted_from = _first_in_frontier(values, program.frontier) if T else None
     return Trajectory(Fraction(x), tuple(values), tainted_from)
 
 

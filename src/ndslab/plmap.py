@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import merge
 from itertools import groupby
+from math import gcd
 from typing import Iterable, Sequence
 
 ZERO_F = Fraction(0)
@@ -57,6 +58,12 @@ class PLMap:
     def float_xs(self) -> array:
         """``float(xs)``, built on first use; it only locates pieces."""
         return array("d", map(float, self.xs))
+
+    @cached_property
+    def lines(self) -> dict[int, tuple[int, int, int]]:
+        """Piece index -> the piece's integer line (see :func:`_line`), filled
+        by :func:`eval_pl` for the pieces it visits."""
+        return {}
 
     @property
     def piece_count(self) -> int:
@@ -123,11 +130,13 @@ def tent_map() -> PLMap:
 
 
 def eval_pl(f: PLMap, x: Fraction) -> Fraction:
-    """Exact evaluation; breakpoints return their stored value.
+    """Exact evaluation; breakpoints and flat pieces return their stored value.
 
     ``float`` rounds monotonically, so xs[j] <= x implies
     float(xs[j]) <= float(x): the float bisection never lands left of x's
     piece, and the exact integer comparisons below walk it back onto it.
+    Inside a piece the value is one ``Fraction`` from the piece's integer
+    line in :attr:`PLMap.lines`.
     """
     x = _as_frac(x)
     n, d = x.numerator, x.denominator
@@ -137,20 +146,32 @@ def eval_pl(f: PLMap, x: Fraction) -> Fraction:
     i = bisect_right(f.float_xs, n / d) - 1
     while xs[i].numerator * d > n * xs[i].denominator:
         i -= 1
-    if i >= len(xs) - 1:
-        return f.ys[-1]
-    y0, y1 = f.ys[i], f.ys[i + 1]
-    a, b = xs[i].numerator, xs[i].denominator
-    c, e = xs[i + 1].numerator, xs[i + 1].denominator
-    p, q = y0.numerator, y0.denominator
-    r, s = y1.numerator, y1.denominator
-    # y0 + (y1 - y0) * (x - x0) / (x1 - x0) over one common denominator
-    rise = r * q - p * s
-    run = n * b - a * d
-    if rise == 0 or run == 0:
-        return y0
-    sdw = s * d * (c * b - a * e)
-    return Fraction(p * sdw + rise * run * e, q * sdw)
+    # x == 1 lands on the last breakpoint, so i is a piece past this test
+    if xs[i].numerator * d == n * xs[i].denominator:
+        return f.ys[i]
+    line = f.lines.get(i)
+    if line is None:
+        line = f.lines[i] = _line(f, i)
+    alpha, beta, gamma = line
+    if not alpha:
+        return f.ys[i]
+    return Fraction(alpha * n + beta * d, gamma * d)
+
+
+def _line(f: PLMap, i: int) -> tuple[int, int, int]:
+    """Integers (alpha, beta, gamma) with f(n/d) = (alpha n + beta d) / (gamma d)
+    on piece i, from x0 = a/b, x1 = c/e, y0 = p/q and y1 = r/s: with
+    rise = rq - ps and w = cb - ae, f(x) = y0 + (y1 - y0)(x - x0)/(x1 - x0)
+    gives alpha = rise b e, beta = psw - rise a e and gamma = qsw, divided by
+    their common gcd.  alpha is 0 exactly on a flat piece.
+    """
+    x0, x1, y0, y1 = f.xs[i], f.xs[i + 1], f.ys[i], f.ys[i + 1]
+    a, b, c, e = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+    p, q, r, s = y0.numerator, y0.denominator, y1.numerator, y1.denominator
+    rise, w = r * q - p * s, c * b - a * e
+    alpha, beta, gamma = rise * b * e, p * s * w - rise * a * e, q * s * w
+    g = gcd(alpha, beta, gamma)
+    return alpha // g, beta // g, gamma // g
 
 
 def _bisect_right(f: PLMap, n: int, d: int) -> int:

@@ -106,7 +106,8 @@ def test_criterion_7b_separated_growth(main_fixture):
 def test_criterion_7b_computes_each_cell_once(depth8_fixture, monkeypatch):
     # three greedy cells, n = 3 first, and no entropy table; the headline is
     # the one the table over the same cells gives on a fresh program.  The
-    # n = 1 cell reads the n = 8 sample the program kept: no trajectory
+    # n = 3 cell samples all 8 times and the program keeps that sample, so
+    # the n = 8 and n = 1 cells compute no trajectory
     greedy, table = acceptance.greedy_separated, acceptance.entropy_estimate
     trajectory = analysis.trajectory
     cells, tables, trajectories = [], [], []
@@ -132,7 +133,7 @@ def test_criterion_7b_computes_each_cell_once(depth8_fixture, monkeypatch):
     assert [args[3] for args, _, _ in cells] == [3, 8, 1]
     assert tables == []
     program, cands, S, _, eps = cells[0][0]
-    assert [made for _, _, made in cells] == [len(cands), len(cands), 0]
+    assert [made for _, _, made in cells] == [len(cands), 0, 0]
     monkeypatch.undo()
     headline = max(rep.entropy_estimate for _, rep, _ in cells)
     fresh = dataclasses.replace(program)

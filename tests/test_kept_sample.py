@@ -1,26 +1,30 @@
 """The program's kept candidate sample against fresh programs.
 
 ``greedy_separated`` keeps its last candidate sample on the program
-(``BlockProgram._kept_sample``, empty or one sample), and it and
-``entropy_estimate`` read it when a later call has the same candidates and
-times that are a prefix of the kept times; a table keeps nothing.  Every report and table of a random call sequence
+(``BlockProgram._kept_sample``, empty or one sample, taken at the call's whole
+time list A), and it and ``entropy_estimate`` read it when a later call has
+the same candidates and times that are a prefix of the kept times; a table
+keeps nothing.  Every report and table of a random call sequence
 must equal the same call on a fresh copy of the program, which samples
 afresh.  The cases cover a candidate tainted strictly between a short and a
 long horizon with the long call first, times past the exact horizon, lists
 that differ in one element or in order, and ``1`` against ``Fraction(1)``.
 The slot holds at most one sample, a miss empties it before its first
 trajectory, a table asked twice samples twice, and ``verify_separated``
-neither reads nor replaces it.
+neither reads nor replaces it.  A lone greedy call samples all of its times
+but flags only what its first n show, as the oracle sampling A[:n] does.
 """
 
 import copy
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ndslab import analysis
 from ndslab.analysis import entropy_estimate, greedy_separated, verify_separated
 from ndslab.constructions import BlockProgram, Stage
@@ -136,7 +140,8 @@ def test_one_sample_and_empty_slot_at_every_trajectory(sequence):
             run(program, call)
             assert len(made) - before == (0 if hit else len(key))
             if not hit:
-                kept = (key, sampled) if kind == "greedy" else None
+                # a greedy miss samples and keeps all of its time list
+                kept = (key, tuple(TIMES[times])) if kind == "greedy" else None
             assert [s[:2] for s in program._kept_sample] == ([kept] if kept else [])
 
 
@@ -192,3 +197,31 @@ def test_verify_ignores_corrupted_sample():
     snapshot = copy.deepcopy(program._kept_sample)
     assert verify_separated(program, rep)
     assert program._kept_sample == snapshot
+
+
+@pytest.mark.parametrize("times", sorted(TIMES))
+@pytest.mark.parametrize("epsilon", EPSILONS)
+def test_lone_greedy_flags_only_its_own_times(times, epsilon):
+    # the miss samples all of A, past the taint at t = 3 and the exact
+    # horizon 4; a cell of n < len(A) times must still read as a lone
+    # sample of A[:n] does
+    A = TIMES[times]
+    for n in range(1, len(A)):
+        cut = A[:n]
+        T = max(cut)
+        flagged = T > PROGRAM.exact_horizon or any(
+            oracles.trajectory(PROGRAM, x, T).tainted for x in BASE
+        )
+        witnesses = oracles.greedy_witnesses(PROGRAM, BASE, A, n, epsilon)
+        want = analysis.SeparationReport(
+            times=tuple(cut),
+            epsilon=epsilon,
+            n=n,
+            cardinality=len(witnesses),
+            entropy_estimate=math.log(len(witnesses)) / cut[-1],
+            witnesses=witnesses,
+            flagged=flagged,
+        )
+        program = fresh(PROGRAM)
+        assert greedy_separated(program, BASE, A, n, epsilon) == want
+        assert program._kept_sample[0][1] == tuple(A)
