@@ -345,9 +345,8 @@ def criterion_7b(fixture):
     cands, eps = entropy_inputs(bundle)
     # n = 3 comes first: perfbench's test_default_seed_reproduces_7b_inputs
     # checks the entropy-main workload against 7b's first greedy_separated call.
-    # The n = 3 call samples the candidates at all 8 times of S and the
-    # program keeps that sample, so the n = 8 and n = 1 cells read it and
-    # compute no trajectory.
+    # Every cell asks for the candidates at all 8 times of S, so the n = 8
+    # and n = 1 cells read the sample the program kept at n = 3.
     rep3 = greedy_separated(program, cands, S, 3, eps)
     rep8 = greedy_separated(program, cands, S, 8, eps)
     if rep3.cardinality < 9:

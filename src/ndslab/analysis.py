@@ -61,35 +61,26 @@ def _sample(
 
 
 def _candidate_rows(
-    program: BlockProgram, candidates: Sequence[Fraction], A: Sequence[int], n: int, keep: bool
-) -> tuple[list[list[Fraction]], bool]:
-    """Rows that start with the candidates' values at the times A[:n], and
-    whether any of those values is inexact: the last of these times exceeds
-    the exact horizon, or a trajectory is tainted at or before it.
+    program: BlockProgram, candidates: Sequence[Fraction], times: Sequence[int], keep: bool
+) -> tuple[list[list[Fraction]], list[Optional[int]]]:
+    """The candidates' exact values at the times, and each row's first tainted time.
 
-    A call on the candidates of the program's kept sample whose times A[:n]
-    are a prefix of the kept times reads the kept rows, which may run past
-    its times (``_greedy`` reads only each cell's first n values).  Any
-    other call empties the slot before its first trajectory, so that two
-    samples are never held at once.  With ``keep`` it then samples all of A
-    and keeps that sample, so that a later call on a prefix of A reads it;
-    without, it samples A[:n] only.
+    A call whose candidates and times equal those of the program's kept
+    sample reads its rows.  Any other call empties the slot before its first
+    trajectory, so that two samples are never held at once, and with
+    ``keep`` keeps its own sample.
     """
     # compared by equality, not by hash: on the same candidate objects that
     # is an identity test per element, where hashing computes every
     # Fraction's hash
-    key, times, slot = tuple(candidates), tuple(A[:n]), program._kept_sample
-    if slot and slot[0][0] == key and slot[0][1][:n] == times:
-        _, _, rows, taints = slot[0]
-    else:
-        slot.clear()
-        sampled = tuple(A) if keep else times
-        rows, taints = _sample(program, key, sampled)
-        if keep:
-            slot.append((key, sampled, rows, taints))
-    T = max(times)
-    flagged = program.exact_horizon is not None and T > program.exact_horizon
-    return rows, flagged or any(t is not None and t <= T for t in taints)
+    key, times, slot = tuple(candidates), tuple(times), program._kept_sample
+    if slot and slot[0][0] == key and slot[0][1] == times:
+        return slot[0][2], slot[0][3]
+    slot.clear()
+    rows, taints = _sample(program, key, times)
+    if keep:
+        slot.append((key, times, rows, taints))
+    return rows, taints
 
 
 def _separation(row: Sequence[Fraction], other: Sequence[Fraction], epsilon: Fraction) -> int:
@@ -160,25 +151,26 @@ def greedy_separated(
     A candidate joins the witness set when its sampled values differ from
     every chosen witness by more than epsilon at one of the first n times.
     The report is flagged when any candidate's values at those n times are
-    inexact.  The candidates' rows come from the program's kept sample when
-    it covers these candidates and times; otherwise the candidates are
-    sampled at every time of A, not only the first n, and that sample is
-    kept in place of the old one, so that a later call with n' <= len(A)
-    samples nothing.
+    inexact: their last time T exceeds the exact horizon, or a trajectory is
+    tainted at or before T.  The candidates are sampled at every time of A,
+    not only the first n, and the program keeps that sample, so that a later
+    call on the same candidates and A samples nothing, whatever its n.
     """
     _check_cells(A, [n], [epsilon])
-    times = list(A[:n])
+    times = tuple(A[:n])
     epsilon = Fraction(epsilon)
-    rows, flagged = _candidate_rows(program, candidates, A, n, keep=True)
+    rows, taints = _candidate_rows(program, candidates, A, keep=True)
+    T = max(times)
+    flagged = program.exact_horizon is not None and T > program.exact_horizon
     selected = [Fraction(candidates[i]) for i in _greedy(rows, [n], epsilon)[0]]
     return SeparationReport(
-        times=tuple(times),
+        times=times,
         epsilon=epsilon,
         n=n,
         cardinality=len(selected),
         entropy_estimate=_estimate(len(selected), times[-1]),
         witnesses=tuple(selected),
-        flagged=flagged,
+        flagged=flagged or any(t is not None and t <= T for t in taints),
     )
 
 
@@ -229,19 +221,17 @@ def entropy_estimate(
     The headline is the table maximum.  This estimates the sequence-entropy
     double limit from below only; callers choose the cells, and the identity
     program yields exactly 0 whenever epsilon dominates the candidate spread.
-    The candidates are sampled once, and one greedy pass per epsilon serves
-    every n: each cell equals ``greedy_separated``'s cardinality for that n.
-    When a ``greedy_separated`` call on the same candidates kept a sample
-    whose times start with this table's times (it keeps its whole A), the
-    table reads it and computes no trajectory.  A table keeps no sample of
-    its own: a miss empties the slot, samples A[:max(n_list)] only, and the
-    same table asked again samples again.
+    The candidates are sampled once, at A[:max(n_list)], and one greedy pass
+    per epsilon serves every n: each cell equals ``greedy_separated``'s
+    cardinality for that n.  The table reads the program's kept sample when
+    its candidates and times are equal to these, and keeps no sample of its
+    own, so the same table asked again samples again.
     """
     if not epsilons or not n_list:
         raise ValueError("the table needs at least one epsilon and one n")
     _check_cells(A, n_list, epsilons)
     times = list(A[:max(n_list)])
-    samples, _ = _candidate_rows(program, candidates, A, max(n_list), keep=False)
+    samples, _ = _candidate_rows(program, candidates, times, keep=False)
     rows = []
     headline = 0.0
     for eps in epsilons:

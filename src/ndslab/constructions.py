@@ -31,7 +31,7 @@ from operator import index
 from typing import Optional, Sequence
 
 from .blowup import Interval, LimitMapBundle
-from .plmap import PLMap, compose, eval_pl, identity_map, pl_from_points
+from .plmap import PLMap, _canonical_map, compose, eval_pl, identity_map
 from .symbolic import Block, Code, block_successor, evaluate_e
 
 # ---------------------------------------------------------------------------
@@ -77,9 +77,8 @@ class BlockProgram:
     # denominator L), keyed by the start's (numerator, denominator, horizon)
     _tails: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # greedy_separated's last candidate sample, empty or one
-    # (candidates, times, rows, each row's tainted_from), sampled at the
-    # call's whole time list A; greedy_separated and entropy_estimate read it
-    # when their times are a prefix of the kept times
+    # (candidates, times, rows, each row's tainted_from); greedy_separated
+    # and entropy_estimate read it only on equal candidates and equal times
     _kept_sample: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self) -> None:
@@ -117,7 +116,9 @@ def _splice(base: PLMap, points: list[tuple[Fraction, Fraction]]) -> PLMap:
     """The map through ``points`` on their span, and ``base`` outside it."""
     points = sorted(points)
     i, j = bisect_left(base.xs, points[0][0]), bisect_right(base.xs, points[-1][0])
-    return pl_from_points(
+    # base's points outside the span bracket the sorted points, so the whole
+    # list is in x-order already
+    return _canonical_map(
         list(zip(base.xs[:i], base.ys[:i])) + points + list(zip(base.xs[j:], base.ys[j:]))
     )
 

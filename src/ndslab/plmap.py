@@ -132,22 +132,17 @@ def tent_map() -> PLMap:
 def eval_pl(f: PLMap, x: Fraction) -> Fraction:
     """Exact evaluation; breakpoints and flat pieces return their stored value.
 
-    ``float`` rounds monotonically, so xs[j] <= x implies
-    float(xs[j]) <= float(x): the float bisection never lands left of x's
-    piece, and the exact integer comparisons below walk it back onto it.
-    Inside a piece the value is one ``Fraction`` from the piece's integer
-    line in :attr:`PLMap.lines`.
+    The piece is located by :func:`_bisect_right`.  Inside a piece the value
+    is one ``Fraction`` from the piece's integer line in :attr:`PLMap.lines`.
     """
     x = _as_frac(x)
     n, d = x.numerator, x.denominator
     if n < 0 or n > d:
         raise ValueError(f"argument {x} outside [0,1]")
-    xs = f.xs
-    i = bisect_right(f.float_xs, n / d) - 1
-    while xs[i].numerator * d > n * xs[i].denominator:
-        i -= 1
+    i = _bisect_right(f, n, d) - 1
+    xi = f.xs[i]
     # x == 1 lands on the last breakpoint, so i is a piece past this test
-    if xs[i].numerator * d == n * xs[i].denominator:
+    if xi.numerator * d == n * xi.denominator:
         return f.ys[i]
     line = f.lines.get(i)
     if line is None:
@@ -177,9 +172,9 @@ def _line(f: PLMap, i: int) -> tuple[int, int, int]:
 def _bisect_right(f: PLMap, n: int, d: int) -> int:
     """``bisect_right(f.xs, Fraction(n, d))`` for 0 <= n/d <= 1 and d > 0.
 
-    Located on ``float_xs`` like :func:`eval_pl`: ``float`` rounds
-    monotonically, so the float index is never left of the exact one, and
-    integer comparisons walk it back.
+    Located on ``float_xs``: ``float`` rounds monotonically, so xs[j] <= n/d
+    implies float(xs[j]) <= n/d, the float index is never left of the exact
+    one, and integer comparisons walk it back.
     """
     xs = f.xs
     i = bisect_right(f.float_xs, n / d)

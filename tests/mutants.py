@@ -1,0 +1,151 @@
+"""A re-runnable catalogue of mutants, each with the tests that must kill it.
+
+Run it from anywhere:
+
+    python tests/mutants.py
+
+It copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory and checks that the unmutated copy passes every named test.  Then,
+for each entry, it applies the entry's one replacement to a fresh copy and
+runs the entry's tests there in one pytest subprocess.  An entry is
+*killed* when its tests fail, *survived* when they pass, and *stale* when
+its old text is not found exactly once in its file, so that the code has
+moved on and the entry needs mending.  The exit status is 0 only when every
+entry is killed.  pytest does not collect this file; ``test_mutants.py``
+checks that every entry still applies.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+KEPT = "tests/test_kept_sample.py::"
+CONTROLS = "tests/test_controls.py::"
+
+CATALOGUE = (
+    Mutant(
+        "ly_classify never returns LY-candidate",
+        "src/ndslab/analysis.py",
+        'cls = "LY-candidate"',
+        'cls = "asymptotic-candidate"',
+        (CONTROLS + "test_ly_scan_finds_the_tent",),
+    ),
+    Mutant(
+        "distality_report is always ok",
+        "src/ndslab/analysis.py",
+        "ok=min_d >= bound,",
+        "ok=True,",
+        (CONTROLS + "test_distality_scan_rejects_the_tent",),
+    ),
+    Mutant(
+        "a kept sample is read through a prefix of its times",
+        "src/ndslab/analysis.py",
+        "slot[0][1] == times",
+        "slot[0][1][:len(times)] == times",
+        (KEPT + "test_a_table_on_a_strict_prefix_samples_afresh",),
+    ),
+    Mutant(
+        "a greedy flag reads every sampled time",
+        "src/ndslab/analysis.py",
+        "    T = max(times)\n",
+        "    T = max(A)\n",
+        (
+            KEPT + "test_taint_between_horizons_long_call_first",
+            KEPT + "test_lone_greedy_flags_only_its_own_times",
+        ),
+    ),
+    Mutant(
+        "a table keeps its sample",
+        "src/ndslab/analysis.py",
+        "_candidate_rows(program, candidates, times, keep=False)",
+        "_candidate_rows(program, candidates, times, keep=True)",
+        (KEPT + "test_a_table_keeps_nothing",),
+    ),
+    Mutant(
+        "_splice does not sort its points",
+        "src/ndslab/constructions.py",
+        "    points = sorted(points)\n",
+        "",
+        ("tests/test_construction_oracles.py::TestSplice",),
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(
+                source, dest / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis")
+            )
+        else:
+            shutil.copy2(source, dest / name)
+
+
+def mutate(root: Path, mutant: Mutant) -> bool:
+    """Apply the replacement under root; False when the old text is not there exactly once."""
+    path = root / mutant.file
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        return False
+    path.write_text(text.replace(mutant.old, mutant.new))
+    return True
+
+
+def run_tests(root: Path, tests) -> int:
+    """pytest's exit status for the tests in the copy at root."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(cmd, cwd=root, env=env, capture_output=True)
+    return done.returncode
+
+
+def judge(mutant: Mutant) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        copy_tree(root)
+        if not mutate(root, mutant):
+            return "stale"
+        status = run_tests(root, mutant.tests)
+    # 1: a test failed; 2: collection failed, e.g. the mutant does not import
+    return {0: "survived", 1: "killed", 2: "killed"}.get(status, f"broken (pytest exit {status})")
+
+
+def main() -> int:
+    tests = list(dict.fromkeys(t for m in CATALOGUE for t in m.tests))
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_tree(Path(tmp))
+        if run_tests(Path(tmp), tests):
+            print("the unmutated copy fails the named tests", file=sys.stderr)
+            return 2
+    verdicts = []
+    for mutant in CATALOGUE:
+        start = time.perf_counter()
+        verdicts.append(judge(mutant))
+        print(f"{verdicts[-1]:>8}  {mutant.name}  ({time.perf_counter() - start:.1f} s)")
+    killed = verdicts.count("killed")
+    print(f"{killed} of {len(CATALOGUE)} killed")
+    return 0 if killed == len(CATALOGUE) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

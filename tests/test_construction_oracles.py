@@ -5,7 +5,9 @@
 emits its cuts in x-order from one float-located search per breakpoint of
 the inner map, ``interval_image`` slices the values between two such
 searches, and ``sup_distance`` merges two sorted breakpoint tuples.  Each is
-compared here with the all-``Fraction`` version in ``oracles`` on inputs
+compared here with the all-``Fraction`` version in ``oracles`` (and the
+splice of the construction moves, which builds its map from an already
+sorted list, with ``pl_from_points`` of the same points) on inputs
 that a friendly strategy misses: coordinates 2^-70 apart, ~200-bit
 denominators, exactly collinear triples and triples 2^-70 off, duplicate
 points that agree or conflict, constant and falling pieces, value ranges
@@ -22,7 +24,10 @@ from hypothesis import strategies as st
 
 import oracles
 from ndslab import plmap
-from ndslab.plmap import PLMap, compose, interval_image, pl_from_points, sup_distance, tent_map
+from ndslab.constructions import _splice
+from ndslab.plmap import (
+    PLMap, compose, eval_pl, interval_image, pl_from_points, sup_distance, tent_map,
+)
 from test_float_filters import crowded_plmaps
 
 TINY = Fraction(1, 2 ** 70)
@@ -269,3 +274,32 @@ class TestSupDistance:
         f = pl_from_points([(0, 0), (Fraction(1, 3), 1), (1, 0)])
         g = pl_from_points([(0, 0), (Fraction(1, 3), 1), (Fraction(1, 3) + TINY, 0), (1, 0)])
         assert sup_distance(f, g) == oracles.sup_distance(f, g) > 0
+
+
+@st.composite
+def splices(draw):
+    """(base, points): points on, 2^-70 beside, between and beyond base's
+    breakpoints, in any order, often with a repeated point, span ends on
+    base's graph (so a seam may be collinear with base) or a span of [0,1]."""
+    base = draw(st.one_of(hard_plmaps(), crowded_plmaps()))
+    xs = st.one_of(on_or_beside(base.xs), coords)
+    pts = [(x, draw(coords)) for x in draw(st.lists(xs, min_size=1, max_size=5))]
+    if draw(st.booleans()):
+        ends = (min(pts)[0], max(pts)[0])
+        pts = [(x, eval_pl(base, x) if x in ends else y) for x, y in pts]
+    if draw(st.booleans()):
+        pts += [(Fraction(0), draw(coords)), (Fraction(1), draw(coords))]
+    if draw(st.booleans()):
+        pts.append(draw(st.sampled_from(pts)))
+    return base, draw(st.permutations(pts))
+
+
+class TestSplice:
+    @given(splices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pl_from_points(self, case):
+        base, pts = case
+        lo, hi = min(x for x, _ in pts), max(x for x, _ in pts)
+        outside = [(x, y) for x, y in zip(base.xs, base.ys) if not lo <= x <= hi]
+        got = _outcome(_splice, base, list(pts))
+        assert _exact(got) == _exact(_outcome(pl_from_points, outside + pts))

@@ -2,17 +2,18 @@
 
 ``greedy_separated`` keeps its last candidate sample on the program
 (``BlockProgram._kept_sample``, empty or one sample, taken at the call's whole
-time list A), and it and ``entropy_estimate`` read it when a later call has
-the same candidates and times that are a prefix of the kept times; a table
-keeps nothing.  Every report and table of a random call sequence
-must equal the same call on a fresh copy of the program, which samples
-afresh.  The cases cover a candidate tainted strictly between a short and a
-long horizon with the long call first, times past the exact horizon, lists
-that differ in one element or in order, and ``1`` against ``Fraction(1)``.
-The slot holds at most one sample, a miss empties it before its first
-trajectory, a table asked twice samples twice, and ``verify_separated``
-neither reads nor replaces it.  A lone greedy call samples all of its times
-but flags only what its first n show, as the oracle sampling A[:n] does.
+time list A), and it and ``entropy_estimate`` read it only when a later call
+has equal candidates and equal times; a table keeps nothing.  Every report
+and table of a random call sequence must equal the same call on a fresh copy
+of the program, which samples afresh.  The cases cover a candidate tainted
+strictly between a short and a long horizon with the long call first, times
+past the exact horizon, lists that differ in one element or in order, and
+``1`` against ``Fraction(1)``.  The slot holds at most one sample, a miss
+(a table on a strict prefix of the kept times too) empties it before its
+first trajectory, a table asked twice samples twice, and
+``verify_separated`` neither reads nor replaces it.  A lone greedy call
+samples all of its times but flags only what its first n show, as the oracle
+sampling A[:n] does.
 """
 
 import copy
@@ -72,11 +73,12 @@ def fresh(program):
     return dataclasses.replace(program)
 
 
-# a candidate tainted at t = 3: the n = 6 call is flagged, the n = 2 hit is not
+# a candidate tainted at t = 3: the n = 6 call is flagged, the n = 2 hit is
+# not, and the table on all of the long times reads the same sample
 TAINT_BETWEEN = [
     ("greedy", "base", "long", 6, F(1, 8)),
     ("greedy", "base", "long", 2, F(1, 8)),
-    ("table", "base", "long", [2, 1], [F(1, 8)]),
+    ("table", "base", "long", [6, 2], [F(1, 8)]),
 ]
 
 
@@ -133,15 +135,16 @@ def test_one_sample_and_empty_slot_at_every_trajectory(sequence):
         mp.setattr(analysis, "trajectory", spy)
         for call in sequence:
             kind, cands, times, cells, _ = call
-            n = cells if isinstance(cells, int) else max(cells)
+            # a greedy call samples all of its time list, a table its first
+            # max(n_list) times
+            n = len(TIMES[times]) if kind == "greedy" else max(cells)
             key, sampled = tuple(VARIANTS[cands]), tuple(TIMES[times][:n])
-            hit = kept is not None and kept[0] == key and kept[1][:n] == sampled
+            hit = kept == (key, sampled)
             before = len(made)
             run(program, call)
             assert len(made) - before == (0 if hit else len(key))
             if not hit:
-                # a greedy miss samples and keeps all of its time list
-                kept = (key, tuple(TIMES[times])) if kind == "greedy" else None
+                kept = (key, sampled) if kind == "greedy" else None
             assert [s[:2] for s in program._kept_sample] == ([kept] if kept else [])
 
 
@@ -168,6 +171,27 @@ def test_a_table_keeps_nothing():
         assert len(program._kept_sample) == 1
         assert run(program, table) == first
         assert program._kept_sample == [] and len(made) == 4 * len(BASE)
+
+
+def test_a_table_on_a_strict_prefix_samples_afresh():
+    # the kept times [1..6] start with the table's [1, 2, 3], but only equal
+    # times are read: the table samples its own and empties the slot
+    program = fresh(PROGRAM)
+    trajectory = analysis.trajectory
+    made = []
+
+    def spy(*args):
+        made.append(args)
+        return trajectory(*args)
+
+    table = ("table", "base", "long", [3, 1], [F(1, 4)])
+    run(program, ("greedy", "base", "long", 4, F(1, 4)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "trajectory", spy)
+        assert run(program, table) == run(fresh(program), table)
+        assert len(made) == 2 * len(BASE)
+    assert program._kept_sample == []
+
 
 def _corrupt(program):
     """Overwrite every kept row with the candidate's index and return a copy."""
