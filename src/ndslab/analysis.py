@@ -1,15 +1,14 @@
 """Diagnostics: separated sets, entropy lower bounds, pair classification.
 
 Everything here produces certified *lower* bounds or finite-horizon
-classifications; no limit quantity is ever claimed.  Distances are exact
-rationals; logarithms appear only in the reported estimates, and floats only
-pre-select the steps whose exact distances are then compared.
+classifications; no limit quantity is ever claimed.  Distances are exact:
+orbits are compared as integer numerators over a common denominator, and
+floats appear only in the logged entropy estimates.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -243,6 +242,17 @@ def entropy_estimate(
     return EntropyTable(A=tuple(times), rows=tuple(rows), headline=headline)
 
 
+def _integer_rows(seqs: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(L, rows): seqs' values as numerators over their common denominator L.
+
+    Orbits share value objects (one per memo step): each is converted once.
+    """
+    values = {id(v): v for vs in seqs for v in vs}
+    L = math.lcm(*(v.denominator for v in values.values()))
+    nums = {k: v.numerator * (L // v.denominator) for k, v in values.items()}
+    return L, [[nums[id(v)] for v in vs] for vs in seqs]
+
+
 def ly_classify(
     program: BlockProgram,
     x: Fraction,
@@ -269,8 +279,8 @@ def ly_classify(
         row = program._tails.get(key)
         if row is None:
             window = trajectory(program, Fraction(start), T).values[T // 2 :]
-            L = math.lcm(*(v.denominator for v in window))
-            row = program._tails[key] = (L, [v.numerator * (L // v.denominator) for v in window])
+            L, (nums,) = _integer_rows([window])
+            row = program._tails[key] = (L, nums)
         rows.append(row)
     # a/p - b/q = (aq - bp) / (pq): every distance over the one denominator pq
     (p, A), (q, B) = rows
@@ -331,23 +341,11 @@ def _split_depth(a: Code, b: Code) -> int:
     return (x & -x).bit_length()
 
 
-def _min_gap(a: tuple, b: tuple) -> Fraction:
-    """Exact minimum over time of the gap between two interval orbits.
-
-    ``a`` and ``b`` hold the left and right endpoint orbits, exact and as
-    floats.  A float gap is within a few ulps of the exact one, so every
-    step with the minimal exact gap has a float gap within 1e-9 of the float
-    minimum; the exact gap is computed at those steps only.
-    """
-    al, ar, fal, far = a
-    bl, br, fbl, fbr = b
-    fgaps = [max(p - q, u - v, 0.0) for p, q, u, v in zip(fbl, far, fal, fbr)]
-    cut = min(fgaps) + 1e-9
-    return min(
-        max(bl[t] - ar[t], al[t] - br[t], Fraction(0))
-        for t, g in enumerate(fgaps)
-        if g <= cut
-    )
+def _min_gap(a: tuple, b: tuple) -> int:
+    """Minimal gap over time of two intervals, each a (left, right) pair of integer rows."""
+    al, ar = a
+    bl, br = b
+    return max(0, min(max(p - q, u - v) for p, q, u, v in zip(bl, ar, al, br)))
 
 
 def distality_report(
@@ -379,20 +377,15 @@ def distality_report(
             )
         depths.append(d)
     bounds = {d: bundle.atlas.min_hull_gap(d) for d in set(depths)}
-    cache: dict[Code, tuple] = {}
     steps: dict = {}  # one step memo for every endpoint orbit: they revisit few values
-
-    def endpoints(c: Code):
-        if c not in cache:
-            exact = [trajectory(program, e, T, steps).values for e in bundle.atlas.interval_of(c)]
-            fl = [array("d", [v.numerator / v.denominator for v in vs]) for vs in exact]
-            cache[c] = (*exact, *fl)
-        return cache[c]
-
+    codes = dict.fromkeys(c for pair in code_pairs for c in pair)  # in first-use order
+    ends = [e for c in codes for e in bundle.atlas.interval_of(c)]
+    L, rows = _integer_rows([trajectory(program, e, T, steps).values for e in ends])
+    orbits = dict(zip(codes, zip(rows[::2], rows[1::2])))  # each code's (left, right) rows
     out = []
     for (a, b), d in zip(code_pairs, depths):
         bound = bounds[d]
-        min_d = _min_gap(endpoints(a), endpoints(b))
+        min_d = Fraction(_min_gap(orbits[a], orbits[b]), L)
         out.append(
             DistalityRow(
                 pair=(str(a), str(b)),

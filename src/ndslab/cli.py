@@ -219,11 +219,16 @@ def load_program(path: str) -> BlockProgram:
         raise click.UsageError(f"cannot load program {path}: {e!r}")
 
 
-def _check_times(spec: str, count: int, family: str) -> list[int] | None:
+def _check_times(spec: str | None, count: int, family: str) -> list[int] | None:
     """The times 1..n, or None for S and R, whose times need the stage params.
 
     Checked before any build: the spec, and the family and count of S and R.
+    Without a spec the main family takes S and the others 1..count.
     """
+    if spec is None:
+        if family != "main" and count < 1:
+            raise click.UsageError(f"--count {count}: need at least one time")
+        spec = "S" if family == "main" else f"1..{count}"
     if spec in ("S", "R"):
         if family != "main":
             raise click.UsageError(
@@ -304,7 +309,7 @@ def dump_map_cmd(program_path, time_index, grid, out):
 @main.command("entropy")
 @click.option("--family", type=click.Choice(["lemma", "main", "tent", "identity"]), required=True)
 @_atlas_options()
-@click.option("--times", "times_spec", default="S", show_default=True, help="R, S or 1..n")
+@click.option("--times", "times_spec", help="R, S or 1..n; default S for main, else 1..count")
 @click.option(
     "--epsilon", type=_SCALE, multiple=True, help="scales; default family-specific"
 )
@@ -315,11 +320,11 @@ def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, coun
     """Greedy separated-set entropy table for a program."""
     A = _check_times(times_spec, count, family)
     program, bundle, params = _configure(family, config_path, depth, rho, base)
-    if A is None:
+    if A is None:  # R, or S: the main family's default
         try:
-            A = times_S(params, count) if times_spec == "S" else times_R(params, 1, count)
+            A = times_R(params, 1, count) if times_spec == "R" else times_S(params, count)
         except ValueError as e:  # a count beyond the configured stages
-            raise click.UsageError(f"times {times_spec!r}: {e}")
+            raise click.UsageError(f"times {times_spec or 'S'!r}: {e}")
     cands, eps_default = acceptance.entropy_inputs(bundle)
     epsilons = list(epsilon) or [eps_default]
     n_list = sorted({1, max(1, len(A) // 2), len(A)})

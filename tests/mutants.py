@@ -40,6 +40,9 @@ class Mutant(NamedTuple):
 
 KEPT = "tests/test_kept_sample.py::"
 CONTROLS = "tests/test_controls.py::"
+FILTERS = "tests/test_float_filters.py::"
+CONTRACT = "tests/test_cli_contract.py::"
+MODEL = ("tests/test_main_model.py::test_atlas_orbits_follow_the_model",)
 
 CATALOGUE = (
     Mutant(
@@ -86,6 +89,78 @@ CATALOGUE = (
         "    points = sorted(points)\n",
         "",
         ("tests/test_construction_oracles.py::TestSplice",),
+    ),
+    Mutant(
+        "the distality gap is not clamped at 0",
+        "src/ndslab/analysis.py",
+        "return max(0, min(max(p - q, u - v) for p, q, u, v in zip(bl, ar, al, br)))",
+        "return min(max(p - q, u - v) for p, q, u, v in zip(bl, ar, al, br))",
+        (FILTERS + "TestDistalityMinimum::test_matches_reference",),
+    ),
+    Mutant(
+        "the common denominator comes from the first sequence only",
+        "src/ndslab/analysis.py",
+        "L = math.lcm(*(v.denominator for v in values.values()))",
+        "L = math.lcm(*(v.denominator for v in seqs[0]))",
+        (FILTERS + "TestIntegerRows",),
+    ),
+    Mutant(
+        "the distality steps default to 2 ** (D - 2)",
+        "src/ndslab/acceptance.py",
+        "steps = bundle.exact_horizon // 2",
+        "steps = 2 ** (D - 2)",
+        (CONTRACT + "test_valid_command_lines_exit_0_or_1[distality]",),
+    ),
+    Mutant(
+        "ly-scan --pairs is typed int",
+        "src/ndslab/cli.py",
+        '"--pairs", type=click.IntRange(min=1)',
+        '"--pairs", type=int',
+        (CONTRACT + "test_invalid_command_lines_exit_2[ly-scan]",),
+    ),
+    Mutant(
+        "load_program does not check tail_mode",
+        "src/ndslab/cli.py",
+        '        if d["tail_mode"] != ("cycle" if tail is None else "repeat"):\n'
+        "            raise ValueError(f\"tail mode {d['tail_mode']!r}: repeat needs a tail map, "
+        'cycle none")\n',
+        "",
+        (CONTRACT + "test_invalid_command_lines_exit_2[trajectory]",),
+    ),
+    Mutant(
+        "the interning dict is keyed by numerator only",
+        "src/ndslab/constructions.py",
+        "ends.get((y.numerator, y.denominator), y)",
+        "{n: v for (n, _), v in ends.items()}.get(y.numerator, y)",
+        ("tests/test_atlas_oracles.py::test_stage_maps_take_the_partner_images_at_the_hull_ends",),
+    ),
+    Mutant(
+        "lambda flips one letter too few",
+        "src/ndslab/constructions.py",
+        "flip = (1 << (atlas.depth + 1 - k)) - 1",
+        "flip = (1 << (atlas.depth - k)) - 1",
+        MODEL,
+    ),
+    Mutant(
+        "a fold point is moved",
+        "src/ndslab/constructions.py",
+        "[(kl, nl), (il, nr), (ir, nl), (kr, nr)]",
+        "[(kl, nl), ((kl + il) / 2, nr), (ir, nl), (kr, nr)]",
+        MODEL,
+    ),
+    Mutant(
+        "the stack is 2^-40 off centre",
+        "src/ndslab/constructions.py",
+        "    mid = (l + r) / 2\n",
+        "    mid = (l + r) / 2 + Fraction(1, 2**40)\n",
+        MODEL,
+    ),
+    Mutant(
+        "the collapse is off centre",
+        "src/ndslab/constructions.py",
+        "centre = (eval_pl(base, kl) + eval_pl(base, kr)) / 2",
+        "centre = (eval_pl(base, kl) + 2 * eval_pl(base, kr)) / 3",
+        MODEL,
     ),
 )
 

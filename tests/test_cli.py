@@ -231,6 +231,13 @@ def test_entropy_headline_is_set_by_the_one_time_cell(runner, tmp_path):
     assert all(cells[n]["estimate"] < data["headline"] for n in (2, 5))
 
 
+def test_entropy_default_times_for_other_families_are_one_to_count(runner, tmp_path):
+    out = tmp_path / "e.json"
+    res = runner.invoke(main, ["entropy", "--family", "identity", "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(out.read_text())["times"] == list(range(1, 9))
+
+
 def test_entropy_rejects_stage_times_for_other_families(runner, tmp_path):
     res = runner.invoke(
         main,
@@ -448,6 +455,7 @@ EARLY_REFUSALS = {
     "entropy-times-R-count-negative": [
         "entropy", "--family", "main", "--times", "R", "--count", "-2"
     ],
+    "entropy-default-times-count-zero": ["entropy", "--family", "tent", "--count", "0"],
     "ly-scan-pairs-zero": ["ly-scan", "--pairs", "0"],
     "ly-scan-pairs-negative": ["ly-scan", "--pairs", "-5"],
     "ly-scan-delta-zero": ["ly-scan", "--delta", "0"],

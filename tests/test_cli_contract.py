@@ -203,9 +203,7 @@ def _family_line(rng: random.Random, command: str, valid: bool) -> Line:
     family = rng.choice(FAMILIES)
     options = ["--family", "--depth", "--rho", "--base", "--config", "-o"]
     if command == "entropy":
-        # only the main family's stage times take a count
-        options += ["--times", "--epsilon", "--min-headline"]
-        options += ["--count"] if family == "main" else []
+        options += ["--times", "--epsilon", "--min-headline", "--count"]
     line = Line(rng, command, options, valid)
     if line.option("--family", [family], ["foo", None]) != family:
         family = "main"  # an invalid family: the other pools no longer matter
@@ -214,15 +212,19 @@ def _family_line(rng: random.Random, command: str, valid: bool) -> Line:
     line.option("-o", *OUT)
     if command == "build-nds":
         return line
-    main_times = ["S", "R", None]  # None: the default, S
-    times = ["1..1", "1..2"] + (main_times if family == "main" else ["1..3"])
+    # the times that take a count; None, the default, is S for the main
+    # family and 1..count for the others
+    counted = ["S", "R", None] if family == "main" else [None]
+    times = ["1..1", "1..2"] + (counted if family == "main" else ["1..3", None])
     if "--count" in line.bad:
-        times = main_times
-    bad_times = ["1..x", "1..0", "T"] + ([] if family == "main" else main_times)
+        times = counted
+    bad_times = ["1..x", "1..0", "T"] + ([] if family == "main" else ["S", "R"])
     spec = line.option("--times", times, bad_times)
-    if family == "main" and spec in main_times:
+    if family == "main" and spec in counted:
         # a valid line's stages may hold a single stage time
         line.option("--count", ["1"], ["0", "-1"] + ([] if spec == "R" else [("40", "build")]))
+    elif spec in counted:  # a table at 1..8 would take seconds
+        line.option("--count", ["1", "2", "3"], ["0", "-1"])
     else:  # a range leaves the count unused, whatever its value
         count = rng.choice([None, "0", "-1", "3"])
         line.argv += [] if count is None else ["--count", count]

@@ -1,31 +1,33 @@
 """Differential tests: the float-located exact kernels against their oracles.
 
 ``eval_pl``, the breakpoint search ``plmap._bisect_right`` (and the
-``bisect_left`` that ``compose`` derives from it), the distality minimum and
-the frontier taint of ``trajectory`` use floats only to locate an answer and
-decide it exactly.  Each is compared here with the all-``Fraction`` version
-in ``oracles``, or with ``bisect`` on the ``Fraction`` breakpoints, on the cases
-where a float filter could go wrong: points on or 2^-70 from a breakpoint,
-breakpoints closer than float resolution, minima reached at many steps or
-within 2^-70 of each other, and frontier endpoints.  The step memo that
-``trajectory`` takes (and ``distality_report`` shares over its endpoint
+``bisect_left`` that ``compose`` derives from it) and the frontier taint of
+``trajectory`` use floats only to locate an answer and decide it exactly.
+Each is compared here with the all-``Fraction`` version in ``oracles``, or
+with ``bisect`` on the ``Fraction`` breakpoints, on the cases where a float
+filter could go wrong: points on or 2^-70 from a breakpoint, breakpoints
+closer than float resolution, and frontier endpoints.  The distality minimum
+uses no float: it compares orbits as integer numerators over one common
+denominator (``analysis._integer_rows``), and is compared with its oracle on
+minima reached at many steps or within 2^-70 of each other.  The step memo
+that ``trajectory`` takes (and ``distality_report`` shares over its endpoint
 orbits) is compared with ``oracles.trajectory`` too, and its saving is
 counted.
 """
 
-from array import array
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import constant_map
 from ndslab import dynamics
-from ndslab.analysis import _min_gap, distality_report
+from ndslab.analysis import _integer_rows, _min_gap, distality_report
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import BlockProgram, Stage, StageParams, build_main_nds
 from ndslab.dynamics import trajectory
@@ -121,14 +123,15 @@ class TestBisect:
             self._check(f, p)
 
 
-def _orbit(lefts, rights):
-    """An endpoint cache entry of ``distality_report``: exact orbits, then floats.
+def _min_gap_of(a, b) -> Fraction:
+    """``_min_gap`` of two interval orbits of exact values, through ``_integer_rows``.
 
-    The report's exact orbits are ``trajectory`` values computed through one
-    step memo per report; any sequences of ``Fraction``s stand in for them.
+    Each is (left orbit, right orbit), as ``distality_report`` computes them
+    through one step memo per report; any sequences of ``Fraction``s stand in
+    for them.
     """
-    fl = [array("d", [v.numerator / v.denominator for v in vs]) for vs in (lefts, rights)]
-    return (lefts, rights) + tuple(fl)
+    L, rows = _integer_rows([*a, *b])
+    return Fraction(_min_gap(rows[:2], rows[2:]), L)
 
 
 @st.composite
@@ -151,17 +154,53 @@ def interval_orbit_pairs(draw):
     return a, b
 
 
+@st.composite
+def shared_value_lists(draw):
+    """Lists of Fractions that share some value objects and copy others.
+
+    Orbits through one step memo hold one object per distinct step; a copy
+    is an equal value held by a distinct object.
+    """
+    pool = draw(st.lists(st.fractions(max_denominator=2**80), min_size=1, max_size=8))
+    pool += [Fraction(v.numerator, v.denominator) for v in pool]  # equal, not identical
+    return draw(st.lists(st.lists(st.sampled_from(pool), max_size=6), max_size=4))
+
+
+class TestIntegerRows:
+    def test_equal_values_in_distinct_objects(self):
+        v = Fraction(3, 7)
+        w = Fraction(v.numerator, v.denominator)
+        assert w is not v
+        L, rows = _integer_rows([[v, Fraction(1, 2)], [w], [Fraction(5, 3), v]])
+        assert L == 42
+        assert rows == [[18, 21], [18], [70, 18]]
+
+    @given(shared_value_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fractions(self, seqs):
+        L, rows = _integer_rows(seqs)
+        assert L == math.lcm(*(v.denominator for vs in seqs for v in vs))
+        assert [len(r) for r in rows] == [len(vs) for vs in seqs]
+        nums = {}
+        for vs, row in zip(seqs, rows):
+            for v, n in zip(vs, row):
+                assert Fraction(n, L) == v
+                assert nums.setdefault(v, n) == n  # equal values, equal integers
+
+
 class TestDistalityMinimum:
     @given(interval_orbit_pairs())
     @settings(max_examples=200, deadline=None)
+    # overlapping intervals: every gap is negative and the minimum is 0
+    @example((([Fraction(0)], [Fraction(1, 2)]), ([Fraction(1, 4)], [Fraction(3, 4)])))
     def test_matches_reference(self, pair):
         a, b = pair
-        assert _same(_min_gap(_orbit(*a), _orbit(*b)), oracles.min_gap(a, b))
+        assert _same(_min_gap_of(a, b), oracles.min_gap(a, b))
 
     def test_minimum_at_every_step(self):
         a = ([Fraction(0)] * 9, [Fraction(1, 3)] * 9)
         b = ([Fraction(1, 3) + TINY] * 9, [Fraction(1)] * 9)
-        assert _min_gap(_orbit(*a), _orbit(*b)) == TINY == oracles.min_gap(a, b)
+        assert _min_gap_of(a, b) == TINY == oracles.min_gap(a, b)
 
     def test_report_matches_reference(self, main_fixture):
         bundle, prog = main_fixture

@@ -74,6 +74,10 @@ def main_cases(draw):
 # it onto the frontier code within step 1, so its value at t = 1 already
 # lies in the frontier image
 @example((6, (("1", 3), ("11", 5), ("111", 7)), [(Code(-63), Fraction(1, 2))]), Fraction(1, 2), 4)
+# the left lap of stage 1's first fold: lambda carries the code of index -1
+# onto the visit code 1 within step 1, at relative position 3/16, between the
+# stack end 1/8 and the divider end 1/4; the random starts rarely land there
+@example((6, (("1", 3), ("11", 5), ("111", 7)), [(Code(-1), Fraction(3, 16))]), Fraction(1, 2), 4)
 def test_atlas_orbits_follow_the_model(case, rho, base):
     depth, stages, starts = case
     bundle = build_limit_map(build_atlas(depth, rho, base))
