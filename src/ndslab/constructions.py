@@ -77,8 +77,9 @@ class BlockProgram:
     # denominator L), keyed by the start's (numerator, denominator, horizon)
     _tails: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     # greedy_separated's last candidate sample, empty or one
-    # (candidates, times, rows, each row's tainted_from); greedy_separated
-    # and entropy_estimate read it only on equal candidates and equal times
+    # (candidates, times, rows with None for a repeated start, each start's
+    # tainted_from); greedy_separated and entropy_estimate read it only on
+    # equal candidates and equal times
     _kept_sample: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self) -> None:

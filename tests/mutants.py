@@ -84,6 +84,20 @@ CATALOGUE = (
         (KEPT + "test_a_table_keeps_nothing",),
     ),
     Mutant(
+        "a table materializes its rows",
+        "src/ndslab/analysis.py",
+        "    rows = _sample(program, key, times, taints)\n",
+        "    rows = list(_sample(program, key, times, taints))\n",
+        (KEPT + "test_a_table_holds_only_the_rows_it_keeps",),
+    ),
+    Mutant(
+        "a repeat keyed on times[0] instead of the earliest time",
+        "src/ndslab/analysis.py",
+        "T, first = max(times, default=0), min(times, default=0)",
+        "T, first = max(times, default=0), times[0]",
+        ("tests/test_greedy_oracles.py::test_unsorted_and_repeated_times_match_oracles",),
+    ),
+    Mutant(
         "_splice does not sort its points",
         "src/ndslab/constructions.py",
         "    points = sorted(points)\n",

@@ -1,5 +1,6 @@
 """Diagnostics: separated sets, entropy tables, pair classification, reports."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -86,6 +87,20 @@ class TestGreedy:
         rep = greedy_separated(main_prog, cands, S, 5, epsilon_zero(bundle) / 2)
         assert rep.cardinality >= 1
         assert verify_separated(main_prog, rep)
+
+    def test_verify_rejects_witnesses_sharing_a_row(self):
+        # x and 1 - x share their tent row from t = 1 on, and so does a
+        # witness listed twice
+        prog = autonomous_program(tent_map())
+        cands = [Fraction(j, 16) for j in range(9)]
+        rep = greedy_separated(prog, cands, [1, 2, 3], 3, Fraction(1, 8))
+        assert rep.cardinality > 2 and verify_separated(prog, rep)
+        w = rep.witnesses[1]
+        for shared in ((w, w), (w, 1 - w)):
+            bad = dataclasses.replace(rep, witnesses=(*rep.witnesses, *shared))
+            assert not verify_separated(prog, bad)
+            bad = dataclasses.replace(rep, witnesses=shared)
+            assert not verify_separated(prog, bad)
 
     def test_tent_growth(self):
         # slope-two full map: counts grow geometrically until the grid saturates

@@ -1,21 +1,23 @@
 """Differential tests: the one greedy pass against the loops it replaced.
 
-``analysis._greedy`` keeps, for each of its cells n, the indices of the rows
-a greedy pass over their first n values selects; one pass over the rows
-serves every cell.  It serves both ``greedy_separated`` (one cell, after
-sampling every candidate) and ``entropy_estimate`` (every n of the table for
-one epsilon).  Each cell is compared with the count over pre-sampled rows and
-with the sample-then-test loop kept in ``oracles``, on small rational rows,
-duplicate rows, rows exactly epsilon apart (the strict ``>`` must not
-separate them), on one to four cells given in any order, repeats included,
-and on the first value only as well as on whole rows.  A row equal to an
-earlier row on its first n values is skipped without a test in that cell,
-so the cases include copies of kept and of rejected rows, rows equal only on
-their first n values, and rows that share only their first value.  A kept
-row blocks a row in every cell up to their separation index, so the cases
-include a row blocked in a larger cell by a row the smaller cell rejected.
+``analysis._greedy`` keeps, for each of its cells (epsilon, n), the indices
+of the rows a greedy pass over their first n values selects; one pass over
+the rows, read once, serves every cell.  It serves both ``greedy_separated``
+(one cell, after sampling every candidate) and ``entropy_estimate`` (every
+cell of the table).  Each cell is compared with the count over pre-sampled
+rows and with the sample-then-test loop kept in ``oracles``, on small
+rational rows, duplicate rows, rows exactly epsilon apart (the strict ``>``
+must not separate them), on one to four cells given in any order, repeats
+included, on two epsilons in one pass, and on the first value only as well
+as on whole rows.  A kept row blocks a row in every cell up to their
+separation index, so the cases include a row blocked in a larger cell by a
+row the smaller cell rejected.  The sampler ``analysis._sample`` yields None
+for a start whose value at the earliest sampled time repeats an earlier
+start's; the greedy skips it, so the cases include unsorted and repeated
+time lists, where the earliest time is not the first.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -32,6 +34,7 @@ from ndslab.acceptance import (
     main_candidates,
 )
 from ndslab.analysis import _greedy, _sample, entropy_estimate, greedy_separated
+from ndslab.dynamics import trajectory
 from ndslab.blowup import build_atlas, build_limit_map
 from ndslab.constructions import StageParams, build_main_nds, times_S
 from ndslab.plmap import tent_map
@@ -88,27 +91,32 @@ def _kept_by_count(rows, n, epsilon):
 @example(([[F(0), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(2), F(9)]], [3, 2, 1], F(1)))
 def test_greedy_matches_count_oracle(case):
     rows, ns, epsilon = case
-    cells = _greedy(rows, ns, epsilon)
-    assert len(cells) == len(ns)
-    for n, kept in zip(ns, cells):
-        assert len(kept) == oracles.greedy_count(rows, n, epsilon)
-        assert kept == _kept_by_count(rows, n, epsilon)
+    # one pass serves both epsilons; 2 * epsilon is a multiple of epsilon too
+    epsilons = [epsilon, 2 * epsilon]
+    by_epsilon = _greedy(iter(rows), ns, epsilons)
+    assert len(by_epsilon) == len(epsilons)
+    for eps, cells in zip(epsilons, by_epsilon):
+        assert len(cells) == len(ns)
+        for n, kept in zip(ns, cells):
+            assert len(kept) == oracles.greedy_count(rows, n, eps)
+            assert kept == _kept_by_count(rows, n, eps)
 
 
 def test_rows_exactly_epsilon_apart_are_not_separated():
     eps = Fraction(1, 3)
     rows = [[Fraction(0), Fraction(0)], [eps, -eps], [Fraction(0), eps + Fraction(1, 10**9)]]
-    assert _greedy(rows, [2], eps) == [[0, 2]]
-    assert _greedy(rows, [1], eps) == [[0]]
-    assert _greedy(rows, [2, 1], eps) == [[0, 2], [0]]
+    assert _greedy(rows, [2], [eps]) == [[[0, 2]]]
+    assert _greedy(rows, [1], [eps]) == [[[0]]]
+    assert _greedy(rows, [2, 1], [eps, 2 * eps]) == [[[0, 2], [0]], [[0], [0]]]
 
 
 @pytest.fixture(scope="module")
 def tent_rows():
-    # x and 1 - x share their row from t = 1 on, so most rows have an earlier copy
+    # x and 1 - x share their row from t = 1 on, so most rows have a copy,
+    # which the greedy meets in full here: a shuffle may put it first
     grid = [Fraction(j, 2 ** 6) for j in range(2 ** 6 + 1)]
-    rows, taints = _sample(autonomous_program(tent_map()), grid, range(1, 11))
-    assert set(taints) == {None}
+    program = autonomous_program(tent_map())
+    rows = [list(trajectory(program, x, 10).values[1:]) for x in grid]
     assert len({tuple(r) for r in rows}) < len(rows)
     return rows
 
@@ -117,23 +125,23 @@ def tent_rows():
 def test_tent_rows_in_any_order_match_count_oracle(tent_rows, seed):
     rows = list(tent_rows)
     random.Random(seed).shuffle(rows)
-    cells = _greedy(rows, [1, 4, 10], Fraction(1, 6))
+    cells, = _greedy(rows, [1, 4, 10], [Fraction(1, 6)])
     for n, kept in zip((1, 4, 10), cells, strict=True):
         assert kept == _kept_by_count(rows, n, Fraction(1, 6))
 
 
-def test_greedy_hashes_at_most_one_value_per_row(monkeypatch):
-    """The skip hashes each row's first value only.
+def test_sampler_hashes_one_value_per_start(monkeypatch):
+    """A sample hashes each start's value at the earliest time, once; the greedy hashes nothing.
 
     Hashing whole rows as tuples cost 0.16 s per n = 8 cell of the
     entropy-main benchmark workload, and an index of (numerator, denominator)
     keys mapping to row slices raised its peak_rss_mb by 6% (32.25 to
     34.18 MB), past the benchmark's 5% bound.
     """
-    rows = [[F(j % 5, 7), F(j % 3, 2), F(j, 9)] for j in range(30)]
-    rows += [list(r) for r in rows[::2]]
-    ns = [2, 1, 3]
-    expected = [_kept_by_count(rows, n, F(1, 8)) for n in ns]
+    program = autonomous_program(tent_map())
+    # x and 1 - x meet at t = 1, and every start comes twice
+    xs = [F(j, 16) for j in range(17)] * 2
+    times = [3, 1, 2]
     hashed = []
     real_hash = Fraction.__hash__
 
@@ -142,10 +150,23 @@ def test_greedy_hashes_at_most_one_value_per_row(monkeypatch):
         return real_hash(self)
 
     monkeypatch.setattr(Fraction, "__hash__", counting_hash)
-    kept = _greedy(rows, ns, F(1, 8))
+    taints = []
+    rows = list(_sample(program, xs, times, taints))
+    assert len(hashed) == len(xs) == len(rows) == len(taints)
+    hashed.clear()
+    cells = _greedy(rows, [2, 1, 3], [F(1, 8), F(1, 3)])
+    assert hashed == []
+    table = entropy_estimate(program, times, [F(1, 8)], [3], xs)
+    assert len(hashed) == len(xs)
     monkeypatch.undo()
-    assert kept == expected
-    assert 0 < len(hashed) <= len(rows)
+    # a start's row is None exactly when an earlier start has its value at t = 1
+    firsts = [trajectory(program, x, 1).values[1] for x in xs]
+    assert [row is None for row in rows] == [v in firsts[:i] for i, v in enumerate(firsts)]
+    full = [list(trajectory(program, x, 3).values[t] for t in times) for x in xs]
+    for eps, by_n in zip([F(1, 8), F(1, 3)], cells):
+        for n, kept in zip([2, 1, 3], by_n):
+            assert kept == _kept_by_count(full, n, eps)
+    assert table.rows[0][2] == len(cells[0][2])
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +210,29 @@ def test_lemma_table_cells_match_greedy_separated():
     times = [1, 2, 3, 4, 5]
     cards = _cells_match_greedy_separated(program, cands, times, times, (b1 - a1) / 10)
     assert all(card >= 3 ** n for n, card in zip(times, cards))
+
+
+# 1/8 and 3/8 meet at t = 2 but not at t = 1, x and 1 - x meet at t = 1, and
+# some starts come twice
+TENT_STARTS = [Fraction(j, 32) for j in range(33)] + [F(1, 8), F(3, 8), F(5, 8), F(0)]
+
+
+@pytest.mark.parametrize("times", [[3, 1, 2], [2, 2, 5], [4, 2, 2, 1], [2, 0, 1]])
+@pytest.mark.parametrize("epsilon", [F(1, 8), F(1, 6), F(1, 3)])
+def test_unsorted_and_repeated_times_match_oracles(times, epsilon):
+    # a start whose row repeats is found at the earliest time, not times[0]
+    program = autonomous_program(tent_map())
+    ns = list(range(1, len(times) + 1))
+    rows = [
+        [oracles.trajectory(program, x, max(times)).values[t] for t in times]
+        for x in TENT_STARTS
+    ]
+    table = entropy_estimate(
+        dataclasses.replace(program), times, [epsilon, 2 * epsilon], ns, TENT_STARTS
+    )
+    assert [card for _, _, card, _ in table.rows] == [
+        oracles.greedy_count(rows, n, eps) for eps in (epsilon, 2 * epsilon) for n in ns
+    ]
+    for n in ns:
+        rep = greedy_separated(dataclasses.replace(program), TENT_STARTS, times, n, epsilon)
+        assert rep.witnesses == oracles.greedy_witnesses(program, TENT_STARTS, times, n, epsilon)

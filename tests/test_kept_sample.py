@@ -2,23 +2,25 @@
 
 ``greedy_separated`` keeps its last candidate sample on the program
 (``BlockProgram._kept_sample``, empty or one sample, taken at the call's whole
-time list A), and it and ``entropy_estimate`` read it only when a later call
-has equal candidates and equal times; a table keeps nothing.  Every report
-and table of a random call sequence must equal the same call on a fresh copy
-of the program, which samples afresh.  The cases cover a candidate tainted
-strictly between a short and a long horizon with the long call first, times
-past the exact horizon, lists that differ in one element or in order, and
-``1`` against ``Fraction(1)``.  The slot holds at most one sample, a miss
-(a table on a strict prefix of the kept times too) empties it before its
-first trajectory, a table asked twice samples twice, and
-``verify_separated`` neither reads nor replaces it.  A lone greedy call
-samples all of its times but flags only what its first n show, as the oracle
-sampling A[:n] does.
+time list A, with None for the row of a start that repeats an earlier
+start's value), and it and ``entropy_estimate`` read it only when a later
+call has equal candidates and equal times; a table keeps nothing, and on a
+miss holds only the rows it keeps.  Every report and table of a random call
+sequence must equal the same call on a fresh copy of the program, which
+samples afresh.  The cases cover a candidate tainted strictly between a
+short and a long horizon with the long call first, times past the exact
+horizon, lists that differ in one element or in order, and ``1`` against
+``Fraction(1)``.  The slot holds at most one sample, a miss (a table on a
+strict prefix of the kept times too) empties it before its first
+trajectory, a table asked twice samples twice, and ``verify_separated``
+neither reads nor replaces it.  A lone greedy call samples all of its times
+but flags only what its first n show, as the oracle sampling A[:n] does.
 """
 
 import copy
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ndslab import analysis
+from ndslab import acceptance, analysis
 from ndslab.analysis import entropy_estimate, greedy_separated, verify_separated
 from ndslab.constructions import BlockProgram, Stage
 from ndslab.plmap import tent_map
@@ -173,6 +175,41 @@ def test_a_table_keeps_nothing():
         assert program._kept_sample == [] and len(made) == 4 * len(BASE)
 
 
+# the tracemalloc peak of criterion 8's tent table: 0.99 MB when it streams
+# its sample and holds the rows it keeps, 1.78 MB when it lists every row
+# first, and 3.19 MB when every start had a row (Python 3.11)
+TENT_TABLE_PEAK = 1.4 * 2 ** 20
+
+
+def _float_separation(row, other, epsilon):
+    """analysis._separation through floats: exact on dyadic rows when no
+    difference is within a float's rounding of epsilon."""
+    e = float(epsilon)
+    for t, (a, b) in enumerate(zip(row, other)):
+        if abs(a.numerator / a.denominator - b.numerator / b.denominator) > e:
+            return t
+    return len(row)
+
+
+def test_a_table_holds_only_the_rows_it_keeps(monkeypatch):
+    # tracemalloc slows each Fraction subtraction of the greedy ~4x (22 s
+    # for this table).  The tent's rows are multiples of 2^-12 and epsilon
+    # is 1/6, so float differences decide every comparison as Fractions do,
+    # and the comparison holds nothing: the peak is the same.  The table
+    # below is the exact one.
+    monkeypatch.setattr(analysis, "_separation", _float_separation)
+    grid, eps = acceptance.entropy_inputs()
+    program = acceptance.autonomous_program(tent_map())
+    tracemalloc.start()
+    try:
+        table = entropy_estimate(program, list(range(1, 11)), [eps], [10], grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.rows == (("1/6", 10, 990, math.log(990) / 10),)
+    assert peak < TENT_TABLE_PEAK
+
+
 def test_a_table_on_a_strict_prefix_samples_afresh():
     # the kept times [1..6] start with the table's [1, 2, 3], but only equal
     # times are read: the table samples its own and empties the slot
@@ -196,8 +233,10 @@ def test_a_table_on_a_strict_prefix_samples_afresh():
 def _corrupt(program):
     """Overwrite every kept row with the candidate's index and return a copy."""
     (_, _, rows, _), = program._kept_sample
+    assert None in rows  # 0 and 1 meet at t = 1
     for i, row in enumerate(rows):
-        row[:] = [F(i)] * len(row)
+        if row is not None:
+            row[:] = [F(i)] * len(row)
     return copy.deepcopy(program._kept_sample)
 
 
@@ -216,7 +255,7 @@ def test_verify_ignores_corrupted_sample():
     assert program._kept_sample == snapshot
     # with every kept row equal, the rows the slot holds would reject rep
     (_, _, rows, _), = program._kept_sample
-    for row in rows:
+    for row in filter(None, rows):
         row[:] = [F(0)] * len(row)
     snapshot = copy.deepcopy(program._kept_sample)
     assert verify_separated(program, rep)
