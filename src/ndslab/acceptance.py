@@ -345,8 +345,8 @@ def criterion_7b(fixture):
     cands, eps = entropy_inputs(bundle)
     # n = 3 comes first: perfbench's test_default_seed_reproduces_7b_inputs
     # checks the entropy-main workload against 7b's first greedy_separated call.
-    # Every cell asks for the candidates at all 8 times of S, so the n = 8
-    # and n = 1 cells read the sample the program kept at n = 3.
+    # It samples the candidates at all 8 times of S and makes one greedy pass
+    # for every n <= 8; the n = 8 and n = 1 cells read the kept answers.
     rep3 = greedy_separated(program, cands, S, 3, eps)
     rep8 = greedy_separated(program, cands, S, 8, eps)
     if rep3.cardinality < 9:

@@ -68,32 +68,6 @@ def _sample(
         yield [traj.values[t] for t in times] if len(seen) > size else None
 
 
-def _candidate_rows(
-    program: BlockProgram, candidates: Sequence[Fraction], times: Sequence[int], keep: bool
-) -> tuple[Iterable[Optional[list[Fraction]]], list[Optional[int]]]:
-    """The candidates' rows at the times (see ``_sample``), and each one's first tainted time.
-
-    A call whose candidates and times equal those of the program's kept
-    sample reads its rows.  Any other call empties the slot before its first
-    trajectory, so that two samples are never held at once.  With ``keep``
-    it samples in full and keeps its sample; without, it returns the sampler
-    itself, and the taints fill as its rows are read.
-    """
-    # compared by equality, not by hash: on the same candidate objects that
-    # is an identity test per element, where hashing computes every
-    # Fraction's hash
-    key, times, slot = tuple(candidates), tuple(times), program._kept_sample
-    if slot and slot[0][0] == key and slot[0][1] == times:
-        return slot[0][2], slot[0][3]
-    slot.clear()
-    taints: list[Optional[int]] = []
-    rows = _sample(program, key, times, taints)
-    if keep:
-        rows = list(rows)
-        slot.append((key, times, rows, taints))
-    return rows, taints
-
-
 def _separation(row: Sequence[Fraction], other: Sequence[Fraction], epsilon: Fraction) -> int:
     """The first index at which the rows differ by more than epsilon, or len(row) if none."""
     for t, (a, b) in enumerate(zip(row, other)):
@@ -104,47 +78,58 @@ def _separation(row: Sequence[Fraction], other: Sequence[Fraction], epsilon: Fra
 
 def _greedy(
     rows: Iterable[Optional[Sequence[Fraction]]],
-    ns: Sequence[int],
+    ns: Iterable[int],
     epsilons: Sequence[Fraction],
-) -> list[list[list[int]]]:
-    """For each epsilon and each n in ns, the indices of the rows a greedy pass
-    on their first n values keeps.
+) -> list[list[tuple[int, int]]]:
+    """For each epsilon, the rows that a greedy pass on their first n values
+    keeps for some n in ns, as (index, mask) pairs: bit n - 1 of the mask is
+    set when the cell n keeps the row.
 
-    One pass over the rows, read once in order, serves every cell.  For one
-    epsilon, a row and a kept row have a separation index s: the first time
-    index at which they differ by more than epsilon, or the cell's n if
-    there is none before it.  The kept row blocks the row in exactly the
-    cells with n <= s.  The cells are visited in descending n, so the s found
-    in one cell decides every later cell too, and a row is compared with
-    each kept row at most once per epsilon.
+    One pass over the rows, read once in order, serves every cell.  A row
+    and a kept row have a separation index s: the first time index at which
+    they differ by more than epsilon, or the row's length.  The kept row
+    blocks the row in the cells of its mask with n <= s.  Kept rows whose
+    cells are all blocked already are skipped, and the row's comparisons
+    stop once every cell is blocked, so the cost does not grow with the
+    number of cells.  The row is kept in the cells left open.
 
     A None row, a copy of an earlier row (see ``_sample``), is skipped: that
     row was kept, at distance 0, or was blocked by a kept row that blocks
-    the copy too.  Only the first max(ns) values of the rows some cell keeps
-    are held.
+    the copy too.  Only the first max(ns) values of the kept rows are held.
     """
-    cells = sorted(set(ns), reverse=True)
-    kept = [{n: [] for n in cells} for _ in epsilons]
+    bits = {n: 1 << (n - 1) for n in ns}
+    full, top = sum(bits.values()), max(bits)
+    # upto[s]: the cells a kept row at separation index s blocks
+    upto = [sum(bit for n, bit in bits.items() if n <= s) for s in range(top + 1)]
+    kept: list[list[tuple[int, int]]] = [[] for _ in epsilons]
     held: dict[int, Sequence[Fraction]] = {}  # kept index -> its first max(ns) values
     for i, row in enumerate(rows):
         if row is None:
             continue
-        vx = row[:cells[0]]
-        for epsilon, chosen_by_n in zip(epsilons, kept):
-            seps: dict[int, int] = {}  # kept index -> separation index, capped at n
-            for n in cells:
-                vn = vx[:n]
-                chosen = chosen_by_n[n]
-                for k in chosen:
-                    s = seps.get(k)
-                    if s is None:
-                        s = seps[k] = _separation(vn, held[k], epsilon)
-                    if s >= n:
+        vx = row[:top]
+        for epsilon, chosen in zip(epsilons, kept):
+            blocked = 0
+            for k, mask in chosen:
+                if mask & ~blocked:
+                    blocked |= mask & upto[_separation(vx, held[k], epsilon)]
+                    if blocked == full:
                         break
-                else:
-                    chosen.append(i)
-                    held[i] = vx
-    return [[chosen_by_n[n] for n in ns] for chosen_by_n in kept]
+            else:
+                chosen.append((i, full & ~blocked))
+                held[i] = vx
+    return kept
+
+
+def _read_kept(
+    program: BlockProgram, candidates: Sequence, A: Sequence[int], epsilons: Sequence
+) -> Optional[tuple]:
+    """The program's kept answers when their candidates, times and epsilon equal these."""
+    for answers in program._kept_answers:  # at most one
+        key, times, epsilon = answers[:3]
+        # equality, not hashing: on the same candidate objects, one identity test each
+        if times == tuple(A) and all(eps == epsilon for eps in epsilons) and key == tuple(candidates):
+            return answers
+    return None
 
 
 def _estimate(card: int, a_n: int) -> float:
@@ -166,17 +151,26 @@ def greedy_separated(
     every chosen witness by more than epsilon at one of the first n times.
     The report is flagged when any candidate's values at those n times are
     inexact: their last time T exceeds the exact horizon, or a trajectory is
-    tainted at or before T.  The candidates are sampled at every time of A,
-    not only the first n, and the program keeps that sample, so that a later
-    call on the same candidates and A samples nothing, whatever its n.
+    tainted at or before T.  A call that misses samples the candidates at
+    every time of A, makes one greedy pass at epsilon for every n in
+    1..len(A), and keeps the answers on the program in place of the last
+    ones: the candidates, A, epsilon, each kept row's index and mask, and
+    the taints, but no sampled row.  A call with equal candidates, A and
+    epsilon reads its n's witnesses there, with no sample and no pass.
     """
     _check_cells(A, [n], [epsilon])
-    times = tuple(A[:n])
     epsilon = Fraction(epsilon)
-    rows, taints = _candidate_rows(program, candidates, A, keep=True)
+    answers = _read_kept(program, candidates, A, [epsilon])
+    if answers is None:
+        key, A, taints = tuple(candidates), tuple(A), []
+        kept, = _greedy(_sample(program, key, A, taints), range(1, len(A) + 1), [epsilon])
+        answers = (key, A, epsilon, kept, taints)
+        program._kept_answers[:] = [answers]
+    key, A, _, kept, taints = answers
+    times = A[:n]
     T = max(times)
     flagged = program.exact_horizon is not None and T > program.exact_horizon
-    selected = [Fraction(candidates[i]) for i in _greedy(rows, [n], [epsilon])[0][0]]
+    selected = [Fraction(key[i]) for i, mask in kept if mask >> (n - 1) & 1]
     return SeparationReport(
         times=times,
         epsilon=epsilon,
@@ -194,9 +188,9 @@ def verify_separated(
 ) -> bool:
     """Post-hoc soundness check of a report's witness set.
 
-    The witnesses are sampled afresh: the program's kept candidate sample is
-    neither read nor replaced, so a wrong kept row cannot certify itself.  Two
-    witnesses that share a row are not separated.
+    The witnesses are sampled afresh and compared as ``Fraction``s: the
+    program's kept answers are neither read nor replaced, so a wrong kept
+    answer cannot certify itself.  Witnesses that share a row are not separated.
     """
     rows = list(_sample(program, report.witnesses, report.times, []))
     n = len(report.times)
@@ -236,27 +230,32 @@ def entropy_estimate(
     The headline is the table maximum.  This estimates the sequence-entropy
     double limit from below only; callers choose the cells, and the identity
     program yields exactly 0 whenever epsilon dominates the candidate spread.
-    The candidates are sampled once, at A[:max(n_list)], and one greedy pass
-    serves every (epsilon, n) cell: each equals ``greedy_separated``'s
-    cardinality for that epsilon and n.  The table reads the program's kept
-    sample when its candidates and times are equal to these.  Otherwise it
-    streams its sample through the pass, holding only the rows it keeps, and
-    keeps no sample of its own, so the same table asked again samples again.
+    Each cell equals ``greedy_separated``'s cardinality for that epsilon and
+    n.  The table reads the program's kept answers when its candidates, its
+    times A[:max(n_list)] and every epsilon equal the kept ones.  Otherwise
+    it samples the candidates at those times and streams the sample through
+    one greedy pass for every cell, holding only the rows it keeps.  A table
+    never writes the kept answers.
     """
     if not epsilons or not n_list:
         raise ValueError("the table needs at least one epsilon and one n")
     _check_cells(A, n_list, epsilons)
-    times = list(A[:max(n_list)])
+    times = tuple(A[:max(n_list)])
     epsilons = [Fraction(eps) for eps in epsilons]
-    samples, _ = _candidate_rows(program, candidates, times, keep=False)
+    answers = _read_kept(program, candidates, times, epsilons)
+    if answers is None:
+        passes = _greedy(_sample(program, candidates, times, []), n_list, epsilons)
+    else:
+        passes = [answers[3]] * len(epsilons)
     rows = []
     headline = 0.0
-    for eps, cells in zip(epsilons, _greedy(samples, n_list, epsilons)):
-        for n, kept in zip(n_list, cells):
-            est = _estimate(len(kept), times[n - 1])
-            rows.append((str(eps), n, len(kept), est))
+    for eps, kept in zip(epsilons, passes):
+        for n in n_list:
+            card = sum(mask >> (n - 1) & 1 for _, mask in kept)
+            est = _estimate(card, times[n - 1])
+            rows.append((str(eps), n, card, est))
             headline = max(headline, est)
-    return EntropyTable(A=tuple(times), rows=tuple(rows), headline=headline)
+    return EntropyTable(A=times, rows=tuple(rows), headline=headline)
 
 
 def _integer_rows(seqs: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:

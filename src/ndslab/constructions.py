@@ -76,11 +76,10 @@ class BlockProgram:
     # analysis.ly_classify's tail windows as (L, numerators over the common
     # denominator L), keyed by the start's (numerator, denominator, horizon)
     _tails: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # greedy_separated's last candidate sample, empty or one
-    # (candidates, times, rows with None for a repeated start, each start's
-    # tainted_from); greedy_separated and entropy_estimate read it only on
-    # equal candidates and equal times
-    _kept_sample: list = field(init=False, repr=False, compare=False, default_factory=list)
+    # greedy_separated's last answers, empty or one: (candidates, times A,
+    # epsilon, each kept row's (index, mask of the n <= len(A) that keep it),
+    # each start's tainted_from), read only on equal candidates, A and epsilon
+    _kept_answers: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self) -> None:
         object.__setattr__(

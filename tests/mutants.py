@@ -60,11 +60,18 @@ CATALOGUE = (
         (CONTROLS + "test_distality_scan_rejects_the_tent",),
     ),
     Mutant(
-        "a kept sample is read through a prefix of its times",
+        "kept answers are read through a prefix of their times",
         "src/ndslab/analysis.py",
-        "slot[0][1] == times",
-        "slot[0][1][:len(times)] == times",
+        "if times == tuple(A) and",
+        "if times[:len(A)] == tuple(A) and",
         (KEPT + "test_a_table_on_a_strict_prefix_samples_afresh",),
+    ),
+    Mutant(
+        "a slot read ignores epsilon",
+        "src/ndslab/analysis.py",
+        "all(eps == epsilon for eps in epsilons)",
+        "True",
+        (KEPT + "test_calls_match_fresh_program", KEPT + "test_each_call_samples_only_on_a_miss"),
     ),
     Mutant(
         "a greedy flag reads every sampled time",
@@ -77,18 +84,26 @@ CATALOGUE = (
         ),
     ),
     Mutant(
-        "a table keeps its sample",
+        "a table writes the kept answers",
         "src/ndslab/analysis.py",
-        "_candidate_rows(program, candidates, times, keep=False)",
-        "_candidate_rows(program, candidates, times, keep=True)",
+        "        passes = _greedy(_sample(program, candidates, times, []), n_list, epsilons)\n",
+        "        passes = _greedy(_sample(program, candidates, times, []), n_list, epsilons)\n"
+        "        program._kept_answers[:] = [(tuple(candidates), times, epsilons[0], passes[0], [])]\n",
         (KEPT + "test_a_table_keeps_nothing",),
     ),
     Mutant(
         "a table materializes its rows",
         "src/ndslab/analysis.py",
-        "    rows = _sample(program, key, times, taints)\n",
-        "    rows = list(_sample(program, key, times, taints))\n",
+        "_greedy(_sample(program, candidates, times, []), n_list, epsilons)",
+        "_greedy(list(_sample(program, candidates, times, [])), n_list, epsilons)",
         (KEPT + "test_a_table_holds_only_the_rows_it_keeps",),
+    ),
+    Mutant(
+        "upto[s] takes n < s",
+        "src/ndslab/analysis.py",
+        "for n, bit in bits.items() if n <= s)",
+        "for n, bit in bits.items() if n < s)",
+        ("tests/test_greedy_oracles.py::test_every_cell_of_one_pass_matches_count_oracle",),
     ),
     Mutant(
         "a repeat keyed on times[0] instead of the earliest time",

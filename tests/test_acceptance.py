@@ -104,41 +104,50 @@ def test_criterion_7b_separated_growth(main_fixture):
 
 
 def test_criterion_7b_computes_each_cell_once(depth8_fixture, monkeypatch):
-    # three greedy cells, n = 3 first, and no entropy table; the headline is
-    # the one the table over the same cells gives on a fresh program.  The
-    # n = 3 cell samples all 8 times and the program keeps that sample, so
-    # the n = 8 and n = 1 cells compute no trajectory
-    greedy, table = acceptance.greedy_separated, acceptance.entropy_estimate
-    trajectory = analysis.trajectory
-    cells, tables, trajectories = [], [], []
+    # three greedy cells, n = 3 first, and no entropy table.  The n = 3 cell
+    # samples the candidates at all 8 times of S and makes one greedy pass
+    # for every n <= 8; the n = 8 and n = 1 cells, and then the entropy-main
+    # benchmark's table over n = 1, 3, 8, read the answers the program kept.
+    # Only the two verify calls sample again, their witnesses.  The
+    # headline is the one that table gives on a fresh program.
+    greedy, sample, passes = acceptance.greedy_separated, analysis._sample, analysis._greedy
+    cells, tables, sampled, made = [], [], [], []
 
     def greedy_spy(*args):
-        before = len(trajectories)
         rep = greedy(*args)
-        cells.append((args, rep, len(trajectories) - before))
+        cells.append((args, rep))
         return rep
 
-    def table_spy(*args):
-        tables.append(args)
-        return table(*args)
+    def sample_spy(program, xs, times, taints):
+        sampled.append(tuple(xs))
+        return sample(program, xs, times, taints)
 
-    def trajectory_spy(*args):
-        trajectories.append(args)
-        return trajectory(*args)
+    def greedy_pass_spy(*args):
+        made.append(args)
+        return passes(*args)
 
     monkeypatch.setattr(acceptance, "greedy_separated", greedy_spy)
-    monkeypatch.setattr(acceptance, "entropy_estimate", table_spy)
-    monkeypatch.setattr(analysis, "trajectory", trajectory_spy)
+    monkeypatch.setattr(acceptance, "entropy_estimate", lambda *args: tables.append(args))
+    monkeypatch.setattr(analysis, "_sample", sample_spy)
+    monkeypatch.setattr(analysis, "_greedy", greedy_pass_spy)
     assert acceptance.criterion_7b(depth8_fixture).ok
-    assert [args[3] for args, _, _ in cells] == [3, 8, 1]
+    assert [args[3] for args, _ in cells] == [3, 8, 1]
     assert tables == []
     program, cands, S, _, eps = cells[0][0]
-    assert [made for _, _, made in cells] == [len(cands), 0, 0]
+    table = analysis.entropy_estimate(program, S, [eps], [1, 3, 8], cands)
+    witnesses = [rep.witnesses for _, rep in cells[:2]]
+    assert sampled == [tuple(cands), *witnesses] and len(made) == 1
     monkeypatch.undo()
-    headline = max(rep.entropy_estimate for _, rep, _ in cells)
+    # the slot holds answers: indices, masks and taints, no sampled row
+    (key, A, epsilon, kept, taints), = program._kept_answers
+    assert (key, A, epsilon) == (tuple(cands), tuple(S), eps)
+    assert all(type(i) is type(mask) is int for i, mask in kept)
+    assert all(t is None or type(t) is int for t in taints)
+    headline = max(rep.entropy_estimate for _, rep in cells)
     fresh = dataclasses.replace(program)
-    assert fresh._kept_sample == []
-    assert headline == table(fresh, S, [eps], [1, 3, 8], cands).headline
+    assert fresh._kept_answers == []
+    assert headline == table.headline
+    assert table == analysis.entropy_estimate(fresh, S, [eps], [1, 3, 8], cands)
 
 
 @pytest.mark.xfail(

@@ -1,20 +1,21 @@
 """Differential tests: the one greedy pass against the loops it replaced.
 
-``analysis._greedy`` keeps, for each of its cells (epsilon, n), the indices
-of the rows a greedy pass over their first n values selects; one pass over
-the rows, read once, serves every cell.  It serves both ``greedy_separated``
-(one cell, after sampling every candidate) and ``entropy_estimate`` (every
-cell of the table).  Each cell is compared with the count over pre-sampled
-rows and with the sample-then-test loop kept in ``oracles``, on small
-rational rows, duplicate rows, rows exactly epsilon apart (the strict ``>``
-must not separate them), on one to four cells given in any order, repeats
-included, on two epsilons in one pass, and on the first value only as well
-as on whole rows.  A kept row blocks a row in every cell up to their
-separation index, so the cases include a row blocked in a larger cell by a
-row the smaller cell rejected.  The sampler ``analysis._sample`` yields None
-for a start whose value at the earliest sampled time repeats an earlier
-start's; the greedy skips it, so the cases include unsorted and repeated
-time lists, where the earliest time is not the first.
+``analysis._greedy`` gives each of its cells n one bit and returns, for each
+epsilon, the rows some cell keeps as (index, mask) pairs; one pass over the
+rows, read once, serves every cell.  It serves both ``greedy_separated``
+(every n up to len(A), after sampling every candidate) and
+``entropy_estimate`` (every cell of the table).  Each cell is compared with
+the count over pre-sampled rows and with the sample-then-test loop kept in
+``oracles``, on small rational rows, duplicate rows, rows exactly epsilon
+apart (the strict ``>`` must not separate them), on one to four cells given
+in any order, repeats included, on every n up to the row length at once, on
+up to three epsilons in one pass, and on the first value only as well as on
+whole rows.  A kept row blocks a row in every cell up to their separation
+index, so the cases include a row blocked in a larger cell by a row the
+smaller cell rejected.  The sampler ``analysis._sample`` yields None for a
+start whose value at the earliest sampled time repeats an earlier start's;
+the greedy skips it, so the cases include None rows, and unsorted and
+repeated time lists, where the earliest time is not the first.
 """
 
 import dataclasses
@@ -59,6 +60,16 @@ def greedy_inputs(draw):
     return rows, ns, epsilon
 
 
+def members(kept, n):
+    """The indices of ``_greedy``'s kept rows whose mask has the cell n's bit, n - 1."""
+    return [i for i, mask in kept if mask >> (n - 1) & 1]
+
+
+def greedy_cells(rows, ns, epsilons):
+    """``_greedy``'s kept indices for each epsilon and each n in ns."""
+    return [[members(kept, n) for n in ns] for kept in _greedy(rows, ns, epsilons)]
+
+
 def _kept_by_count(rows, n, epsilon):
     """Row i is kept exactly when it raises the oracle count of rows[:i + 1]."""
     counts = [oracles.greedy_count(rows[:i], n, epsilon) for i in range(len(rows) + 1)]
@@ -93,7 +104,7 @@ def test_greedy_matches_count_oracle(case):
     rows, ns, epsilon = case
     # one pass serves both epsilons; 2 * epsilon is a multiple of epsilon too
     epsilons = [epsilon, 2 * epsilon]
-    by_epsilon = _greedy(iter(rows), ns, epsilons)
+    by_epsilon = greedy_cells(iter(rows), ns, epsilons)
     assert len(by_epsilon) == len(epsilons)
     for eps, cells in zip(epsilons, by_epsilon):
         assert len(cells) == len(ns)
@@ -102,12 +113,44 @@ def test_greedy_matches_count_oracle(case):
             assert kept == _kept_by_count(rows, n, eps)
 
 
+@st.composite
+def every_cell_inputs(draw):
+    """Rows, with None for a copy of an earlier row as ``_sample`` yields it,
+    the full rows, their length, and one to three multiples of one epsilon."""
+    width = draw(st.integers(1, 6))
+    epsilon = draw(st.fractions(min_value=Fraction(1, 8), max_value=1, max_denominator=8))
+    value = st.integers(-4, 4).map(lambda k: k * epsilon) | st.fractions(-2, 2, max_denominator=6)
+    pool = draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=8))
+    full = [list(r) for r in draw(st.lists(st.sampled_from(pool), max_size=16))]
+    rows = [None if row in full[:i] else row for i, row in enumerate(full)]
+    epsilons = draw(st.lists(st.integers(1, 3).map(lambda k: k * epsilon), min_size=1, max_size=3))
+    return rows, full, width, epsilons
+
+
+@settings(max_examples=150, deadline=None)
+@given(every_cell_inputs())
+# row 1 is blocked by row 0 at n = 1 and kept at n = 2; row 2 copies row 0
+@example(([[F(0), F(0)], [F(0), F(3)], None], [[F(0), F(0)], [F(0), F(3)], [F(0), F(0)]], 2, [F(1)]))
+# row 1 is exactly 1 from row 0 at t = 0: kept only at n = 3 for epsilon 1, never for 2
+@example(([[F(0), F(0), F(0)], [F(1), F(0), F(2)], [F(3), F(1), F(0)]],
+          [[F(0), F(0), F(0)], [F(1), F(0), F(2)], [F(3), F(1), F(0)]], 3, [F(1), F(2)]))
+def test_every_cell_of_one_pass_matches_count_oracle(case):
+    # _greedy's use in greedy_separated: every n up to the row length at once
+    rows, full, width, epsilons = case
+    ns = range(1, width + 1)
+    for eps, kept in zip(epsilons, _greedy(iter(rows), ns, epsilons), strict=True):
+        assert all(mask for _, mask in kept)
+        for n in ns:
+            assert len(members(kept, n)) == oracles.greedy_count(full, n, eps)
+            assert members(kept, n) == _kept_by_count(full, n, eps)
+
+
 def test_rows_exactly_epsilon_apart_are_not_separated():
     eps = Fraction(1, 3)
     rows = [[Fraction(0), Fraction(0)], [eps, -eps], [Fraction(0), eps + Fraction(1, 10**9)]]
-    assert _greedy(rows, [2], [eps]) == [[[0, 2]]]
-    assert _greedy(rows, [1], [eps]) == [[[0]]]
-    assert _greedy(rows, [2, 1], [eps, 2 * eps]) == [[[0, 2], [0]], [[0], [0]]]
+    assert greedy_cells(rows, [2], [eps]) == [[[0, 2]]]
+    assert greedy_cells(rows, [1], [eps]) == [[[0]]]
+    assert greedy_cells(rows, [2, 1], [eps, 2 * eps]) == [[[0, 2], [0]], [[0], [0]]]
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +168,7 @@ def tent_rows():
 def test_tent_rows_in_any_order_match_count_oracle(tent_rows, seed):
     rows = list(tent_rows)
     random.Random(seed).shuffle(rows)
-    cells, = _greedy(rows, [1, 4, 10], [Fraction(1, 6)])
+    cells, = greedy_cells(rows, [1, 4, 10], [Fraction(1, 6)])
     for n, kept in zip((1, 4, 10), cells, strict=True):
         assert kept == _kept_by_count(rows, n, Fraction(1, 6))
 
@@ -154,7 +197,7 @@ def test_sampler_hashes_one_value_per_start(monkeypatch):
     rows = list(_sample(program, xs, times, taints))
     assert len(hashed) == len(xs) == len(rows) == len(taints)
     hashed.clear()
-    cells = _greedy(rows, [2, 1, 3], [F(1, 8), F(1, 3)])
+    cells = greedy_cells(rows, [2, 1, 3], [F(1, 8), F(1, 3)])
     assert hashed == []
     table = entropy_estimate(program, times, [F(1, 8)], [3], xs)
     assert len(hashed) == len(xs)

@@ -1,20 +1,16 @@
-"""The program's kept candidate sample against fresh programs.
+"""The program's kept greedy answers against fresh programs.
 
-``greedy_separated`` keeps its last candidate sample on the program
-(``BlockProgram._kept_sample``, empty or one sample, taken at the call's whole
-time list A, with None for the row of a start that repeats an earlier
-start's value), and it and ``entropy_estimate`` read it only when a later
-call has equal candidates and equal times; a table keeps nothing, and on a
-miss holds only the rows it keeps.  Every report and table of a random call
-sequence must equal the same call on a fresh copy of the program, which
-samples afresh.  The cases cover a candidate tainted strictly between a
-short and a long horizon with the long call first, times past the exact
-horizon, lists that differ in one element or in order, and ``1`` against
-``Fraction(1)``.  The slot holds at most one sample, a miss (a table on a
-strict prefix of the kept times too) empties it before its first
-trajectory, a table asked twice samples twice, and ``verify_separated``
-neither reads nor replaces it.  A lone greedy call samples all of its times
-but flags only what its first n show, as the oracle sampling A[:n] does.
+``greedy_separated`` samples its candidates at its whole time list A, makes
+one greedy pass at its epsilon for every n in 1..len(A), and keeps the
+answers on the program (``BlockProgram._kept_answers``, empty or one): the
+candidates, A, epsilon, each kept row's index and mask, and each start's
+first tainted time, but no sampled row.  It and ``entropy_estimate`` read
+them only on equal candidates, times and epsilon (``1`` matches
+``Fraction(1)``); a table never writes them, and on a miss holds only the
+rows it keeps.  Every report and table of a random call sequence must equal
+the same call on a fresh copy of the program, which samples afresh.  A read
+flags only what its own n times show, and ``verify_separated`` samples
+afresh, so it rejects a corrupted kept answer.
 """
 
 import copy
@@ -75,18 +71,38 @@ def fresh(program):
     return dataclasses.replace(program)
 
 
-# a candidate tainted at t = 3: the n = 6 call is flagged, the n = 2 hit is
-# not, and the table on all of the long times reads the same sample
+def spy_samples(mp):
+    """Record the candidates of every ``analysis._sample`` call."""
+    made = []
+    sample = analysis._sample
+
+    def spy(program, xs, times, taints):
+        made.append(tuple(xs))
+        return sample(program, xs, times, taints)
+
+    mp.setattr(analysis, "_sample", spy)
+    return made
+
+
+# a candidate tainted at t = 3: the n = 6 call is flagged, the n = 2 read is
+# not, and the table on all of the long times reads the same answers
 TAINT_BETWEEN = [
     ("greedy", "base", "long", 6, F(1, 8)),
     ("greedy", "base", "long", 2, F(1, 8)),
     ("table", "base", "long", [6, 2], [F(1, 8)]),
+]
+# equal candidates and times at another epsilon: a miss
+OTHER_EPSILON = [
+    ("greedy", "base", "long", 4, F(1, 8)),
+    ("greedy", "base", "long", 4, F(1, 3)),
+    ("table", "base", "long", [6, 4], [F(1, 3), F(1, 8)]),
 ]
 
 
 @given(st.lists(calls(), min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 @example(TAINT_BETWEEN)
+@example(OTHER_EPSILON)
 @example([("greedy", "base", "long", 4, F(1, 4)), ("greedy", "ints", "long", 3, F(1, 4))])
 @example([("table", "base", "long", [6], [F(1, 4)]), ("table", "swapped", "long", [6], [F(1, 4)])])
 @example([("greedy", "base", "long", 5, F(1, 3)), ("greedy", "changed", "long", 5, F(1, 3))])
@@ -96,83 +112,96 @@ def test_calls_match_fresh_program(sequence):
         assert run(program, call) == run(fresh(program), call)
 
 
+@given(st.lists(calls(), min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+@example(OTHER_EPSILON)
+@example([("greedy", "base", "long", 4, F(1, 4)), ("greedy", "ints", "long", 3, F(1, 4))])
+def test_each_call_samples_only_on_a_miss(sequence):
+    # the test's own model of the slot predicts each call's hit or miss: a
+    # greedy call keeps (candidates, A, epsilon), and a table keeps nothing
+    program = fresh(PROGRAM)
+    kept = None
+    with pytest.MonkeyPatch.context() as mp:
+        made = spy_samples(mp)
+        for call in sequence:
+            kind, cands, times, cells, eps = call
+            n = len(TIMES[times]) if kind == "greedy" else max(cells)
+            key = (tuple(VARIANTS[cands]), tuple(TIMES[times][:n]))
+            epsilons = [eps] if kind == "greedy" else eps
+            hit = kept is not None and kept[:2] == key and all(e == kept[2] for e in epsilons)
+            before = len(made)
+            run(program, call)
+            assert len(made) - before == (0 if hit else 1)
+            if kind == "greedy" and not hit:
+                kept = (*key, eps)
+            assert [a[:3] for a in program._kept_answers] == ([kept] if kept else [])
+
+
 def test_taint_between_horizons_long_call_first():
     program = fresh(PROGRAM)
     long, short, table = TAINT_BETWEEN
     assert run(program, long).flagged
-    kept, = program._kept_sample
+    answers, = program._kept_answers
     rep = run(program, short)
-    assert not rep.flagged
-    assert program._kept_sample[0] is kept
-    assert rep == run(fresh(program), short)
+    assert not rep.flagged and rep == run(fresh(program), short)
     assert run(program, table) == run(fresh(program), table)
-    assert program._kept_sample[0] is kept
+    assert program._kept_answers[0] is answers
 
 
-def test_int_and_fraction_candidates_share_the_sample():
+def test_int_and_fraction_candidates_share_the_answers():
     program = fresh(PROGRAM)
     call = ("greedy", "base", "long", 4, F(1, 4))
     run(program, call)
-    kept, = program._kept_sample
+    answers, = program._kept_answers
     rep = run(program, ("greedy", "ints", "long", 4, F(1, 4)))
-    assert program._kept_sample[0] is kept
+    assert program._kept_answers[0] is answers
     assert rep == run(program, call)
 
 
-@given(st.lists(calls(), min_size=1, max_size=8))
-@settings(max_examples=40, deadline=None)
-def test_one_sample_and_empty_slot_at_every_trajectory(sequence):
-    # the test's own model of the slot predicts each call's hit or miss
+def test_the_slot_holds_answers_not_rows():
     program = fresh(PROGRAM)
-    trajectory = analysis.trajectory
-    made = []
-
-    def spy(prog, *args):
-        assert prog._kept_sample == []
-        made.append(args)
-        return trajectory(prog, *args)
-
-    kept = None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "trajectory", spy)
-        for call in sequence:
-            kind, cands, times, cells, _ = call
-            # a greedy call samples all of its time list, a table its first
-            # max(n_list) times
-            n = len(TIMES[times]) if kind == "greedy" else max(cells)
-            key, sampled = tuple(VARIANTS[cands]), tuple(TIMES[times][:n])
-            hit = kept == (key, sampled)
-            before = len(made)
-            run(program, call)
-            assert len(made) - before == (0 if hit else len(key))
-            if not hit:
-                kept = (key, sampled) if kind == "greedy" else None
-            assert [s[:2] for s in program._kept_sample] == ([kept] if kept else [])
-
+    A, eps = TIMES["long"], F(1, 8)
+    witnesses = run(program, ("greedy", "base", "long", 6, eps)).witnesses
+    (key, times, epsilon, kept, taints), = program._kept_answers
+    assert (key, times, epsilon) == (tuple(BASE), tuple(A), eps)
+    assert taints == [oracles.trajectory(PROGRAM, x, max(A)).tainted_from for x in BASE]
+    # the candidates and epsilon are the only Fractions held; each kept
+    # row's mask names the n that keep it
+    assert all(type(i) is int and type(mask) is int and mask for i, mask in kept)
+    assert [i for i, mask in kept if mask >> 5 & 1] == [BASE.index(w) for w in witnesses]
 
 
 def test_a_table_keeps_nothing():
-    # a table asked twice on one program samples twice, as on a fresh one,
-    # and a table that misses drops the sample a greedy call kept
+    # a table never writes the slot: asked twice it samples twice, a miss
+    # leaves a greedy call's answers as they were, and a table on that
+    # call's candidates, times and epsilon reads them
     program = fresh(PROGRAM)
-    trajectory = analysis.trajectory
-    made = []
-
-    def spy(*args):
-        made.append(args)
-        return trajectory(*args)
-
     table = ("table", "base", "long", [3, 1], [F(1, 4)])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "trajectory", spy)
+        made = spy_samples(mp)
         first = run(program, table)
-        assert program._kept_sample == [] and len(made) == len(BASE)
         assert run(program, table) == first
-        assert program._kept_sample == [] and len(made) == 2 * len(BASE)
+        assert program._kept_answers == [] and len(made) == 2
         run(program, ("greedy", "base", "other", 2, F(1, 4)))
-        assert len(program._kept_sample) == 1
+        answers, = program._kept_answers
         assert run(program, table) == first
-        assert program._kept_sample == [] and len(made) == 4 * len(BASE)
+        assert program._kept_answers[0] is answers and len(made) == 4
+        hit = ("table", "base", "other", [4, 1], [F(1, 4)] * 2)
+        assert run(program, hit) == run(fresh(program), hit)
+        # only the fresh program sampled
+        assert program._kept_answers[0] is answers and len(made) == 5
+
+
+def test_a_table_on_a_strict_prefix_samples_afresh():
+    # the kept times [1..6] start with the table's [1, 2, 3], but only equal
+    # times are read
+    program = fresh(PROGRAM)
+    table = ("table", "base", "long", [3, 1], [F(1, 4)])
+    run(program, ("greedy", "base", "long", 4, F(1, 4)))
+    with pytest.MonkeyPatch.context() as mp:
+        made = spy_samples(mp)
+        assert run(program, table) == run(fresh(program), table)
+        assert len(made) == 2
 
 
 # the tracemalloc peak of criterion 8's tent table: 0.99 MB when it streams
@@ -210,66 +239,33 @@ def test_a_table_holds_only_the_rows_it_keeps(monkeypatch):
     assert peak < TENT_TABLE_PEAK
 
 
-def test_a_table_on_a_strict_prefix_samples_afresh():
-    # the kept times [1..6] start with the table's [1, 2, 3], but only equal
-    # times are read: the table samples its own and empties the slot
+def test_verify_rejects_a_corrupted_kept_answer():
     program = fresh(PROGRAM)
-    trajectory = analysis.trajectory
-    made = []
-
-    def spy(*args):
-        made.append(args)
-        return trajectory(*args)
-
-    table = ("table", "base", "long", [3, 1], [F(1, 4)])
-    run(program, ("greedy", "base", "long", 4, F(1, 4)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "trajectory", spy)
-        assert run(program, table) == run(fresh(program), table)
-        assert len(made) == 2 * len(BASE)
-    assert program._kept_sample == []
-
-
-def _corrupt(program):
-    """Overwrite every kept row with the candidate's index and return a copy."""
-    (_, _, rows, _), = program._kept_sample
-    assert None in rows  # 0 and 1 meet at t = 1
-    for i, row in enumerate(rows):
-        if row is not None:
-            row[:] = [F(i)] * len(row)
-    return copy.deepcopy(program._kept_sample)
-
-
-def test_verify_ignores_corrupted_sample():
-    program = fresh(PROGRAM)
-    call = ("greedy", "base", "long", 4, F(1, 8))
-    rep = run(program, call)
-    assert verify_separated(fresh(program), rep)
-    # every kept row is now far from every other: a pair of close witnesses
-    # is still rejected, and the kept witnesses still pass
-    snapshot = _corrupt(program)
-    close = dataclasses.replace(rep, witnesses=(F(1, 3), F(1, 3) + F(1, 1024)))
-    assert not verify_separated(fresh(program), close)
-    assert not verify_separated(program, close)
+    rep = run(program, ("greedy", "base", "long", 4, F(1, 8)))
     assert verify_separated(program, rep)
-    assert program._kept_sample == snapshot
-    # with every kept row equal, the rows the slot holds would reject rep
-    (_, _, rows, _), = program._kept_sample
-    for row in filter(None, rows):
-        row[:] = [F(0)] * len(row)
-    snapshot = copy.deepcopy(program._kept_sample)
+    # every candidate now reads as kept in every cell, 0 and 1 too, which
+    # meet at t = 1: the read returns them all, and verify, which samples
+    # afresh, rejects them and still accepts the true report
+    (key, A, _, kept, _), = program._kept_answers
+    kept[:] = [(i, 2 ** len(A) - 1) for i in range(len(key))]
+    bad = run(program, ("greedy", "base", "long", 4, F(1, 8)))
+    assert bad.witnesses == tuple(BASE)
+    snapshot = copy.deepcopy(program._kept_answers)
+    assert not verify_separated(program, bad)
     assert verify_separated(program, rep)
-    assert program._kept_sample == snapshot
+    assert program._kept_answers == snapshot
 
 
 @pytest.mark.parametrize("times", sorted(TIMES))
 @pytest.mark.parametrize("epsilon", EPSILONS)
 def test_lone_greedy_flags_only_its_own_times(times, epsilon):
-    # the miss samples all of A, past the taint at t = 3 and the exact
-    # horizon 4; a cell of n < len(A) times must still read as a lone
-    # sample of A[:n] does
+    # a miss samples all of A, past the taint at t = 3 and the exact horizon
+    # 4; a cell of n < len(A) times must still read as a lone sample of
+    # A[:n] does, and every n read from one call's kept answers too
     A = TIMES[times]
-    for n in range(1, len(A)):
+    shared = fresh(PROGRAM)
+    greedy_separated(shared, BASE, A, len(A), epsilon)
+    for n in range(1, len(A) + 1):
         cut = A[:n]
         T = max(cut)
         flagged = T > PROGRAM.exact_horizon or any(
@@ -287,4 +283,5 @@ def test_lone_greedy_flags_only_its_own_times(times, epsilon):
         )
         program = fresh(PROGRAM)
         assert greedy_separated(program, BASE, A, n, epsilon) == want
-        assert program._kept_sample[0][1] == tuple(A)
+        assert program._kept_answers[0][1] == tuple(A)
+        assert greedy_separated(shared, BASE, A, n, epsilon) == want
