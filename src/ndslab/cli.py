@@ -125,13 +125,18 @@ def _check_keys(d, allowed: set, what: str) -> None:
         raise ValueError(f"unknown keys {sorted(unknown)} in {what}; accepted: {sorted(allowed)}")
 
 
-def _configure(family: str, config_path: str | None, depth: int, rho: Fraction, base: int):
-    """Parse the options once into (program, bundle, stage params).
+def _configure(
+    family: str, config_path: str | None, depth: int, rho: Fraction, base: int, stage_times=None
+):
+    """Parse the options once into (program, bundle, times).
 
-    The bundle and the stage params are None outside the main family.  The
-    configuration file is checked against its family's keys here, and its
-    values by the constructors, before any map is built; every error in it
-    becomes a UsageError (exit code 2).
+    The bundle is None outside the main family.  ``stage_times`` takes the
+    main family's stage params to the times a command samples (R or S); it
+    runs before any map is built, so that it can refuse a count the stages
+    cannot hold, and its answer is the third element (None without it).
+    The configuration file is checked against its family's keys here, and
+    its values by the constructors, before any map is built; every error in
+    it becomes a UsageError (exit code 2).
     """
     cfg = {}
     if config_path is not None:
@@ -154,8 +159,9 @@ def _configure(family: str, config_path: str | None, depth: int, rho: Fraction, 
                 _check_keys(s, STAGE_KEYS, "a stage")
                 specs.append(StageSpec(Block(s["block"]), s["a"]))
             params = StageParams(stages=tuple(specs))
+        times = None if stage_times is None else stage_times(params)
         bundle = build_limit_map(build_atlas(depth, rho, base))
-        return build_main_nds(bundle, params), bundle, params
+        return build_main_nds(bundle, params), bundle, times
     except (KeyError, TypeError, ValueError) as e:
         raise click.UsageError(f"bad configuration: {e!r}")
 
@@ -319,12 +325,17 @@ def dump_map_cmd(program_path, time_index, grid, out):
 def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, count, min_headline, out):
     """Greedy separated-set entropy table for a program."""
     A = _check_times(times_spec, count, family)
-    program, bundle, params = _configure(family, config_path, depth, rho, base)
-    if A is None:  # R, or S: the main family's default
+
+    def stage_times(params: StageParams) -> list[int]:  # R, or S: the main family's default
         try:
-            A = times_R(params, 1, count) if times_spec == "R" else times_S(params, count)
+            return times_R(params, 1, count) if times_spec == "R" else times_S(params, count)
         except ValueError as e:  # a count beyond the configured stages
             raise click.UsageError(f"times {times_spec or 'S'!r}: {e}")
+
+    program, bundle, times = _configure(
+        family, config_path, depth, rho, base, stage_times if A is None else None
+    )
+    A = A or times
     cands, eps_default = acceptance.entropy_inputs(bundle)
     epsilons = list(epsilon) or [eps_default]
     n_list = sorted({1, max(1, len(A) // 2), len(A)})

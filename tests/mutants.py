@@ -113,6 +113,20 @@ CATALOGUE = (
         ("tests/test_greedy_oracles.py::test_unsorted_and_repeated_times_match_oracles",),
     ),
     Mutant(
+        "gaps are taken only on the right of a shallow interval",
+        "src/ndslab/acceptance.py",
+        "for g in (i - 1, i)}",
+        "for g in (i,)}",
+        ("tests/test_candidate_oracles.py::test_main_candidates_at_the_battery_depth",),
+    ),
+    Mutant(
+        "grid_in's first term takes b for d",
+        "src/ndslab/acceptance.py",
+        "head, den = 2 * m * a * d,",
+        "head, den = 2 * m * a * b,",
+        ("tests/test_candidate_oracles.py::test_grid_in_matches_fraction_steps",),
+    ),
+    Mutant(
         "_splice does not sort its points",
         "src/ndslab/constructions.py",
         "    points = sorted(points)\n",

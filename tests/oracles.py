@@ -25,7 +25,10 @@ interval images.  The set-up that now works on integers and positions is kept in
 its ``Fraction`` and ``Code`` form: ``build_atlas``'s layout as the sum of
 ``Fraction`` lengths and gaps, ``build_limit_map``'s points as one
 ``alpha`` image per code, then sorted, and ``build_lambda``'s partner of
-G(c) as G(tau(w, c)).  The separated-set greedy
+G(c) as G(tau(w, c)).  Criterion 7b's candidates (``acceptance.main_candidates``)
+are kept as the walk over every atlas code and every pair of neighbours,
+with each grid point made by three ``Fraction`` operations (``grid_in``).
+The separated-set greedy
 pass is kept twice: as the count over pre-sampled rows that
 ``analysis.entropy_estimate`` made, and as the loop of
 ``analysis.greedy_separated`` that sampled each candidate and tested it
@@ -333,6 +336,27 @@ def limit_points(bundle) -> list[tuple[Fraction, Fraction]]:
     for c, (l, r) in zip(bundle.atlas.codes, bundle.atlas.intervals):
         points += [(l, images[c][0]), (r, images[c][1])]
     return sorted(points)
+
+
+def grid_in(l, r, m: int) -> list[Fraction]:
+    """m interior midpoints of [l, r], uniformly spaced, as l + (2j+1)/(2m) * (r - l)."""
+    return [l + Fraction(2 * j + 1, 2 * m) * (r - l) for j in range(m)]
+
+
+def main_candidates(bundle) -> list[Fraction]:
+    """Grids in the intervals of depth <= 4, then in the gaps beside them, over all codes."""
+    atlas = bundle.atlas
+    cands = []
+    density = {0: 400, 1: 240, 2: 120, 3: 50, 4: 16}
+    codes = atlas.codes
+    for c, iv in zip(codes, atlas.intervals):
+        if c.depth <= 4:
+            cands += grid_in(*iv, density[c.depth])
+    pairs = zip(zip(codes, atlas.intervals), zip(codes[1:], atlas.intervals[1:]))
+    for (c1, iv1), (c2, iv2) in pairs:
+        if min(c1.depth, c2.depth) <= 4 and iv2[0] > iv1[1]:
+            cands += grid_in(iv1[1], iv2[0], 60)
+    return cands
 
 
 def tau_partner(atlas, word: str, c):

@@ -175,6 +175,9 @@ stage_cases = st.integers(3, 8).flatmap(
 @given(stage_cases, rhos, bases, st.integers(1, 3))
 @example((8, "111"), Fraction(1, 2), 4, 1)
 @example((5, "0110"), Fraction(2 ** 60 - 1, 2 ** 60 + 3), 9, 3)
+# eta takes the value 19/24, which is no interval end but shares its
+# numerator with the end 19/23 of the successor block's cylinder
+@example((3, "0"), Fraction(1, 2), 4, 1)
 def test_stage_maps_take_the_partner_images_at_the_hull_ends(case, rho, base, n):
     # at each hull interval end x of G(c), both steps equal f_D(lambda(x)),
     # an end of the image of G(tau(c)); where x is a breakpoint the map holds

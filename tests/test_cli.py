@@ -503,6 +503,26 @@ def test_entropy_bad_epsilon_exits_2_before_building(runner, tmp_path, monkeypat
     assert epsilon in res.output
 
 
+@pytest.mark.parametrize(
+    "config, stage_count",
+    [(None, 15), ('{"stages": [{"block": "0", "a": 2}, {"block": "01", "a": 1}]}', 3)],
+)
+def test_entropy_count_beyond_the_stages_exits_2_before_building(
+    runner, tmp_path, monkeypatch, config, stage_count
+):
+    # S needs only the stage params: a count they cannot hold is refused
+    # before the atlas is built, with or without a config
+    monkeypatch.setattr(cli, "build_atlas", _refuse)
+    argv = ["entropy", "--family", "main", "--count", "100", "-o", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "stages.json").write_text(config)
+        argv += ["--config", str(tmp_path / "stages.json")]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"times 'S': count 100 exceeds configured stages ({stage_count} times)" in res.output
+
+
 @pytest.mark.parametrize("delta", ["0", "-1/4"])
 def test_ly_scan_bad_delta_exits_2_before_drawing(runner, tmp_path, monkeypatch, delta):
     monkeypatch.setattr(acceptance, "random", SimpleNamespace(Random=_refuse))

@@ -10,12 +10,12 @@ needs:
 * ``parse``: an option value is refused before any file is read or anything
   is built (``_configure``, ``load_program`` and the builders refuse);
 * ``read``: a value in a file the line names (a ``--config`` file or a
-  ``build-nds`` artefact) is refused before any map is built or evaluated;
+  ``build-nds`` artefact), or an ``entropy --count`` beyond the configured
+  stages, is refused before any map is built or evaluated;
 * ``build``: a main-family configuration that the atlas of the drawn depth
   cannot hold (a block longer than the depth, an all-ones block as long as
   the depth, which visits the frontier code, or the default stages below
-  depth 4), or an ``entropy --count`` beyond the configured stages, is
-  refused once the atlas is built.
+  depth 4) is refused once the atlas is built.
 
 A line holding invalid values of several kinds is refused at the earliest.
 Every pool is sampled uniformly by a ``random.Random`` seeded with the
@@ -222,7 +222,7 @@ def _family_line(rng: random.Random, command: str, valid: bool) -> Line:
     spec = line.option("--times", times, bad_times)
     if family == "main" and spec in counted:
         # a valid line's stages may hold a single stage time
-        line.option("--count", ["1"], ["0", "-1"] + ([] if spec == "R" else [("40", "build")]))
+        line.option("--count", ["1"], ["0", "-1"] + ([] if spec == "R" else [("40", "read")]))
     elif spec in counted:  # a table at 1..8 would take seconds
         line.option("--count", ["1", "2", "3"], ["0", "-1"])
     else:  # a range leaves the count unused, whatever its value
