@@ -10,12 +10,14 @@ estimates.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
 import click
+from click.core import ParameterSource
 
 from . import acceptance
 from .analysis import convergence_report, entropy_estimate
@@ -78,6 +80,13 @@ class _Rational(click.ParamType):
 _SCALE = _Rational("be positive", lambda v: v > 0)  # --epsilon and --delta
 
 
+def _finite(ctx, param, value: float | None) -> float | None:
+    """--min-headline is checked while parsing: nan or an infinity would make its gate moot."""
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 def _out_path(ctx, param, path: str) -> str:
     """-o is checked while parsing, so a bad path fails before any work."""
     if Path(path).is_dir() or not Path(path).parent.is_dir():
@@ -111,13 +120,8 @@ def _atlas_options(with_config: bool = True):
     return decorate
 
 
-# the keys a --config file may hold, per family, and per entry of "stages"
-CONFIG_KEYS = {
-    "lemma": {"num_stages", "repeats"},
-    "main": {"stages"},
-    "tent": set(),
-    "identity": set(),
-}
+# the keys a --config file may hold, per family that reads one, and per entry of "stages"
+CONFIG_KEYS = {"lemma": {"num_stages", "repeats"}, "main": {"stages"}}
 STAGE_KEYS = {"block", "a"}
 
 
@@ -129,6 +133,19 @@ def _check_keys(d, allowed: set, what: str) -> None:
         raise ValueError(f"unknown keys {sorted(unknown)} in {what}; accepted: {sorted(allowed)}")
 
 
+def _refuse_unread(family: str, times_spec: str | None = None) -> None:
+    """Exit 2 if the line sets an option that it leaves unread: the atlas options
+    outside the main family, --config outside CONFIG_KEYS, or --count beside 1..n."""
+    ignored = set() if family == "main" else {"depth", "rho", "base"}
+    ignored |= set() if family in CONFIG_KEYS else {"config_path"}
+    ignored |= set() if times_spec in (None, "S", "R") else {"count"}
+    ctx = click.get_current_context()
+    for p in ctx.command.params:
+        if p.name in ignored and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE:
+            where = f"beside --times {times_spec}" if p.name == "count" else f"for family {family!r}"
+            raise click.UsageError(f"{p.opts[0]} is ignored {where}")
+
+
 def _configure(family: str, config_path: str | None):
     """Read the --config file: the main family's StageParams, or any other family's program.
 
@@ -136,6 +153,8 @@ def _configure(family: str, config_path: str | None):
     constructors, before any map of the main family is built (``_build``
     builds them); every error in it becomes a UsageError (exit code 2).
     """
+    if family not in CONFIG_KEYS:  # tent and identity read no file
+        return acceptance.autonomous_program(tent_map() if family == "tent" else identity_map())
     cfg = {}
     if config_path is not None:
         try:
@@ -144,10 +163,6 @@ def _configure(family: str, config_path: str | None):
             raise click.UsageError(f"cannot read config {config_path}: {e}")
     try:
         _check_keys(cfg, CONFIG_KEYS[family], f"the {family} family's config")
-        if family == "tent":
-            return acceptance.autonomous_program(tent_map())
-        if family == "identity":
-            return acceptance.autonomous_program(identity_map())
         if family == "lemma":
             return lemma_nds(cfg.get("num_stages", 5), cfg.get("repeats"))
         if "stages" not in cfg:
@@ -235,12 +250,10 @@ def load_program(path: str) -> BlockProgram:
 def _check_times(spec: str | None, count: int, family: str) -> list[int] | None:
     """The times 1..n, or None for S and R, whose times need the stage params.
 
-    Checked before any build: the spec, and the family and count of S and R.
+    Checked before any build: the spec, and the family of S and R.
     Without a spec the main family takes S and the others 1..count.
     """
     if spec is None:
-        if family != "main" and count < 1:
-            raise click.UsageError(f"--count {count}: need at least one time")
         spec = "S" if family == "main" else f"1..{count}"
     if spec in ("S", "R"):
         if family != "main":
@@ -248,8 +261,6 @@ def _check_times(spec: str | None, count: int, family: str) -> list[int] | None:
                 f"times {spec} are defined by the main family's stages; "
                 f"use 1..n for family {family!r}"
             )
-        if count < 1:
-            raise click.UsageError(f"times {spec!r}: need at least one time")
         return None
     n = spec[3:]
     if spec.startswith("1..") and n.isdecimal() and int(n) >= 1:
@@ -280,6 +291,7 @@ def build_atlas_cmd(depth, rho, base, out):
 @click.option("-o", "out", default="program.json", show_default=True, callback=_out_path)
 def build_nds_cmd(family, depth, rho, base, config_path, out):
     """Build a block program and write its maps, tail and exactness bounds as JSON."""
+    _refuse_unread(family)
     program = _configure(family, config_path)
     if family == "main":
         program, _ = _build(program, depth, rho, base)
@@ -325,12 +337,13 @@ def dump_map_cmd(program_path, time_index, grid, out):
 @click.option(
     "--epsilon", type=_SCALE, multiple=True, help="scales; default family-specific"
 )
-@click.option("--count", type=int, default=8, show_default=True, help="times to take")
-@click.option("--min-headline", type=float, default=None, help="fail below this")
+@click.option("--count", type=click.IntRange(min=1), default=8, show_default=True, help="times to take")
+@click.option("--min-headline", type=float, default=None, callback=_finite, help="fail below this")
 @click.option("-o", "out", default="entropy.json", show_default=True, callback=_out_path)
 def entropy_cmd(family, depth, rho, base, config_path, times_spec, epsilon, count, min_headline, out):
     """Greedy separated-set entropy table for a program."""
     A = _check_times(times_spec, count, family)
+    _refuse_unread(family, times_spec)
     program, bundle = _configure(family, config_path), None
     if family == "main":
         if A is None:  # R, or S by default: a count beyond the stages is refused here

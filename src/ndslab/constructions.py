@@ -188,9 +188,9 @@ def lemma_nds(num_stages: int = 5, repeats: Optional[Sequence[int]] = None) -> B
         raise ValueError("need at least one stage")
     if repeats is None:
         repeats = range(1, num_stages + 1)
-    if len(repeats) < num_stages:
+    if len(repeats) != num_stages:
         raise ValueError(f"{len(repeats)} repeats for {num_stages} stages")
-    reps = [_count(r, "repeats") for r in repeats[:num_stages]]
+    reps = [_count(r, "repeats") for r in repeats]
     if min(reps) < 1:
         raise ValueError("repeat count must be positive")
     stages = []

@@ -180,6 +180,31 @@ CATALOGUE = (
         ("tests/test_cli.py::test_configure_reads_the_main_family_without_building",),
     ),
     Mutant(
+        "the family check is skipped",
+        "src/ndslab/cli.py",
+        '    ignored = set() if family == "main" else {"depth", "rho", "base"}\n'
+        '    ignored |= set() if family in CONFIG_KEYS else {"config_path"}\n',
+        "    ignored = set()\n",
+        (
+            "tests/test_cli.py::test_bad_option_exits_2_before_building[build-nds-tent-depth]",
+            "tests/test_cli.py::test_config_of_a_family_without_keys_exits_2_unread",
+        ),
+    ),
+    Mutant(
+        "--count beside a range is accepted",
+        "src/ndslab/cli.py",
+        '    ignored |= set() if times_spec in (None, "S", "R") else {"count"}\n',
+        "",
+        ("tests/test_cli.py::test_entropy_count_beside_a_range_exits_2",),
+    ),
+    Mutant(
+        "--min-headline accepts nan",
+        "src/ndslab/cli.py",
+        "not math.isfinite(value)",
+        "math.isinf(value)",
+        ("tests/test_cli.py::test_bad_option_exits_2_before_building[entropy-min-headline-nan]",),
+    ),
+    Mutant(
         "load_program does not check tail_mode",
         "src/ndslab/cli.py",
         '        if d["tail_mode"] != ("cycle" if tail is None else "repeat"):\n'
@@ -187,6 +212,16 @@ CATALOGUE = (
         'cycle none")\n',
         "",
         (CONTRACT + "test_invalid_command_lines_exit_2[trajectory]",),
+    ),
+    Mutant(
+        "lemma_nds truncates long repeats",
+        "src/ndslab/constructions.py",
+        "    if len(repeats) != num_stages:\n",
+        "    repeats = repeats[:num_stages]\n    if len(repeats) != num_stages:\n",
+        (
+            "tests/test_constructions.py::TestLemmaProgram::"
+            "test_rejects_bad_counts_before_building[repeats-longer-than-stages]",
+        ),
     ),
     Mutant(
         "the interning dict is keyed by numerator only",

@@ -241,7 +241,6 @@ def test_entropy_command_identity(runner, tmp_path):
             "entropy",
             "--family", "identity",
             "--times", "1..6",
-            "--count", "6",
             "--epsilon", "1",
             "-o", str(out),
         ],
@@ -288,7 +287,6 @@ def test_entropy_min_headline_gate(runner, tmp_path):
             "entropy",
             "--family", "identity",
             "--times", "1..4",
-            "--count", "4",
             "--epsilon", "1",
             "--min-headline", "0.5",
             "-o", str(out),
@@ -561,6 +559,22 @@ EARLY_REFUSALS = {
         "entropy", "--family", "main", "--times", "R", "--count", "-2"
     ],
     "entropy-default-times-count-zero": ["entropy", "--family", "tent", "--count", "0"],
+    # options that the line sets but would never read
+    "build-nds-tent-depth": ["build-nds", "--family", "tent", "--depth", "3"],
+    "build-nds-lemma-base": ["build-nds", "--family", "lemma", "--base", "3"],
+    "build-nds-identity-default-rho": ["build-nds", "--family", "identity", "--rho", "1/2"],
+    "entropy-lemma-rho": ["entropy", "--family", "lemma", "--rho", "1/3"],
+    "entropy-identity-default-depth": ["entropy", "--family", "identity", "--depth", "12"],
+    "entropy-tent-count-beside-a-range": [
+        "entropy", "--family", "tent", "--times", "1..3", "--count", "5"
+    ],
+    "entropy-main-count-beside-a-range": [
+        "entropy", "--family", "main", "--times", "1..3", "--count", "2"
+    ],
+    # a gate that no headline can fail (nan, -inf) or pass (inf)
+    "entropy-min-headline-nan": ["entropy", "--family", "tent", "--min-headline", "nan"],
+    "entropy-min-headline-minus-inf": ["entropy", "--family", "tent", "--min-headline", "-inf"],
+    "entropy-min-headline-inf": ["entropy", "--family", "tent", "--min-headline", "inf"],
     "ly-scan-pairs-zero": ["ly-scan", "--pairs", "0"],
     "ly-scan-pairs-negative": ["ly-scan", "--pairs", "-5"],
     "ly-scan-delta-zero": ["ly-scan", "--delta", "0"],
@@ -592,10 +606,29 @@ def test_distality_steps_at_the_horizon_reach_the_build(runner, tmp_path, monkey
     assert isinstance(runner.invoke(main, argv).exception, Reached)
 
 
-def test_entropy_count_is_unused_by_a_range(runner, tmp_path):
-    argv = ["entropy", "--family", "identity", "--times", "1..3", "--count", "0"]
+def test_entropy_count_beside_a_range_exits_2(runner, tmp_path):
+    # a range sets the times itself, so a --count beside it would do nothing
+    argv = ["entropy", "--family", "identity", "--times", "1..3", "--count", "3"]
     res = runner.invoke(main, argv + ["-o", str(tmp_path / "out")])
-    assert res.exit_code == 0, res.output
+    assert res.exit_code == 2, res.output
+    assert "--count is ignored beside --times 1..3" in res.output
+
+
+@pytest.mark.parametrize("family", ["tent", "identity"])
+@pytest.mark.parametrize("command", ["build-nds", "entropy"])
+def test_config_of_a_family_without_keys_exits_2_unread(
+    runner, tmp_path, monkeypatch, command, family
+):
+    # tent and identity read no --config, so even an empty one is refused
+    # before it is read
+    monkeypatch.setattr(cli, "_configure", _refuse)
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    argv = [command, "--family", family, "--config", str(config), "-o", str(tmp_path / "out")]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"--config is ignored for family {family!r}" in res.output
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-1/3", "abc", "1/0"])
@@ -689,6 +722,9 @@ BAD_CONFIGS = {
     "config-lemma-with-stages": ('{"num_stages": 2, "stages": []}', LEMMA_CONFIG_ARGV),
     "config-repeats-bool": ('{"num_stages": 2, "repeats": [1, true]}', LEMMA_CONFIG_ARGV),
     "config-repeats-not-a-list": ('{"num_stages": 2, "repeats": {"1": 1}}', LEMMA_CONFIG_ARGV),
+    "config-repeats-longer-than-stages": (
+        '{"num_stages": 2, "repeats": [1, 2, 9]}', LEMMA_CONFIG_ARGV
+    ),
     "config-not-an-object": ("[1, 2]", LEMMA_CONFIG_ARGV),
     "config-stage-a-float-and-bool": (
         '{"stages": [{"block": "1", "a": 3.9}, {"block": "11", "a": true}]}',
@@ -706,7 +742,8 @@ BAD_CONFIGS = {
     ),
 }
 
-# atlas options that every family checks while parsing
+# atlas options out of range: refused while parsing for every family (the
+# other families refuse any value of them, see EARLY_REFUSALS)
 BAD_ATLAS_OPTIONS = {
     "lemma-depth-negative": (None, ["build-nds", "--family", "lemma", "--depth", "-4"]),
     "lemma-rho-not-rational": (None, ["build-nds", "--family", "lemma", "--rho", "abc"]),

@@ -10,7 +10,10 @@ print a traceback.  A command reads, then builds: ``_configure`` reads the
 refused depends on what it needs:
 
 * ``parse``: an option value is refused before any file is read or anything
-  is built (``_configure``, ``load_program`` and the builders refuse);
+  is built (``_configure``, ``load_program`` and the builders refuse), and
+  so is any option that the line sets but would never read: the atlas
+  options for a family other than main, ``--config`` for tent and identity,
+  and ``--count`` beside a ``--times 1..n``;
 * ``read``: a value in a file the line names (a ``--config`` file or a
   ``build-nds`` artefact) is refused while it is read, and an ``entropy
   --count`` beyond the configured stages between the read and the build, so
@@ -54,6 +57,7 @@ BAD_CONFIG = {
         '{"num_stages": 0}', '{"num_stages": 2.7}', '{"num_stages": "3"}',
         '{"num_stages": true}', '{"num_stages": 2, "repeats": [1]}',
         '{"num_stages": 2, "repeats": [1, 0]}', '{"stages": []}',
+        '{"num_stages": 2, "repeats": [1, 2, 9]}',
     ],
     "main": [
         '{"stages": []}', '{"stages": {"block": "1", "a": 1}}', '{"stage": []}',
@@ -63,10 +67,10 @@ BAD_CONFIG = {
         '{"stages": [{"block": "1"}]}', '{"stages": [{"block": "1", "a": 1, "k": 2}]}',
         '{"stages": [{"block": ["1"], "a": 1}]}', '{"num_stages": 2}',
     ],
-    "tent": ['{"stages": []}', '{"num_stages": 1}'],
-    "identity": ['{"repeats": [1]}'],
 }
 BAD_FILE = ["[1, 2]", "{", None]  # None: the named file does not exist
+# tent and identity read no --config: any file is refused unread
+UNREAD_CONFIG = ["{}", '{"stages": []}', *BAD_FILE]
 
 # faults of a build-nds artefact that load_program refuses
 PROGRAM_FAULTS = (
@@ -150,8 +154,16 @@ def _stages(*blocks: str) -> str:
 
 
 def _config(line: Line, family: str, depth: int) -> None:
-    """--config: a valid configuration, one refused while read or one refused while built."""
+    """--config: a valid configuration, one refused while read or one refused while built.
+
+    A family without config keys takes no --config: every file is refused while parsing.
+    """
     rng = line.rng
+    if family not in BAD_CONFIG:
+        taken = line.pick("--config", UNREAD_CONFIG)
+        if taken is not None:
+            line.file("--config", taken[0])
+        return
     pool = [(text, "read") for text in BAD_CONFIG[family] + BAD_FILE]
     if family == "main":
         pool.append((_stages("1" * depth), "build"))
@@ -175,18 +187,26 @@ def _config(line: Line, family: str, depth: int) -> None:
             stages.append({"block": block, "a": rng.randint(1, 2)})
         line.file("--config", json.dumps({"stages": stages}))
     else:
-        valid = {"lemma": ['{"num_stages": 1}', '{"num_stages": 2, "repeats": [1, 2]}']}
-        text = rng.choice([None, *valid.get(family, ["{}"])])
+        text = rng.choice([None, '{"num_stages": 1}', '{"num_stages": 2, "repeats": [1, 2]}'])
         if text is not None:
             line.file("--config", text)
 
 
-def _atlas_options(line: Line) -> int:
-    """--depth, --rho and --base; the depth that the relative pools are drawn against."""
+def _atlas_options(line: Line, read: bool = True) -> int:
+    """--depth, --rho and --base; the depth that the relative pools are drawn against.
+
+    A line that reads no atlas (a family other than main) may set none of
+    them: their defaults, set on the line, join their invalid pools.
+    """
     depth = line.rng.randint(1, 5)
-    line.option("--depth", [str(depth)], DEPTH_BAD)
-    line.option("--rho", *RHO)
-    line.option("--base", *BASE)
+    if read:
+        line.option("--depth", [str(depth)], DEPTH_BAD)
+        line.option("--rho", *RHO)
+        line.option("--base", *BASE)
+    else:
+        line.option("--depth", [None], [*DEPTH_BAD, str(acceptance.DEFAULT_DEPTH)])
+        line.option("--rho", [None], [*RHO[1], str(acceptance.DEFAULT_RHO)])
+        line.option("--base", [None], [*BASE[1], str(acceptance.DEFAULT_BASE)])
     return depth
 
 
@@ -194,7 +214,8 @@ def _atlas_options(line: Line) -> int:
 def _artefact(family: str) -> str:
     runner = CliRunner()
     with runner.isolated_filesystem():
-        argv = ["build-nds", "--family", family, "--depth", "4", "-o", "p.json"]
+        depth = ["--depth", "4"] if family == "main" else []
+        argv = ["build-nds", "--family", family, *depth, "-o", "p.json"]
         assert runner.invoke(main, argv).exit_code == 0
         return Path("p.json").read_text()
 
@@ -234,7 +255,7 @@ def _family_line(rng: random.Random, command: str, target) -> Line:
     line = Line(rng, command, options, target)
     if line.option("--family", [family], ["foo", None]) != family:
         family = "main"  # an invalid family: the other pools no longer matter
-    depth = _atlas_options(line)
+    depth = _atlas_options(line, family == "main")
     _config(line, family, depth)
     line.option("-o", *OUT)
     if command == "build-nds":
@@ -243,8 +264,6 @@ def _family_line(rng: random.Random, command: str, target) -> Line:
     # family and 1..count for the others
     counted = ["S", "R", None] if family == "main" else [None]
     times = ["1..1", "1..2"] + (counted if family == "main" else ["1..3", None])
-    if "--count" in line.bad:
-        times = counted
     bad_times = ["1..x", "1..0", "T"] + ([] if family == "main" else ["S", "R"])
     spec = line.option("--times", times, bad_times)
     if family == "main" and spec in counted:
@@ -252,11 +271,10 @@ def _family_line(rng: random.Random, command: str, target) -> Line:
         line.option("--count", ["1"], ["0", "-1"] + ([] if spec == "R" else [("40", "read")]))
     elif spec in counted:  # a table at 1..8 would take seconds
         line.option("--count", ["1", "2", "3"], ["0", "-1"])
-    else:  # a range leaves the count unused, whatever its value
-        count = rng.choice([None, "0", "-1", "3"])
-        line.argv += [] if count is None else ["--count", count]
+    else:  # a range reads no count: any count beside it is refused
+        line.option("--count", [None], ["0", "-1", "3"])
     line.option("--epsilon", [None, "1/6", "1/3"], ["0", "-1/3", "abc", "1/0"])
-    line.option("--min-headline", [None, "0", "100"], ["abc"])
+    line.option("--min-headline", [None, "0", "100"], ["abc", "nan"])
     return line
 
 
@@ -388,9 +406,10 @@ VALID_LINES = {"entropy": 8, "settle-scan": 10}
 INVALID_LINES = 80  # at least the invalid entries of any command
 
 # the entries of each command's invalid pools, counted by hand: a depth-relative
-# entry counts once per depth it takes a new value at, a --config text once per family
+# entry counts once per depth it takes a new value at, a --config text once per
+# family that reads one, and once for the two that do not
 INVALID_ENTRIES = {
-    "build-atlas": 16, "build-nds": 62, "entropy": 75, "ly-scan": 53, "settle-scan": 41,
+    "build-atlas": 16, "build-nds": 62, "entropy": 77, "ly-scan": 53, "settle-scan": 41,
     "distality": 53, "convergence": 41, "trajectory": 21, "dump-map": 18, "verify-lemma-lm": 4,
 }
 

@@ -121,16 +121,20 @@ class TestLemmaProgram:
         assert prog.map_at(total + 10) == lemma_psi(3)
 
     def test_repeats_give_the_block_lengths(self):
-        prog = lemma_nds(num_stages=2, repeats=[3, 1, 7])
+        prog = lemma_nds(num_stages=2, repeats=[3, 1])
         assert [len(s.maps) for s in prog.stages] == [4, 2]
         assert [s.meta["repeats"] for s in prog.stages] == [3, 1]
 
     @pytest.mark.parametrize(
         "num_stages, repeats",
-        [(0, None), (4, [1, 2, 3]), (3, [1, 2, 0]), (True, None), (2, [1, True]), (2.0, None)],
+        [
+            (0, None), (4, [1, 2, 3]), (2, [3, 1, 7]), (3, [1, 2, 0]), (True, None),
+            (2, [1, True]), (2.0, None),
+        ],
         ids=[
             "no-stages",
             "repeats-shorter-than-stages",
+            "repeats-longer-than-stages",
             "zero-count-in-last-block",
             "bool-stage-count",
             "bool-repeat",
